@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "wsim/fleet/fleet.hpp"
 #include "wsim/serve/service.hpp"
 #include "wsim/util/rng.hpp"
 #include "wsim/util/table.hpp"
@@ -113,11 +114,20 @@ int main() {
                            "tput (req/s)", "GCUPS", "device util"});
   for (const double rate : rates) {
     for (const double delay_us : delays_us) {
+      // One K1200 with the shuffle designs: a one-worker fleet.
+      wsim::fleet::FleetConfig fleet_cfg;
+      fleet_cfg.workers = {{device,
+                            wsim::kernels::CommMode::kShuffle,
+                            wsim::kernels::PhDesign::kShuffle,
+                            {},
+                            8}};
+      fleet_cfg.parallelism = wsim::fleet::ParallelismPolicy::kInterTask;
+      fleet_cfg.engine = &wsim::bench::bench_engine();
+      wsim::fleet::FleetExecutor executor(std::move(fleet_cfg));
       wsim::serve::ServiceConfig cfg;
-      cfg.device = device;
       cfg.collect_outputs = false;  // timing-only: shape-cached execution
       cfg.policy.max_batch_delay = delay_us * 1e-6;
-      cfg.engine = &wsim::bench::bench_engine();
+      cfg.fleet = &executor;
       wsim::serve::AlignmentService service(cfg);
 
       wsim::util::Rng rng(1234);  // identical interarrival draws per point

@@ -1,6 +1,13 @@
 #include "wsim/cli/commands.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <limits>
+#include <sstream>
+#include <type_traits>
+
+#include "wsim/util/check.hpp"
 
 namespace wsim::cli {
 
@@ -38,7 +45,9 @@ const std::vector<CommandInfo>& commands() {
        "            [--target-cells C] [--max-batch N] [--outputs ''] [--json F]\n"
        "            [--trace-out F] [--metrics-out F]\n"
        "           replay a dataset as an open-loop arrival process (R requests\n"
-       "           per simulated second) through the async alignment service\n"},
+       "           per simulated second) through the async alignment service on\n"
+       "           one simulated device (a one-worker fleet; --device and --mode\n"
+       "           pick it and its kernel designs)\n"},
       {"fleet-sim",
        "  fleet-sim [--fleet \"K40,K1200,Titan X\"]\n"
        "            [--policy model|rr|least-cells|calibrated]\n"
@@ -133,6 +142,37 @@ std::string usage_text() {
       "                             best the CPU supports)\n";
   return text;
 }
+
+template <typename T>
+T parse_number(std::string_view flag, std::string_view text, T lo, T hi) {
+  const std::string shown = "--" + std::string(flag) + " '" + std::string(text) + "'";
+  T value{};
+  const char* const last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec == std::errc::invalid_argument || end != last) {
+    throw util::CheckError(shown + (std::is_integral_v<T> ? " is not an integer"
+                                                          : " is not a number"));
+  }
+  if (ec != std::errc::result_out_of_range && !std::isfinite(static_cast<double>(value))) {
+    throw util::CheckError(shown + " is not finite");
+  }
+  if (ec == std::errc::result_out_of_range || value < lo || value > hi) {
+    const T unbounded = std::is_integral_v<T> ? std::numeric_limits<T>::max()
+                                              : std::numeric_limits<T>::infinity();
+    std::ostringstream range;
+    if (hi == unbounded) {
+      range << " must be >= " << lo;
+    } else {
+      range << " must be in [" << lo << ", " << hi << "]";
+    }
+    throw util::CheckError(shown + range.str());
+  }
+  return value;
+}
+
+template long parse_number<long>(std::string_view, std::string_view, long, long);
+template double parse_number<double>(std::string_view, std::string_view, double,
+                                     double);
 
 std::string interp_error(std::string_view name) {
   if (name == "fast" || name == "legacy" || name == "vector") {

@@ -28,6 +28,14 @@ bool has_command(std::string_view name);
 /// common-options footer.
 std::string usage_text();
 
+/// Parses `text`, the value given for `--flag`, as one number in
+/// [lo, hi] with std::from_chars: the whole string must be the number (no
+/// leading space or '+', no trailing junk), finite, and in range. Throws
+/// util::CheckError naming the flag otherwise, so `--rate 5abc` is an
+/// error instead of rate 5. Instantiated for long and double.
+template <typename T>
+T parse_number(std::string_view flag, std::string_view text, T lo, T hi);
+
 /// Validates a --interp / WSIM_INTERP interpreter name. Returns the empty
 /// string when `name` is a known engine ("fast", "legacy", "vector");
 /// otherwise the exact one-line error the driver prints, which lists the

@@ -338,8 +338,8 @@ void FleetExecutor::prune_pending(SimTime t) {
   }
 }
 
-bool FleetExecutor::routes_intra(const DeviceWorker& w, std::size_t mean_m,
-                                 std::size_t mean_n, std::size_t tasks) const {
+bool FleetExecutor::routes_intra(const DeviceWorker& w,
+                                 const BatchShape& shape) const {
   switch (config_.parallelism) {
     case ParallelismPolicy::kInterTask:
       return false;
@@ -355,43 +355,41 @@ bool FleetExecutor::routes_intra(const DeviceWorker& w, std::size_t mean_m,
     // to the subsystem that is actually faster. During warm-up both factors
     // are exactly 1.0 and this reduces to pick_parallelism.
     const int dev = static_cast<int>(w.stats.id);
-    const double inter = calibrator_.factor(dev, KernelClass::kSwInter) *
-                         predicted_inter_batch_seconds(w.cfg.device, w.intra,
-                                                       mean_m, mean_n, tasks);
-    const double intra = calibrator_.factor(dev, KernelClass::kSwIntra) *
-                         predicted_intra_batch_seconds(w.cfg.device, w.intra,
-                                                       mean_m, mean_n, tasks);
+    const double inter =
+        calibrator_.factor(dev, KernelClass::kSwInter) *
+        predicted_inter_batch_seconds(w.cfg.device, w.intra, shape.mean_m,
+                                      shape.mean_n, shape.tasks);
+    const double intra =
+        calibrator_.factor(dev, KernelClass::kSwIntra) *
+        predicted_intra_batch_seconds(w.cfg.device, w.intra, shape.mean_m,
+                                      shape.mean_n, shape.tasks);
     return intra < inter;
   }
-  return pick_parallelism(w.cfg.device, w.intra, mean_m, mean_n, tasks) ==
-         ParallelMode::kIntraTask;
+  return pick_parallelism(w.cfg.device, w.intra, shape.mean_m, shape.mean_n,
+                          shape.tasks) == ParallelMode::kIntraTask;
 }
 
-KernelClass FleetExecutor::kernel_class(const DeviceWorker& w, bool is_sw,
-                                        std::size_t mean_m, std::size_t mean_n,
-                                        std::size_t tasks) const {
-  if (!is_sw) {
+KernelClass FleetExecutor::kernel_class(const DeviceWorker& w,
+                                        const BatchShape& shape) const {
+  if (!shape.is_sw) {
     return KernelClass::kPairHmm;
   }
-  return routes_intra(w, mean_m, mean_n, tasks) ? KernelClass::kSwIntra
-                                                : KernelClass::kSwInter;
+  return routes_intra(w, shape) ? KernelClass::kSwIntra : KernelClass::kSwInter;
 }
 
 double FleetExecutor::predicted_seconds_for(const DeviceWorker& w,
-                                            KernelClass cls, std::size_t cells,
-                                            std::size_t mean_m,
-                                            std::size_t mean_n,
-                                            std::size_t tasks) const {
+                                            KernelClass cls,
+                                            const BatchShape& shape) const {
   switch (cls) {
     case KernelClass::kSwInter:
-      return predicted_batch_seconds(w.cfg.device, w.sw_gcups, cells);
+      return predicted_batch_seconds(w.cfg.device, w.sw_gcups, shape.cells);
     case KernelClass::kSwIntra:
-      return predicted_intra_batch_seconds(w.cfg.device, w.intra, mean_m,
-                                           mean_n, tasks);
+      return predicted_intra_batch_seconds(w.cfg.device, w.intra, shape.mean_m,
+                                           shape.mean_n, shape.tasks);
     case KernelClass::kPairHmm:
-      return predicted_batch_seconds(w.cfg.device, w.ph_gcups, cells);
+      return predicted_batch_seconds(w.cfg.device, w.ph_gcups, shape.cells);
   }
-  return predicted_batch_seconds(w.cfg.device, w.sw_gcups, cells);
+  return predicted_batch_seconds(w.cfg.device, w.sw_gcups, shape.cells);
 }
 
 void FleetExecutor::handle_drift(
@@ -450,9 +448,8 @@ double FleetExecutor::calibrated_capacity_scale(SimTime now) const {
   return calibrator_.capacity_scale(serving);
 }
 
-std::size_t FleetExecutor::place(std::size_t tasks, std::size_t cells,
-                                 bool is_sw, std::size_t mean_m,
-                                 std::size_t mean_n, SimTime t, int excluded) {
+std::size_t FleetExecutor::place(const BatchShape& shape, SimTime t,
+                                 int excluded) {
   // Eligibility, relaxed in lifecycle rounds: active + not excluded +
   // queue room; then active ignoring queue bounds; then quarantined and
   // warming-up members (including the excluded device); then draining
@@ -532,9 +529,10 @@ std::size_t FleetExecutor::place(std::size_t tasks, std::size_t cells,
       double best_finish = std::numeric_limits<double>::infinity();
       for (const std::size_t i : eligible) {
         const DeviceWorker& w = workers_[i];
-        const double gcups = is_sw ? w.sw_gcups : w.ph_gcups;
-        const double finish = std::max(t, w.free_at) +
-                              predicted_batch_seconds(w.cfg.device, gcups, cells);
+        const double gcups = shape.is_sw ? w.sw_gcups : w.ph_gcups;
+        const double finish =
+            std::max(t, w.free_at) +
+            predicted_batch_seconds(w.cfg.device, gcups, shape.cells);
         if (finish < best_finish) {
           best_finish = finish;
           best = i;
@@ -565,10 +563,9 @@ std::size_t FleetExecutor::place(std::size_t tasks, std::size_t cells,
       double best_finish = std::numeric_limits<double>::infinity();
       for (const std::size_t i : eligible) {
         const DeviceWorker& w = workers_[i];
-        const KernelClass cls = kernel_class(w, is_sw, mean_m, mean_n, tasks);
-        const double predicted =
-            calibrator_.factor(static_cast<int>(i), cls) *
-            predicted_seconds_for(w, cls, cells, mean_m, mean_n, tasks);
+        const KernelClass cls = kernel_class(w, shape);
+        const double predicted = calibrator_.factor(static_cast<int>(i), cls) *
+                                 predicted_seconds_for(w, cls, shape);
         const double finish = std::max(t, w.model_busy_until) + predicted;
         if (finish < best_finish) {
           best_finish = finish;
@@ -581,62 +578,72 @@ std::size_t FleetExecutor::place(std::size_t tasks, std::size_t cells,
   return eligible.front();
 }
 
+template <typename Kind>
+double FleetExecutor::run_on(DeviceWorker& worker,
+                             const typename Kind::Batch& batch,
+                             const BatchShape& shape, const ExecOptions& options,
+                             bool collect, typename Kind::Result& result) {
+  // Outputs (with SDC injection when armed) or timing-only shape-cached
+  // execution, always under the worker's watchdog budget.
+  const auto with_options = [&](auto opt) {
+    opt.engine = engine_;
+    opt.overlap_transfers = options.overlap_transfers;
+    opt.max_block_cycles = effective_budget(worker);
+    if (collect) {
+      opt.collect_outputs = true;
+      if constexpr (requires { opt.double_fallback; }) {
+        opt.double_fallback = options.double_fallback;
+      }
+      if (config_.guard.sdc.enabled()) {
+        opt.sdc = config_.guard.sdc;
+        opt.sdc_launch_id = sdc_launch_seq_++;
+      }
+    } else {
+      opt.mode = simt::ExecMode::kCachedByShape;
+      opt.use_engine_cache = true;
+    }
+    return opt;
+  };
+  if constexpr (Kind::kIsSw) {
+    if (routes_intra(worker, shape)) {
+      kernels::WfSwBatchResult wf = worker.wf_runner.run_batch(
+          worker.cfg.device, batch, with_options(kernels::WfRunOptions{}));
+      result.run = std::move(wf.run);
+      result.outputs = std::move(wf.outputs);
+      ++worker.stats.intra_batches;
+      return result.run.launch.total_seconds();
+    }
+  }
+  result = Kind::runner(worker).run_batch(
+      worker.cfg.device, batch, with_options(typename Kind::RunOptions{}));
+  return result.run.launch.total_seconds();
+}
+
 template <typename RunBatch>
-Execution FleetExecutor::dispatch(std::size_t tasks, std::size_t cells,
-                                  bool is_sw, std::size_t mean_m,
-                                  std::size_t mean_n, SimTime now,
+Execution FleetExecutor::dispatch(const BatchShape& shape, SimTime now,
                                   int force_device, int excluded_initial,
                                   RunBatch&& run) {
-  SimTime t = now;
-  int attempt = 0;
-  int excluded = excluded_initial;
+  Attempt attempt{now, 0, excluded_initial};
   for (;;) {
-    prune_pending(t);
+    prune_pending(attempt.t);
     std::size_t w;
     if (force_device >= 0) {
       w = static_cast<std::size_t>(force_device);
       force_device = -1;  // a failed pinned attempt retries by placement
     } else {
-      w = place(tasks, cells, is_sw, mean_m, mean_n, t, excluded);
+      w = place(shape, attempt.t, attempt.excluded);
     }
     DeviceWorker& worker = workers_[w];
     const std::uint64_t seq = worker.dispatch_seq++;
-    // One failed attempt: health feedback, quarantine check, backoff, and
-    // steer the retry away from this device. Throws after max_attempts
-    // with the last failure's text, so callers (and serve tickets) see
-    // what actually went wrong.
-    const auto fail_attempt = [&](const std::string& why) {
-      // Close the calibration seq gap this consumed-but-unobserved
-      // dispatch leaves, so buffered successors are not held up forever.
-      handle_drift(calibrator_.skip(static_cast<int>(w), seq));
-      ++worker.health.launch_failures;
-      ++worker.health.consecutive_failures;
-      if (config_.retry.unhealthy_after > 0 &&
-          worker.health.consecutive_failures >=
-              static_cast<std::size_t>(config_.retry.unhealthy_after)) {
-        quarantine(worker, t);
-      }
-      ++attempt;
-      if (attempt >= config_.retry.max_attempts) {
-        throw util::CheckError(
-            "FleetExecutor: batch failed after " + std::to_string(attempt) +
-            " attempts (last failure: " + why + ")");
-      }
-      ++retries_;
-      static obs::Counter c_retries("fleet.retries");
-      c_retries.add();
-      obs::instant(t, obs::Layer::kFleet, "fleet.retry", static_cast<int>(w),
-                   seq, static_cast<double>(attempt));
-      t += config_.retry.backoff(attempt - 1);
-      excluded = static_cast<int>(w);
-    };
     if (config_.faults.launch_fails(static_cast<int>(w), seq)) {
       ++worker.stats.launch_failures;
-      obs::instant(t, obs::Layer::kFleet, "fleet.launch_failure",
+      obs::instant(attempt.t, obs::Layer::kFleet, "fleet.launch_failure",
                    static_cast<int>(w), seq);
-      fail_attempt(
-          "injected transient launch failure; raise RetryPolicy::max_attempts "
-          "or lower FaultPlan::launch_failure_prob");
+      fail_attempt(w, seq,
+                   "injected transient launch failure; raise "
+                   "RetryPolicy::max_attempts or lower "
+                   "FaultPlan::launch_failure_prob",
+                   attempt);
       continue;
     }
     worker.health.consecutive_failures = 0;
@@ -644,16 +651,8 @@ Execution FleetExecutor::dispatch(std::size_t tasks, std::size_t cells,
     try {
       base_seconds = run(worker);
     } catch (const simt::LaunchTimeout& timeout) {
-      ++worker.stats.timeouts;
-      ++guard_stats_.watchdog_timeouts;
-      static obs::Counter c_timeouts("fleet.watchdog_timeouts");
-      c_timeouts.add();
-      obs::instant(t, obs::Layer::kFleet, "fleet.watchdog_timeout",
-                   static_cast<int>(w), seq);
-      obs::dump_flight(std::string("fleet watchdog timeout: ") +
-                           timeout.what(),
-                       static_cast<int>(w), seq, t);
-      fail_attempt(timeout.what());
+      note_timeout(w, seq, attempt.t, timeout.what());
+      fail_attempt(w, seq, timeout.what(), attempt);
       continue;
     } catch (const util::CheckError& error) {
       if (!config_.guard.sdc.enabled()) {
@@ -661,87 +660,140 @@ Execution FleetExecutor::dispatch(std::size_t tasks, std::size_t cells,
       }
       // A flipped address or count register crashed the launch (OOB access,
       // underflow, ...): under injection that is a retryable device fault.
-      fail_attempt(error.what());
+      fail_attempt(w, seq, error.what(), attempt);
       continue;
     }
-    const double fault_multiplier =
-        config_.faults.service_multiplier(static_cast<int>(w), seq);
-    if (fault_multiplier > 1.0) {
-      ++worker.stats.slowdowns;
-    }
-    // Silent degradation stretches service time on top of any slowdown
-    // fault without touching a single counter — nothing for the health
-    // channel or the stats to see. Only the calibration residuals can.
-    const double multiplier =
-        fault_multiplier *
-        config_.faults.degraded_multiplier(static_cast<int>(w), seq);
-    Execution exec;
-    exec.device_index = static_cast<int>(w);
-    exec.attempts = attempt + 1;
-    exec.service_seconds = base_seconds * multiplier;
-    exec.start_time = std::max(t, worker.free_at);
-    exec.completion_time = exec.start_time + exec.service_seconds;
-    worker.free_at = exec.completion_time;
-    const bool calibrated_policy =
-        config_.policy == PlacementPolicy::kCalibrated;
-    if (calibrated_policy || config_.calibration.enabled) {
-      const KernelClass cls = kernel_class(worker, is_sw, mean_m, mean_n, tasks);
-      const double predicted =
-          predicted_seconds_for(worker, cls, cells, mean_m, mean_n, tasks);
-      if (calibrated_policy) {
-        // Extend the believed timeline with the factor placement used —
-        // the backlog model must reflect what the dispatcher knew, not
-        // what this observation is about to teach it. Maintained even with
-        // calibration off (factor pinned at 1.0): the backlog model is the
-        // policy's, only the correction factors are the calibrator's.
-        worker.model_busy_until =
-            std::max(t, worker.model_busy_until) +
-            calibrator_.factor(static_cast<int>(w), cls) * predicted;
-      }
-      if (config_.calibration.enabled) {
-        handle_drift(calibrator_.observe(static_cast<int>(w), cls, seq,
-                                         predicted, exec.service_seconds,
-                                         exec.completion_time));
-        static obs::Gauge g_factor("fleet.calibration_factor");
-        g_factor.set(calibrator_.dominant_factor(static_cast<int>(w)));
-      }
-    }
-    worker.pending.emplace_back(exec.completion_time, cells);
-    worker.pending_cells += cells;
-    worker.stats.busy_seconds += exec.service_seconds;
-    ++worker.stats.batches;
-    worker.stats.tasks += tasks;
-    worker.stats.cells += cells;
-    ++dispatches_;
-    static obs::Counter c_dispatches("fleet.dispatches");
-    static obs::Histogram h_batch_seconds("fleet.batch_seconds");
-    c_dispatches.add();
-    h_batch_seconds.observe(exec.service_seconds);
-    obs::span_begin(exec.start_time, obs::Layer::kFleet, "fleet.batch",
-                    static_cast<int>(w), seq, static_cast<double>(tasks),
-                    static_cast<double>(cells));
-    obs::span_end(exec.completion_time, obs::Layer::kFleet, "fleet.batch",
-                  static_cast<int>(w), seq);
-    last_time_ = std::max(last_time_, exec.completion_time);
-    if (attempt > 0 && excluded != static_cast<int>(w)) {
-      ++requeues_;
-    }
-    return exec;
+    return complete_dispatch(w, seq, shape, attempt, base_seconds);
   }
 }
 
-template <typename Exec, typename RunOnce, typename FlipsOf, typename Validate,
-          typename FingerprintOf, typename CpuSubstitute>
-Exec FleetExecutor::guarded_execute(SimTime now, RunOnce&& run_once,
-                                    FlipsOf&& flips_of, Validate&& validate,
-                                    FingerprintOf&& fingerprint_of,
-                                    CpuSubstitute&& cpu_substitute) {
+void FleetExecutor::fail_attempt(std::size_t w, std::uint64_t seq,
+                                 const std::string& why, Attempt& attempt) {
+  DeviceWorker& worker = workers_[w];
+  // Close the calibration seq gap this consumed-but-unobserved dispatch
+  // leaves, so buffered successors are not held up forever.
+  handle_drift(calibrator_.skip(static_cast<int>(w), seq));
+  ++worker.health.launch_failures;
+  ++worker.health.consecutive_failures;
+  if (config_.retry.unhealthy_after > 0 &&
+      worker.health.consecutive_failures >=
+          static_cast<std::size_t>(config_.retry.unhealthy_after)) {
+    quarantine(worker, attempt.t);
+  }
+  ++attempt.failures;
+  if (attempt.failures >= config_.retry.max_attempts) {
+    throw util::CheckError("FleetExecutor: batch failed after " +
+                           std::to_string(attempt.failures) +
+                           " attempts (last failure: " + why + ")");
+  }
+  ++retries_;
+  static obs::Counter c_retries("fleet.retries");
+  c_retries.add();
+  obs::instant(attempt.t, obs::Layer::kFleet, "fleet.retry", static_cast<int>(w),
+               seq, static_cast<double>(attempt.failures));
+  attempt.t += config_.retry.backoff(attempt.failures - 1);
+  attempt.excluded = static_cast<int>(w);
+}
+
+void FleetExecutor::note_timeout(std::size_t w, std::uint64_t seq, SimTime t,
+                                 const char* what) {
+  ++workers_[w].stats.timeouts;
+  ++guard_stats_.watchdog_timeouts;
+  static obs::Counter c_timeouts("fleet.watchdog_timeouts");
+  c_timeouts.add();
+  obs::instant(t, obs::Layer::kFleet, "fleet.watchdog_timeout",
+               static_cast<int>(w), seq);
+  obs::dump_flight(std::string("fleet watchdog timeout: ") + what,
+                   static_cast<int>(w), seq, t);
+}
+
+Execution FleetExecutor::complete_dispatch(std::size_t w, std::uint64_t seq,
+                                           const BatchShape& shape,
+                                           const Attempt& attempt,
+                                           double base_seconds) {
+  DeviceWorker& worker = workers_[w];
+  const double fault_multiplier =
+      config_.faults.service_multiplier(static_cast<int>(w), seq);
+  if (fault_multiplier > 1.0) {
+    ++worker.stats.slowdowns;
+  }
+  // Silent degradation stretches service time on top of any slowdown
+  // fault without touching a single counter — nothing for the health
+  // channel or the stats to see. Only the calibration residuals can.
+  const double multiplier =
+      fault_multiplier *
+      config_.faults.degraded_multiplier(static_cast<int>(w), seq);
+  Execution exec;
+  exec.device_index = static_cast<int>(w);
+  exec.attempts = attempt.failures + 1;
+  exec.service_seconds = base_seconds * multiplier;
+  exec.start_time = std::max(attempt.t, worker.free_at);
+  exec.completion_time = exec.start_time + exec.service_seconds;
+  worker.free_at = exec.completion_time;
+  const bool calibrated_policy = config_.policy == PlacementPolicy::kCalibrated;
+  if (calibrated_policy || config_.calibration.enabled) {
+    const KernelClass cls = kernel_class(worker, shape);
+    const double predicted = predicted_seconds_for(worker, cls, shape);
+    if (calibrated_policy) {
+      // Extend the believed timeline with the factor placement used — the
+      // backlog model must reflect what the dispatcher knew, not what this
+      // observation is about to teach it. Maintained even with calibration
+      // off (factor pinned at 1.0): the backlog model is the policy's, only
+      // the correction factors are the calibrator's.
+      worker.model_busy_until =
+          std::max(attempt.t, worker.model_busy_until) +
+          calibrator_.factor(static_cast<int>(w), cls) * predicted;
+    }
+    if (config_.calibration.enabled) {
+      handle_drift(calibrator_.observe(static_cast<int>(w), cls, seq, predicted,
+                                       exec.service_seconds,
+                                       exec.completion_time));
+      static obs::Gauge g_factor("fleet.calibration_factor");
+      g_factor.set(calibrator_.dominant_factor(static_cast<int>(w)));
+    }
+  }
+  worker.pending.emplace_back(exec.completion_time, shape.cells);
+  worker.pending_cells += shape.cells;
+  worker.stats.busy_seconds += exec.service_seconds;
+  ++worker.stats.batches;
+  worker.stats.tasks += shape.tasks;
+  worker.stats.cells += shape.cells;
+  ++dispatches_;
+  static obs::Counter c_dispatches("fleet.dispatches");
+  static obs::Histogram h_batch_seconds("fleet.batch_seconds");
+  c_dispatches.add();
+  h_batch_seconds.observe(exec.service_seconds);
+  obs::span_begin(exec.start_time, obs::Layer::kFleet, "fleet.batch",
+                  static_cast<int>(w), seq, static_cast<double>(shape.tasks),
+                  static_cast<double>(shape.cells));
+  obs::span_end(exec.completion_time, obs::Layer::kFleet, "fleet.batch",
+                static_cast<int>(w), seq);
+  last_time_ = std::max(last_time_, exec.completion_time);
+  if (attempt.failures > 0 && attempt.excluded != static_cast<int>(w)) {
+    ++requeues_;
+  }
+  return exec;
+}
+
+void FleetExecutor::note_reexecution() {
+  ++guard_stats_.reexecutions;
+  static obs::Counter c_redo("guard.reexecutions");
+  c_redo.add();
+}
+
+template <typename Kind, typename RunOnce>
+typename Kind::Execution FleetExecutor::guarded_execute(
+    const typename Kind::Batch& batch, SimTime now, RunOnce&& run_once) {
+  using Exec = typename Kind::Execution;
+  const align::SwParams& params = workers_.front().sw_runner.params();
+  const auto flips_of = [](const Exec& e) { return e.result.run.launch.sdc_flips; };
+
   Exec first = run_once(now, /*force=*/-1, /*excluded=*/-1);
   guard_stats_.sdc_flips += flips_of(first);
   ++guard_stats_.verified_batches;
 
   if (config_.guard.detect == guard::DetectMode::kAbft) {
-    std::optional<std::string> verdict = validate(first);
+    std::optional<std::string> verdict = Kind::validate(batch, first.result, params);
     if (!verdict.has_value()) {
       workers_[static_cast<std::size_t>(first.exec.device_index)]
           .health.consecutive_sdc = 0;
@@ -760,11 +812,10 @@ Exec FleetExecutor::guarded_execute(SimTime now, RunOnce&& run_once,
       const int device = flagged.exec.device_index;
       Exec rerun = run_once(flagged.exec.completion_time,
                             redo == 0 ? device : -1, redo == 0 ? -1 : device);
-      ++guard_stats_.reexecutions;
-      { static obs::Counter c_redo("guard.reexecutions"); c_redo.add(); }
+      note_reexecution();
       guard_stats_.sdc_flips += flips_of(rerun);
       rerun.exec.reexecutions = flagged.exec.reexecutions + 1;
-      verdict = validate(rerun);
+      verdict = Kind::validate(batch, rerun.result, params);
       if (!verdict.has_value()) {
         ++guard_stats_.sdc_corrected;
         obs::instant(rerun.exec.completion_time, obs::Layer::kGuard,
@@ -786,7 +837,7 @@ Exec FleetExecutor::guarded_execute(SimTime now, RunOnce&& run_once,
                              std::to_string(config_.guard.max_reexecutions) +
                              " re-executions (" + *verdict + ")");
     }
-    cpu_substitute(flagged);
+    Kind::cpu_substitute(batch, flagged.result, params);
     flagged.exec.cpu_fallback = true;
     ++guard_stats_.cpu_fallbacks;
     obs::instant(flagged.exec.completion_time, obs::Layer::kGuard,
@@ -799,11 +850,10 @@ Exec FleetExecutor::guarded_execute(SimTime now, RunOnce&& run_once,
   // outputs, a mismatch escalates to a third run and a 2-of-3 vote.
   Exec second =
       run_once(first.exec.completion_time, /*force=*/-1, first.exec.device_index);
-  ++guard_stats_.reexecutions;
-  { static obs::Counter c_redo("guard.reexecutions"); c_redo.add(); }
+  note_reexecution();
   guard_stats_.sdc_flips += flips_of(second);
-  const std::uint64_t print1 = fingerprint_of(first);
-  const std::uint64_t print2 = fingerprint_of(second);
+  const std::uint64_t print1 = Kind::fingerprint(first.result);
+  const std::uint64_t print2 = Kind::fingerprint(second.result);
   if (print1 == print2) {
     workers_[static_cast<std::size_t>(first.exec.device_index)]
         .health.consecutive_sdc = 0;
@@ -819,10 +869,9 @@ Exec FleetExecutor::guarded_execute(SimTime now, RunOnce&& run_once,
   }
   ++guard_stats_.sdc_detected;
   Exec third = run_once(second.exec.completion_time, /*force=*/-1, /*excluded=*/-1);
-  ++guard_stats_.reexecutions;
-  { static obs::Counter c_redo("guard.reexecutions"); c_redo.add(); }
+  note_reexecution();
   guard_stats_.sdc_flips += flips_of(third);
-  const std::uint64_t print3 = fingerprint_of(third);
+  const std::uint64_t print3 = Kind::fingerprint(third.result);
   if (print3 == print1 || print3 == print2) {
     const Exec& loser = print3 == print1 ? second : first;
     note_sdc(static_cast<std::size_t>(loser.exec.device_index),
@@ -839,7 +888,7 @@ Exec FleetExecutor::guarded_execute(SimTime now, RunOnce&& run_once,
     throw util::CheckError(
         "guard: three dual-execution runs disagree pairwise; no quorum");
   }
-  cpu_substitute(third);
+  Kind::cpu_substitute(batch, third.result, params);
   third.exec.cpu_fallback = true;
   third.exec.reexecutions += 2;
   ++guard_stats_.cpu_fallbacks;
@@ -848,10 +897,61 @@ Exec FleetExecutor::guarded_execute(SimTime now, RunOnce&& run_once,
   return third;
 }
 
-SwExecution FleetExecutor::execute_sw(const workload::SwBatch& batch,
-                                      SimTime now, const ExecOptions& options) {
-  util::require(!batch.empty(), "FleetExecutor::execute_sw: empty batch");
-  const std::size_t cells = workload::batch_cells(batch);
+template <typename Kind>
+typename Kind::Execution FleetExecutor::execute(const typename Kind::Batch& batch,
+                                                SimTime now,
+                                                const ExecOptions& options) {
+  using Exec = typename Kind::Execution;
+  util::require(!batch.empty(), "FleetExecutor::execute: empty batch");
+  const BatchShape shape = Kind::shape(batch);
+  double busy_seconds = 0.0;  // every device run of this batch
+  const auto run_once = [&](SimTime when, int force, int excluded, bool collect) {
+    Exec out;
+    out.exec = dispatch(shape, when, force, excluded, [&](DeviceWorker& worker) {
+      return run_on<Kind>(worker, batch, shape, options, collect, out.result);
+    });
+    busy_seconds += out.exec.service_seconds;
+    return out;
+  };
+  const auto run_collecting = [&](SimTime when, int force, int excluded) {
+    return run_once(when, force, excluded, options.collect_outputs);
+  };
+  Exec out;
+  try {
+    if (!options.collect_outputs || !config_.guard.verifying()) {
+      out = run_collecting(now, -1, -1);
+      guard_stats_.sdc_flips += out.result.run.launch.sdc_flips;
+    } else {
+      out = guarded_execute<Kind>(batch, now, run_collecting);
+    }
+  } catch (const util::CheckError&) {
+    if (!options.collect_outputs || !config_.guard.sdc.enabled() ||
+        !config_.guard.cpu_fallback) {
+      throw;
+    }
+    // Injected corruption hit an address register on every attempt —
+    // fail-stop, not silent. Timing comes from a clean shape-cached
+    // dispatch; the values from the CPU reference (bit-identical for SW,
+    // accurate though not bit-identical for PairHMM).
+    out = run_once(now, -1, -1, /*collect=*/false);
+    Kind::cpu_substitute(batch, out.result, workers_.front().sw_runner.params());
+    out.exec.cpu_fallback = true;
+    ++guard_stats_.cpu_fallbacks;
+    obs::instant(out.exec.completion_time, obs::Layer::kGuard,
+                 "guard.cpu_fallback", out.exec.device_index);
+  }
+  out.exec.busy_seconds = busy_seconds;
+  return out;
+}
+
+template SwExecution FleetExecutor::execute<SwKind>(const workload::SwBatch&,
+                                                    SimTime, const ExecOptions&);
+template PhExecution FleetExecutor::execute<PhKind>(const workload::PhBatch&,
+                                                    SimTime, const ExecOptions&);
+
+// --- kind traits --------------------------------------------------------------
+
+BatchShape SwKind::shape(const Batch& batch) {
   // The 2-D regime decision works on the batch's mean task shape — batches
   // formed by length grouping are near-uniform, and region batches mix
   // lengths narrowly enough for the mean to be representative.
@@ -861,168 +961,21 @@ SwExecution FleetExecutor::execute_sw(const workload::SwBatch& batch,
     sum_m += task.query.size();
     sum_n += task.target.size();
   }
-  const std::size_t mean_m = std::max<std::size_t>(1, sum_m / batch.size());
-  const std::size_t mean_n = std::max<std::size_t>(1, sum_n / batch.size());
-  // Shared by the guarded path and the timing-only fallback below. Both
-  // subsystems produce bit-identical outputs, so routing is invisible to
-  // the guard's validation and fingerprinting.
-  const auto run_sw_on = [&](DeviceWorker& worker, bool collect,
-                             kernels::SwBatchResult& result) {
-    if (routes_intra(worker, mean_m, mean_n, batch.size())) {
-      kernels::WfRunOptions opt;
-      opt.engine = engine_;
-      opt.overlap_transfers = options.overlap_transfers;
-      opt.max_block_cycles = effective_budget(worker);
-      if (collect) {
-        opt.collect_outputs = true;
-        if (config_.guard.sdc.enabled()) {
-          opt.sdc = config_.guard.sdc;
-          opt.sdc_launch_id = sdc_launch_seq_++;
-        }
-      } else {
-        opt.mode = simt::ExecMode::kCachedByShape;
-        opt.use_engine_cache = true;
-      }
-      kernels::WfSwBatchResult wf =
-          worker.wf_runner.run_batch(worker.cfg.device, batch, opt);
-      result.run = std::move(wf.run);
-      result.outputs = std::move(wf.outputs);
-      ++worker.stats.intra_batches;
-      return result.run.launch.total_seconds();
-    }
-    kernels::SwRunOptions opt;
-    opt.engine = engine_;
-    opt.overlap_transfers = options.overlap_transfers;
-    opt.max_block_cycles = effective_budget(worker);
-    if (collect) {
-      opt.collect_outputs = true;
-      if (config_.guard.sdc.enabled()) {
-        opt.sdc = config_.guard.sdc;
-        opt.sdc_launch_id = sdc_launch_seq_++;
-      }
-    } else {
-      opt.mode = simt::ExecMode::kCachedByShape;
-      opt.use_engine_cache = true;
-    }
-    result = worker.sw_runner.run_batch(worker.cfg.device, batch, opt);
-    return result.run.launch.total_seconds();
-  };
-  const auto run_once = [&](SimTime when, int force, int excluded) {
-    SwExecution out;
-    out.exec =
-        dispatch(batch.size(), cells, /*is_sw=*/true, mean_m, mean_n, when,
-                 force, excluded, [&](DeviceWorker& worker) {
-                   return run_sw_on(worker, options.collect_outputs, out.result);
-                 });
-    return out;
-  };
-  const align::SwParams& params = workers_.front().sw_runner.params();
-  try {
-    if (!options.collect_outputs || !config_.guard.verifying()) {
-      SwExecution out = run_once(now, -1, -1);
-      guard_stats_.sdc_flips += out.result.run.launch.sdc_flips;
-      return out;
-    }
-    return guarded_execute<SwExecution>(
-        now, run_once,
-        [](const SwExecution& e) { return e.result.run.launch.sdc_flips; },
-        [&](const SwExecution& e) {
-          return guard::validate_sw(batch, e.result.outputs, params);
-        },
-        [](const SwExecution& e) { return guard::fingerprint_sw(e.result.outputs); },
-        [&](SwExecution& e) { e.result.outputs = guard::cpu_sw(batch, params); });
-  } catch (const util::CheckError&) {
-    if (!options.collect_outputs || !config_.guard.sdc.enabled() ||
-        !config_.guard.cpu_fallback) {
-      throw;
-    }
-    // Injected corruption hit an address register on every attempt —
-    // fail-stop, not silent. Timing comes from a clean shape-cached
-    // dispatch; the values from the bit-identical CPU reference.
-    SwExecution out;
-    out.exec = dispatch(batch.size(), cells, /*is_sw=*/true, mean_m, mean_n,
-                        now, -1, -1, [&](DeviceWorker& worker) {
-                          return run_sw_on(worker, /*collect=*/false,
-                                           out.result);
-                        });
-    out.result.outputs = guard::cpu_sw(batch, params);
-    out.exec.cpu_fallback = true;
-    ++guard_stats_.cpu_fallbacks;
-    obs::instant(out.exec.completion_time, obs::Layer::kGuard,
-                 "guard.cpu_fallback", out.exec.device_index);
-    return out;
-  }
+  const std::size_t tasks = std::max<std::size_t>(1, batch.size());
+  return {kIsSw, batch.size(), workload::batch_cells(batch),
+          std::max<std::size_t>(1, sum_m / tasks),
+          std::max<std::size_t>(1, sum_n / tasks)};
 }
 
-PhExecution FleetExecutor::execute_ph(const workload::PhBatch& batch,
-                                      SimTime now, const ExecOptions& options) {
-  util::require(!batch.empty(), "FleetExecutor::execute_ph: empty batch");
-  const std::size_t cells = workload::batch_cells(batch);
-  const auto run_once = [&](SimTime when, int force, int excluded) {
-    PhExecution out;
-    out.exec =
-        dispatch(batch.size(), cells, /*is_sw=*/false, /*mean_m=*/1,
-                 /*mean_n=*/1, when, force, excluded,
-                 [&](DeviceWorker& worker) {
-                   kernels::PhRunOptions opt;
-                   opt.engine = engine_;
-                   opt.overlap_transfers = options.overlap_transfers;
-                   opt.max_block_cycles = effective_budget(worker);
-                   if (options.collect_outputs) {
-                     opt.collect_outputs = true;
-                     opt.double_fallback = options.double_fallback;
-                     if (config_.guard.sdc.enabled()) {
-                       opt.sdc = config_.guard.sdc;
-                       opt.sdc_launch_id = sdc_launch_seq_++;
-                     }
-                   } else {
-                     opt.mode = simt::ExecMode::kCachedByShape;
-                     opt.use_engine_cache = true;
-                   }
-                   out.result =
-                       worker.ph_runner.run_batch(worker.cfg.device, batch, opt);
-                   return out.result.run.launch.total_seconds();
-                 });
-    return out;
-  };
-  try {
-    if (!options.collect_outputs || !config_.guard.verifying()) {
-      PhExecution out = run_once(now, -1, -1);
-      guard_stats_.sdc_flips += out.result.run.launch.sdc_flips;
-      return out;
-    }
-    return guarded_execute<PhExecution>(
-        now, run_once,
-        [](const PhExecution& e) { return e.result.run.launch.sdc_flips; },
-        [&](const PhExecution& e) { return guard::validate_ph(batch, e.result.log10); },
-        [](const PhExecution& e) { return guard::fingerprint_ph(e.result.log10); },
-        [&](PhExecution& e) { e.result.log10 = guard::cpu_ph(batch); });
-  } catch (const util::CheckError&) {
-    if (!options.collect_outputs || !config_.guard.sdc.enabled() ||
-        !config_.guard.cpu_fallback) {
-      throw;
-    }
-    // As in execute_sw: crashes exhausted every attempt, so answer from
-    // the CPU reference (accurate, though not bit-identical for PairHMM).
-    PhExecution out;
-    out.exec = dispatch(batch.size(), cells, /*is_sw=*/false, /*mean_m=*/1,
-                        /*mean_n=*/1, now, -1, -1, [&](DeviceWorker& worker) {
-                          kernels::PhRunOptions opt;
-                          opt.engine = engine_;
-                          opt.overlap_transfers = options.overlap_transfers;
-                          opt.mode = simt::ExecMode::kCachedByShape;
-                          opt.use_engine_cache = true;
-                          out.result = worker.ph_runner.run_batch(
-                              worker.cfg.device, batch, opt);
-                          return out.result.run.launch.total_seconds();
-                        });
-    out.result.log10 = guard::cpu_ph(batch);
-    out.exec.cpu_fallback = true;
-    ++guard_stats_.cpu_fallbacks;
-    obs::instant(out.exec.completion_time, obs::Layer::kGuard,
-                 "guard.cpu_fallback", out.exec.device_index);
-    return out;
-  }
+void PhKind::check_task(const Task& task) {
+  util::require(!task.read.empty() && !task.hap.empty(),
+                "PairHMM task needs non-empty sequences");
+  util::require(task.read.size() <= static_cast<std::size_t>(kernels::kPhMaxReadLen),
+                "PairHMM read exceeds kPhMaxReadLen");
+  util::require(task.base_quals.size() == task.read.size() &&
+                    task.ins_quals.size() == task.read.size() &&
+                    task.del_quals.size() == task.read.size(),
+                "PairHMM quality tracks must match read length");
 }
 
 }  // namespace wsim::fleet

@@ -16,11 +16,17 @@
 #include "wsim/kernels/ph_kernels.hpp"
 #include "wsim/kernels/sw_kernels.hpp"
 #include "wsim/simt/device.hpp"
+#include "wsim/util/check.hpp"
 #include "wsim/workload/batching.hpp"
 
 namespace wsim::simt {
 class ExecutionEngine;
 }  // namespace wsim::simt
+
+namespace wsim::serve {
+struct SwResponse;
+struct PairHmmResponse;
+}  // namespace wsim::serve
 
 namespace wsim::fleet {
 
@@ -207,6 +213,10 @@ struct Execution {
   SimTime start_time = 0.0;       ///< batch reached its device
   SimTime completion_time = 0.0;  ///< kernel + transfers done
   double service_seconds = 0.0;   ///< simulated seconds, incl. slowdown
+  /// Device-seconds of every run of the batch: verification re-executions
+  /// and the crash-rescue dispatch included, so it equals what the batch
+  /// added to the devices' busy_seconds.
+  double busy_seconds = 0.0;
   int device_index = 0;           ///< worker that executed it
   int attempts = 1;               ///< 1 = no retries
   int reexecutions = 0;           ///< extra runs for verification/recovery
@@ -221,6 +231,100 @@ struct SwExecution {
 struct PhExecution {
   Execution exec;
   kernels::PhBatchResult result;
+};
+
+/// What placement, regime routing, and calibration read about one batch.
+struct BatchShape {
+  bool is_sw = false;  ///< from the kind trait
+  std::size_t tasks = 0;
+  std::size_t cells = 0;
+  /// Mean task shape (query x target), the SW regime decision's input;
+  /// PairHMM batches always run inter-task and report 1 x 1.
+  std::size_t mean_m = 1;
+  std::size_t mean_n = 1;
+};
+
+/// Kind traits: everything the batch path needs that differs between
+/// Smith-Waterman and PairHMM. The serving layer's submit/flush and the
+/// fleet's execute/guard ladder are written once over a trait and
+/// specialized at compile time per kind — AnySeq/GPU's specialization of
+/// one generic alignment routine into concrete kernels, applied to the
+/// batch path. A new kernel kind plugs in by adding a trait.
+struct SwKind {
+  using Task = workload::SwTask;
+  using Batch = workload::SwBatch;
+  using Result = kernels::SwBatchResult;
+  using Execution = SwExecution;
+  using Response = serve::SwResponse;
+  using RunOptions = kernels::SwRunOptions;
+  static constexpr bool kIsSw = true;
+
+  // Obs names of the serving layer's per-kind events and instruments.
+  static constexpr const char* kSubmitEvent = "serve.submit_sw";
+  static constexpr const char* kFlushEvent = "serve.flush_sw";
+  static constexpr const char* kSubmittedMetric = "serve.sw_submitted";
+  static constexpr const char* kBatchesMetric = "serve.sw_batches";
+  static constexpr const char* kBatchCellsMetric = "serve.sw_batch_cells";
+
+  /// Throws util::CheckError unless the kernels accept the task.
+  static void check_task(const Task& task) {
+    util::require(!task.query.empty() && !task.target.empty(),
+                  "SW task needs non-empty sequences");
+  }
+  static BatchShape shape(const Batch& batch);
+  template <typename Worker>
+  static const kernels::SwRunner& runner(const Worker& worker) {
+    return worker.sw_runner;
+  }
+  static std::optional<std::string> validate(const Batch& batch, const Result& result,
+                                             const align::SwParams& params) {
+    return guard::validate_sw(batch, result.outputs, params);
+  }
+  static std::uint64_t fingerprint(const Result& result) noexcept {
+    return guard::fingerprint_sw(result.outputs);
+  }
+  static void cpu_substitute(const Batch& batch, Result& result,
+                             const align::SwParams& params) {
+    result.outputs = guard::cpu_sw(batch, params);
+  }
+};
+
+/// PairHMM needs no scoring scheme: its `params` arguments are unused.
+struct PhKind {
+  using Task = align::PairHmmTask;
+  using Batch = workload::PhBatch;
+  using Result = kernels::PhBatchResult;
+  using Execution = PhExecution;
+  using Response = serve::PairHmmResponse;
+  using RunOptions = kernels::PhRunOptions;
+  static constexpr bool kIsSw = false;
+
+  static constexpr const char* kSubmitEvent = "serve.submit_ph";
+  static constexpr const char* kFlushEvent = "serve.flush_ph";
+  static constexpr const char* kSubmittedMetric = "serve.ph_submitted";
+  static constexpr const char* kBatchesMetric = "serve.ph_batches";
+  static constexpr const char* kBatchCellsMetric = "serve.ph_batch_cells";
+
+  /// Also checks the quality tracks and the kPhMaxReadLen bound.
+  static void check_task(const Task& task);
+  static BatchShape shape(const Batch& batch) {
+    return {kIsSw, batch.size(), workload::batch_cells(batch)};
+  }
+  template <typename Worker>
+  static const kernels::PhRunner& runner(const Worker& worker) {
+    return worker.ph_runner;
+  }
+  static std::optional<std::string> validate(const Batch& batch, const Result& result,
+                                             const align::SwParams& /*params*/) {
+    return guard::validate_ph(batch, result.log10);
+  }
+  static std::uint64_t fingerprint(const Result& result) noexcept {
+    return guard::fingerprint_ph(result.log10);
+  }
+  static void cpu_substitute(const Batch& batch, Result& result,
+                             const align::SwParams& /*params*/) {
+    result.log10 = guard::cpu_ph(batch);
+  }
 };
 
 /// Heterogeneous multi-device executor: owns an id-keyed registry of
@@ -293,13 +397,21 @@ class FleetExecutor {
 
   FleetStats stats() const;
 
-  /// Dispatches one formed batch at simulated time `now`. Throws
+  /// Dispatches one formed batch of kind `Kind` (SwKind or PhKind) at
+  /// simulated time `now`, screened by the configured guard. Throws
   /// util::CheckError if the batch is empty, every retry attempt fails,
   /// or every worker is retired.
+  template <typename Kind>
+  typename Kind::Execution execute(const typename Kind::Batch& batch,
+                                   SimTime now, const ExecOptions& options = {});
   SwExecution execute_sw(const workload::SwBatch& batch, SimTime now,
-                         const ExecOptions& options = {});
+                         const ExecOptions& options = {}) {
+    return execute<SwKind>(batch, now, options);
+  }
   PhExecution execute_ph(const workload::PhBatch& batch, SimTime now,
-                         const ExecOptions& options = {});
+                         const ExecOptions& options = {}) {
+    return execute<PhKind>(batch, now, options);
+  }
 
   /// The online calibration store (always constructed; inert unless
   /// config().calibration.enabled).
@@ -362,42 +474,51 @@ class FleetExecutor {
   /// Drops pending entries completed by `t` from every worker.
   void prune_pending(SimTime t);
 
-  /// Whether an SW batch of `tasks` mean-(m, n) tasks runs on the
-  /// wavefront subsystem on this worker — the 2-D regime decision, made
-  /// with calibrated per-class factors when calibration is enabled (the
-  /// online form of feeding calibrated terms into IntraTaskModel).
-  bool routes_intra(const DeviceWorker& w, std::size_t mean_m,
-                    std::size_t mean_n, std::size_t tasks) const;
+  /// Whether an SW batch of this shape runs on the wavefront subsystem on
+  /// this worker — the 2-D regime decision, made with calibrated
+  /// per-class factors when calibration is enabled (the online form of
+  /// feeding calibrated terms into IntraTaskModel).
+  bool routes_intra(const DeviceWorker& w, const BatchShape& shape) const;
 
   /// The calibration key of this batch on this worker: PairHMM, or SW
   /// split by the regime routing above.
-  KernelClass kernel_class(const DeviceWorker& w, bool is_sw,
-                           std::size_t mean_m, std::size_t mean_n,
-                           std::size_t tasks) const;
+  KernelClass kernel_class(const DeviceWorker& w, const BatchShape& shape) const;
 
   /// Uncalibrated Eq. 7/8 prediction of this batch on this worker for the
   /// given class — the baseline the Calibrator regresses against and the
   /// quantity kCalibrated placement scales by the learned factor.
   double predicted_seconds_for(const DeviceWorker& w, KernelClass cls,
-                               std::size_t cells, std::size_t mean_m,
-                               std::size_t mean_n, std::size_t tasks) const;
+                               const BatchShape& shape) const;
 
   /// Applies drift transitions returned by the Calibrator: stats,
   /// counters, trace events, flight-recorder dumps, and quarantine
   /// escalation.
   void handle_drift(const std::vector<DriftTransition>& transitions);
 
-  /// Picks the worker for a batch of `cells` cells at time `t` under the
-  /// configured policy. Eligibility relaxes in lifecycle rounds: kActive
-  /// workers with queue room, then kActive ignoring bounds, then
-  /// quarantined/joining members, then draining ones. Retired workers are
-  /// never placed; `excluded` (the device of the failed attempt) is only
-  /// reconsidered once the strict rounds come up empty. `tasks`/`mean_m`/
-  /// `mean_n` describe the batch shape for the calibrated policy's
-  /// per-class predictions.
-  std::size_t place(std::size_t tasks, std::size_t cells, bool is_sw,
-                    std::size_t mean_m, std::size_t mean_n, SimTime t,
-                    int excluded);
+  /// Picks the worker for a batch at time `t` under the configured policy.
+  /// Eligibility relaxes in lifecycle rounds: kActive workers with queue
+  /// room, then kActive ignoring bounds, then quarantined/joining members,
+  /// then draining ones. Retired workers are never placed; `excluded` (the
+  /// device of the failed attempt) is only reconsidered once the strict
+  /// rounds come up empty.
+  std::size_t place(const BatchShape& shape, SimTime t, int excluded);
+
+  /// Runs the batch once on `worker` through the kind's runner (SW
+  /// batches routed intra-task take the wavefront runner) and returns its
+  /// simulated seconds. Both SW subsystems produce bit-identical outputs,
+  /// so routing is invisible to the guard's validation and fingerprinting.
+  template <typename Kind>
+  double run_on(DeviceWorker& worker, const typename Kind::Batch& batch,
+                const BatchShape& shape, const ExecOptions& options,
+                bool collect, typename Kind::Result& result);
+
+  /// Loop state of one dispatch: when the next attempt starts, how many
+  /// attempts failed, and which device the next placement avoids.
+  struct Attempt {
+    SimTime t = 0.0;
+    int failures = 0;
+    int excluded = -1;
+  };
 
   /// Shared dispatch loop: placement, fault check, retry/backoff, then
   /// `run(worker)` which executes the batch and returns its simulated
@@ -407,18 +528,35 @@ class FleetExecutor {
   /// worker (re-execution on the flagged device); `excluded_initial`
   /// steers the first attempt away from one (re-execution elsewhere).
   template <typename RunBatch>
-  Execution dispatch(std::size_t tasks, std::size_t cells, bool is_sw,
-                     std::size_t mean_m, std::size_t mean_n, SimTime now,
-                     int force_device, int excluded_initial, RunBatch&& run);
+  Execution dispatch(const BatchShape& shape, SimTime now, int force_device,
+                     int excluded_initial, RunBatch&& run);
+
+  /// One failed attempt on worker `w`: health feedback, quarantine check,
+  /// backoff, and steering the retry away from `w`. Throws after
+  /// max_attempts with the last failure's text, so callers (and serve
+  /// tickets) see what actually went wrong.
+  void fail_attempt(std::size_t w, std::uint64_t seq, const std::string& why,
+                    Attempt& attempt);
+
+  /// Stats, trace, and flight-recorder record of a watchdog timeout.
+  void note_timeout(std::size_t w, std::uint64_t seq, SimTime t,
+                    const char* what);
+
+  /// Books a successful run on worker `w`: slowdown and degradation
+  /// faults, the device timeline, calibration, and the dispatch counters.
+  Execution complete_dispatch(std::size_t w, std::uint64_t seq,
+                              const BatchShape& shape, const Attempt& attempt,
+                              double base_seconds);
 
   /// Detection + escalation around `run_once`: screen the outputs per the
   /// configured DetectMode, re-execute flagged batches (same device, then
   /// another), and as the last step substitute the CPU reference.
-  template <typename Exec, typename RunOnce, typename FlipsOf, typename Validate,
-            typename FingerprintOf, typename CpuSubstitute>
-  Exec guarded_execute(SimTime now, RunOnce&& run_once, FlipsOf&& flips_of,
-                       Validate&& validate, FingerprintOf&& fingerprint_of,
-                       CpuSubstitute&& cpu_substitute);
+  template <typename Kind, typename RunOnce>
+  typename Kind::Execution guarded_execute(const typename Kind::Batch& batch,
+                                           SimTime now, RunOnce&& run_once);
+
+  /// Counts one extra device run made for verification or recovery.
+  void note_reexecution();
 
   /// Watchdog budget for one worker: its override, else the fleet-wide one.
   long long effective_budget(const DeviceWorker& worker) const noexcept;

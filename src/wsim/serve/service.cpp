@@ -5,11 +5,8 @@
 #include <string>
 #include <utility>
 
-#include "wsim/fleet/fleet.hpp"
 #include "wsim/obs/metrics.hpp"
 #include "wsim/obs/obs.hpp"
-#include "wsim/simt/engine.hpp"
-#include "wsim/simt/watchdog.hpp"
 #include "wsim/util/check.hpp"
 #include "wsim/workload/batching.hpp"
 
@@ -19,103 +16,6 @@ namespace {
 
 constexpr SimTime kForever = std::numeric_limits<SimTime>::infinity();
 
-/// A response waiting for its batch's simulated completion time.
-template <typename Response>
-struct Delivery {
-  std::shared_ptr<detail::ResponseSlot<Response>> slot;
-  Response response;
-  bool had_deadline = false;
-  std::size_t cells = 0;
-  std::uint32_t tenant = 0;
-};
-
-/// Fails every entry's ticket with `why` and returns how many. No
-/// callbacks fire: the response callback carries a Response, which never
-/// came to exist.
-template <typename Entry>
-std::size_t fail_entries(std::vector<Entry>& entries, const std::string& why) {
-  for (auto& entry : entries) {
-    entry.slot->error = why;
-  }
-  return entries.size();
-}
-
-/// SDC injection can corrupt an address register into an out-of-bounds
-/// access — a crash, not a silent error. The caller's `run` draws a fresh
-/// SDC launch id per call, so a retry sees an independent corruption
-/// stream; without injection (or on a watchdog timeout, which is
-/// deterministic for a given kernel and budget) errors propagate.
-template <typename Run>
-auto run_with_retry(Run&& run, const guard::GuardConfig& cfg) {
-  for (int attempt = 0;; ++attempt) {
-    try {
-      return run();
-    } catch (const simt::LaunchTimeout&) {
-      throw;
-    } catch (const util::CheckError&) {
-      if (!cfg.sdc.enabled() || attempt + 1 >= 4) {
-        throw;
-      }
-    }
-  }
-}
-
-/// Single-device detection + escalation, mirroring the fleet's
-/// guarded_execute minus placement: verify the outputs, re-execute on the
-/// same device (a fresh launch id draws an independent corruption
-/// stream), and as the last step substitute the CPU reference.
-/// `run_once` accounts seconds and flips itself.
-template <typename Result, typename RunOnce, typename Validate,
-          typename FingerprintOf, typename CpuSubstitute>
-Result guarded_single(const guard::GuardConfig& cfg, ServiceStats& totals,
-                      RunOnce&& run_once, Validate&& validate,
-                      FingerprintOf&& fingerprint_of,
-                      CpuSubstitute&& cpu_substitute) {
-  Result first = run_once();
-  if (cfg.detect == guard::DetectMode::kAbft) {
-    if (!validate(first)) {
-      return first;
-    }
-    ++totals.sdc_detected;
-    for (int redo = 0; redo < cfg.max_reexecutions; ++redo) {
-      Result rerun = run_once();
-      if (!validate(rerun)) {
-        ++totals.sdc_corrected;
-        return rerun;
-      }
-    }
-    if (!cfg.cpu_fallback) {
-      throw util::CheckError(
-          "guard: batch still failing verification after " +
-          std::to_string(cfg.max_reexecutions) + " re-executions");
-    }
-    cpu_substitute(first);
-    ++totals.cpu_fallbacks;
-    return first;
-  }
-  // kDual: a second independent run must reproduce the exact bits; on a
-  // mismatch a third run breaks the tie two-of-three.
-  const std::uint64_t print1 = fingerprint_of(first);
-  Result second = run_once();
-  if (fingerprint_of(second) == print1) {
-    return first;
-  }
-  ++totals.sdc_detected;
-  Result third = run_once();
-  const std::uint64_t print3 = fingerprint_of(third);
-  if (print3 == print1 || print3 == fingerprint_of(second)) {
-    ++totals.sdc_corrected;
-    return third;
-  }
-  if (!cfg.cpu_fallback) {
-    throw util::CheckError(
-        "guard: three dual-execution runs disagree pairwise; no quorum");
-  }
-  cpu_substitute(third);
-  ++totals.cpu_fallbacks;
-  return third;
-}
-
 void note_reject(SimTime ts, RejectReason reason) {
   static obs::Counter c_rejected("serve.rejected");
   c_rejected.add();
@@ -123,17 +23,62 @@ void note_reject(SimTime ts, RejectReason reason) {
                static_cast<double>(static_cast<int>(reason)));
 }
 
+/// A batch the fleet could not complete: every retry attempt failed, or
+/// verification never passed with the CPU fallback disabled.
+void note_batch_failure(SimTime formed, std::uint64_t order, const char* what) {
+  static obs::Counter c_failed("serve.batch_failures");
+  c_failed.add();
+  obs::instant(formed, obs::Layer::kServe, "serve.batch_failure", -1, order);
+  obs::dump_flight(std::string("serve ticket failure: ") + what, -1, order,
+                   formed);
+}
+
+/// Per-kind serve instruments. Each kind's set is defined once, in a
+/// non-template function: a function-local static inside the templated
+/// submit/flush would register once per instantiation, and the metrics
+/// dump would repeat its key.
+struct KindMetrics {
+  template <typename Kind>
+  explicit KindMetrics(Kind)
+      : submitted(Kind::kSubmittedMetric),
+        batches(Kind::kBatchesMetric),
+        batch_cells(Kind::kBatchCellsMetric) {}
+
+  obs::Counter submitted;
+  obs::Counter batches;
+  obs::Histogram batch_cells;
+};
+
+KindMetrics& metrics(fleet::SwKind kind) {
+  static KindMetrics m(kind);
+  return m;
+}
+
+KindMetrics& metrics(fleet::PhKind kind) {
+  static KindMetrics m(kind);
+  return m;
+}
+
+void set_output(SwResponse& response, const kernels::SwBatchResult& result,
+                std::size_t i) {
+  response.alignment = result.outputs[i].alignment;
+}
+
+void set_output(PairHmmResponse& response, const kernels::PhBatchResult& result,
+                std::size_t i) {
+  response.log10 = result.log10[i];
+}
+
 }  // namespace
 
 AlignmentService::AlignmentService(ServiceConfig config)
     : config_(std::move(config)),
-      sw_runner_(config_.sw_design),
-      ph_runner_(config_.ph_design),
-      engine_(config_.engine != nullptr ? config_.engine
-                                        : &simt::shared_engine()),
       fleet_(config_.fleet),
       sw_queue_(config_.max_queue_tasks, config_.max_queue_cells),
       ph_queue_(config_.max_queue_tasks, config_.max_queue_cells) {
+  util::require(fleet_ != nullptr,
+                "AlignmentService: ServiceConfig::fleet is required (a "
+                "single-device service is a one-worker FleetExecutor)");
   util::require(config_.policy.max_batch_tasks >= 1,
                 "AlignmentService: max_batch_tasks must be >= 1");
   util::require(config_.policy.target_batch_cells >= 1,
@@ -198,69 +143,26 @@ RejectReason AlignmentService::admit_tenant(const std::string& name, E& entry) {
 }
 
 SwSubmit AlignmentService::submit(SwRequest request) {
-  util::require(!request.task.query.empty() && !request.task.target.empty(),
-                "AlignmentService: SW request needs non-empty sequences");
-  SwSubmit result;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stopped_) {
-    ++totals_.rejected_stopped;
-    note_reject(clock_, RejectReason::kStopped);
-    result.rejected = RejectReason::kStopped;
-    return result;
-  }
-  SwEntry entry;
-  entry.cells = request.task.cells();
-  entry.task = std::move(request.task);
-  entry.priority = request.priority;
-  entry.deadline = request.deadline;
-  entry.submit_time = clock_;
-  const RejectReason quota = admit_tenant(request.tenant, entry);
-  if (quota != RejectReason::kNone) {
-    note_reject(clock_, quota);
-    result.rejected = quota;
-    return result;
-  }
-  entry.slot = std::make_shared<detail::ResponseSlot<SwResponse>>();
-  entry.slot->callback = std::move(request.callback);
-  Ticket<SwResponse> ticket(entry.slot);
-  const std::uint32_t tenant_idx = entry.tenant;
-  const std::size_t cells = entry.cells;
-  const RejectReason reason = sw_queue_.try_push(std::move(entry));
-  if (reason != RejectReason::kNone) {
-    reason == RejectReason::kQueueTasksFull ? ++totals_.rejected_tasks_full
-                                            : ++totals_.rejected_cells_full;
-    note_reject(clock_, reason);
-    result.rejected = reason;
-    return result;
-  }
-  if (totals_.submitted() == 0) {
-    totals_.first_submit_time = clock_;
-  }
-  ++totals_.sw_submitted;
-  static obs::Counter c_submitted("serve.sw_submitted");
-  c_submitted.add();
-  obs::instant(clock_, obs::Layer::kServe, "serve.submit_sw", -1, 0,
-               static_cast<double>(tenant_idx), static_cast<double>(cells));
-  TenantState& tenant = tenants_[tenant_idx];
-  ++tenant.submitted;
-  ++tenant.queued_tasks;
-  tenant.queued_cells += cells;
-  result.ticket = std::move(ticket);
-  flush_while_over_target();
-  return result;
+  return admit<fleet::SwKind>(std::move(request));
 }
 
 PairHmmSubmit AlignmentService::submit(PairHmmRequest request) {
-  const auto& task = request.task;
-  util::require(!task.read.empty() && !task.hap.empty(),
-                "AlignmentService: PairHMM request needs non-empty sequences");
-  util::require(task.read.size() <= static_cast<std::size_t>(kernels::kPhMaxReadLen),
-                "AlignmentService: PairHMM read exceeds kPhMaxReadLen");
-  util::require(task.base_quals.size() == task.read.size() &&
-                    task.ins_quals.size() == task.read.size() &&
-                    task.del_quals.size() == task.read.size(),
-                "AlignmentService: PairHMM quality tracks must match read length");
-  PairHmmSubmit result;
+  return admit<fleet::PhKind>(std::move(request));
+}
+
+template <typename Kind>
+AdmissionQueue<AlignmentService::KindEntry<Kind>>& AlignmentService::queue_of() {
+  if constexpr (Kind::kIsSw) {
+    return sw_queue_;
+  } else {
+    return ph_queue_;
+  }
+}
+
+template <typename Kind, typename Request>
+Submit<typename Kind::Response> AlignmentService::admit(Request request) {
+  Kind::check_task(request.task);
+  Submit<typename Kind::Response> result;
   std::lock_guard<std::mutex> lock(mu_);
   if (stopped_) {
     ++totals_.rejected_stopped;
@@ -268,7 +170,7 @@ PairHmmSubmit AlignmentService::submit(PairHmmRequest request) {
     result.rejected = RejectReason::kStopped;
     return result;
   }
-  PhEntry entry;
+  KindEntry<Kind> entry;
   entry.cells = workload::cells(request.task);
   entry.task = std::move(request.task);
   entry.priority = request.priority;
@@ -280,12 +182,12 @@ PairHmmSubmit AlignmentService::submit(PairHmmRequest request) {
     result.rejected = quota;
     return result;
   }
-  entry.slot = std::make_shared<detail::ResponseSlot<PairHmmResponse>>();
+  entry.slot = std::make_shared<detail::ResponseSlot<typename Kind::Response>>();
   entry.slot->callback = std::move(request.callback);
-  Ticket<PairHmmResponse> ticket(entry.slot);
+  Ticket<typename Kind::Response> ticket(entry.slot);
   const std::uint32_t tenant_idx = entry.tenant;
   const std::size_t cells = entry.cells;
-  const RejectReason reason = ph_queue_.try_push(std::move(entry));
+  const RejectReason reason = queue_of<Kind>().try_push(std::move(entry));
   if (reason != RejectReason::kNone) {
     reason == RejectReason::kQueueTasksFull ? ++totals_.rejected_tasks_full
                                             : ++totals_.rejected_cells_full;
@@ -296,10 +198,9 @@ PairHmmSubmit AlignmentService::submit(PairHmmRequest request) {
   if (totals_.submitted() == 0) {
     totals_.first_submit_time = clock_;
   }
-  ++totals_.ph_submitted;
-  static obs::Counter c_submitted("serve.ph_submitted");
-  c_submitted.add();
-  obs::instant(clock_, obs::Layer::kServe, "serve.submit_ph", -1, 0,
+  ++(Kind::kIsSw ? totals_.sw_submitted : totals_.ph_submitted);
+  metrics(Kind{}).submitted.add();
+  obs::instant(clock_, obs::Layer::kServe, Kind::kSubmitEvent, -1, 0,
                static_cast<double>(tenant_idx), static_cast<double>(cells));
   TenantState& tenant = tenants_[tenant_idx];
   ++tenant.submitted;
@@ -353,16 +254,14 @@ ServiceStats AlignmentService::stats() const {
   snapshot.queue_depth = sw_queue_.size() + ph_queue_.size();
   snapshot.queued_cells = sw_queue_.cells() + ph_queue_.cells();
   snapshot.in_flight_batches = in_flight_.size();
-  if (fleet_ != nullptr) {
-    // The fleet runs the guard ladder for batches we dispatch to it; fold
-    // its lifetime accounting into the service view.
-    const guard::GuardStats fleet_guard = fleet_->stats().guard;
-    snapshot.sdc_flips += fleet_guard.sdc_flips;
-    snapshot.sdc_detected += fleet_guard.sdc_detected;
-    snapshot.sdc_corrected += fleet_guard.sdc_corrected;
-    snapshot.cpu_fallbacks += fleet_guard.cpu_fallbacks;
-    snapshot.watchdog_timeouts += fleet_guard.watchdog_timeouts;
-  }
+  // The fleet runs the guard ladder for batches we dispatch to it; its
+  // lifetime accounting is the service's resilience view.
+  const guard::GuardStats fleet_guard = fleet_->stats().guard;
+  snapshot.sdc_flips = fleet_guard.sdc_flips;
+  snapshot.sdc_detected = fleet_guard.sdc_detected;
+  snapshot.sdc_corrected = fleet_guard.sdc_corrected;
+  snapshot.cpu_fallbacks = fleet_guard.cpu_fallbacks;
+  snapshot.watchdog_timeouts = fleet_guard.watchdog_timeouts;
   snapshot.latency = summarize_latency(latency_samples_);
   snapshot.queue_wait = summarize_latency(queue_wait_samples_);
   for (const TenantState& tenant : tenants_) {
@@ -439,8 +338,8 @@ void AlignmentService::process_until(SimTime limit, Callbacks& callbacks) {
     obs::set_sim_time(clock_);
     switch (kind) {
       case 0: deliver_in_flight(flight_index, callbacks); break;
-      case 1: flush_sw(); break;
-      default: flush_ph(); break;
+      case 1: flush<fleet::SwKind>(); break;
+      default: flush<fleet::PhKind>(); break;
     }
   }
 }
@@ -457,349 +356,110 @@ void AlignmentService::deliver_in_flight(std::size_t index, Callbacks& callbacks
 /// The cell-target and task-cap triggers fire at submit time: a queue
 /// that already holds a full batch has nothing left to wait for.
 void AlignmentService::flush_while_over_target() {
-  while (sw_queue_.cells() >= config_.policy.target_batch_cells ||
-         sw_queue_.size() >= config_.policy.max_batch_tasks) {
-    flush_sw();
+  const auto over_target = [&](const auto& queue) {
+    return queue.cells() >= config_.policy.target_batch_cells ||
+           queue.size() >= config_.policy.max_batch_tasks;
+  };
+  while (over_target(sw_queue_)) {
+    flush<fleet::SwKind>();
   }
-  while (ph_queue_.cells() >= config_.policy.target_batch_cells ||
-         ph_queue_.size() >= config_.policy.max_batch_tasks) {
-    flush_ph();
+  while (over_target(ph_queue_)) {
+    flush<fleet::PhKind>();
   }
 }
 
-void AlignmentService::flush_sw() {
-  auto entries =
-      sw_queue_.pop_batch(config_.policy.max_batch_tasks, config_.policy.target_batch_cells);
+template <typename Kind>
+void AlignmentService::flush() {
+  using Response = typename Kind::Response;
+  auto entries = queue_of<Kind>().pop_batch(config_.policy.max_batch_tasks,
+                                            config_.policy.target_batch_cells);
   if (entries.empty()) {
     return;
   }
-  for (const SwEntry& entry : entries) {
+  for (const auto& entry : entries) {
     --tenants_[entry.tenant].queued_tasks;
     tenants_[entry.tenant].queued_cells -= entry.cells;
   }
   // gpuPairHMM-style grouping: similar-length tasks adjacent, so blocks
   // scheduled together have similar cost.
   std::stable_sort(entries.begin(), entries.end(),
-                   [&](const SwEntry& x, const SwEntry& y) {
+                   [&](const auto& x, const auto& y) {
                      return workload::length_bucket(x.task, config_.length_granularity) <
                             workload::length_bucket(y.task, config_.length_granularity);
                    });
-  workload::SwBatch batch;
+  typename Kind::Batch batch;
   batch.reserve(entries.size());
   std::size_t batch_cells = 0;
-  for (const SwEntry& entry : entries) {
-    batch.push_back(entry.task);
+  for (auto& entry : entries) {
+    batch.push_back(std::move(entry.task));
     batch_cells += entry.cells;
   }
 
-  kernels::SwBatchResult result;
   const SimTime formed = clock_;
-  static obs::Counter c_flushes_sw("serve.sw_batches");
-  static obs::Histogram h_batch_cells_sw("serve.sw_batch_cells");
-  c_flushes_sw.add();
-  h_batch_cells_sw.observe(static_cast<double>(batch_cells));
-  obs::instant(formed, obs::Layer::kServe, "serve.flush_sw", -1, batch_order_,
+  KindMetrics& m = metrics(Kind{});
+  m.batches.add();
+  m.batch_cells.observe(static_cast<double>(batch_cells));
+  obs::instant(formed, obs::Layer::kServe, Kind::kFlushEvent, -1, batch_order_,
                static_cast<double>(entries.size()),
                static_cast<double>(batch_cells));
-  SimTime start = 0.0;
-  SimTime completion = 0.0;
-  double seconds = 0.0;
+  fleet::ExecOptions exec_options;
+  exec_options.collect_outputs = config_.collect_outputs;
+  exec_options.overlap_transfers = config_.overlap_transfers;
+  exec_options.double_fallback = config_.double_fallback;
+  typename Kind::Execution executed;
   try {
-    if (fleet_ != nullptr) {
-      fleet::ExecOptions exec_options;
-      exec_options.collect_outputs = config_.collect_outputs;
-      exec_options.overlap_transfers = config_.overlap_transfers;
-      auto executed = fleet_->execute_sw(batch, formed, exec_options);
-      result = std::move(executed.result);
-      seconds = executed.exec.service_seconds;
-      start = executed.exec.start_time;
-      completion = executed.exec.completion_time;
-    } else {
-      kernels::SwRunOptions options;
-      options.engine = engine_;
-      options.overlap_transfers = config_.overlap_transfers;
-      const bool guarded = config_.collect_outputs && config_.guard.enabled();
-      if (config_.collect_outputs) {
-        options.collect_outputs = true;
-      } else {
-        options.mode = simt::ExecMode::kCachedByShape;
-        options.use_engine_cache = true;
-      }
-      if (guarded) {
-        options.max_block_cycles = config_.guard.max_block_cycles;
-      }
-      const auto launch_once = [&] {
-        if (guarded && config_.guard.sdc.enabled()) {
-          options.sdc = config_.guard.sdc;
-          options.sdc_launch_id = guard_launch_seq_++;
-        }
-        return sw_runner_.run_batch(config_.device, batch, options);
-      };
-      const auto run_once = [&] {
-        auto run = run_with_retry(launch_once, config_.guard);
-        seconds += run.run.launch.total_seconds();
-        totals_.sdc_flips += run.run.launch.sdc_flips;
-        return run;
-      };
-      if (guarded && config_.guard.verifying()) {
-        result = guarded_single<kernels::SwBatchResult>(
-            config_.guard, totals_, run_once,
-            [&](const kernels::SwBatchResult& r) {
-              return guard::validate_sw(batch, r.outputs, sw_runner_.params());
-            },
-            [](const kernels::SwBatchResult& r) {
-              return guard::fingerprint_sw(r.outputs);
-            },
-            [&](kernels::SwBatchResult& r) {
-              r.outputs = guard::cpu_sw(batch, sw_runner_.params());
-            });
-      } else {
-        result = run_once();
-      }
-      start = std::max(formed, device_free_at_);
-      completion = start + seconds;
-      device_free_at_ = completion;
-      obs::span_begin(start, obs::Layer::kServe, "serve.batch", 0, batch_order_,
-                      static_cast<double>(entries.size()),
-                      static_cast<double>(batch_cells));
-      obs::span_end(completion, obs::Layer::kServe, "serve.batch", 0,
-                    batch_order_);
-    }
-  } catch (const simt::LaunchTimeout& e) {
-    ++totals_.watchdog_timeouts;
-    static obs::Counter c_timeouts("serve.watchdog_timeouts");
-    c_timeouts.add();
-    obs::instant(formed, obs::Layer::kServe, "serve.watchdog_timeout", -1,
-                 batch_order_);
-    obs::dump_flight(std::string("serve watchdog timeout: ") + e.what(),
-                     fleet_ == nullptr ? 0 : -1, batch_order_, formed);
-    totals_.failed += fail_entries(entries, e.what());
-    return;
+    executed = fleet_->execute<Kind>(batch, formed, exec_options);
   } catch (const util::CheckError& e) {
-    static obs::Counter c_failed("serve.batch_failures");
-    c_failed.add();
-    obs::instant(formed, obs::Layer::kServe, "serve.batch_failure", -1,
-                 batch_order_);
-    obs::dump_flight(std::string("serve ticket failure: ") + e.what(),
-                     fleet_ == nullptr ? 0 : -1, batch_order_, formed);
-    totals_.failed += fail_entries(entries, e.what());
+    note_batch_failure(formed, batch_order_, e.what());
+    // No callbacks fire: they take a Response, which never came to exist.
+    for (auto& entry : entries) {
+      entry.slot->error = e.what();
+    }
+    totals_.failed += entries.size();
     return;
   }
-  estimator_.observe(batch_cells, seconds);
+  const fleet::Execution& exec = executed.exec;
+  estimator_.observe(batch_cells, exec.busy_seconds);
   totals_.batch_sizes.record(entries.size());
-  totals_.device_busy_seconds += seconds;
+  totals_.device_busy_seconds += exec.busy_seconds;
 
-  std::vector<Delivery<SwResponse>> deliveries;
-  deliveries.reserve(entries.size());
+  std::vector<Response> responses(entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    Delivery<SwResponse> delivery;
+    Response& response = responses[i];
     if (config_.collect_outputs) {
-      delivery.response.alignment = result.outputs[i].alignment;
+      set_output(response, executed.result, i);
     }
-    delivery.response.latency = {entries[i].submit_time, formed, start, completion};
-    delivery.response.batch_tasks = entries.size();
-    delivery.response.deadline_met =
-        !entries[i].deadline.has_value() || completion <= *entries[i].deadline;
-    delivery.had_deadline = entries[i].deadline.has_value();
-    delivery.cells = entries[i].cells;
-    delivery.tenant = entries[i].tenant;
-    delivery.slot = std::move(entries[i].slot);
-    deliveries.push_back(std::move(delivery));
+    response.latency = {entries[i].submit_time, formed, exec.start_time,
+                        exec.completion_time};
+    response.batch_tasks = entries.size();
+    response.deadline_met = !entries[i].deadline.has_value() ||
+                            exec.completion_time <= *entries[i].deadline;
   }
+  // The responses wait here for the batch's simulated completion time.
   InFlight flight;
-  flight.completion_time = completion;
+  flight.completion_time = exec.completion_time;
   flight.order = batch_order_++;
-  flight.deliver = [this, deliveries = std::move(deliveries)]() mutable {
+  flight.deliver = [this, entries = std::move(entries),
+                    responses = std::move(responses)]() mutable {
     Callbacks ready;
-    for (auto& delivery : deliveries) {
-      latency_samples_.push_back(delivery.response.latency.total_seconds());
-      queue_wait_samples_.push_back(delivery.response.latency.queue_seconds());
-      TenantState& tenant = tenants_[delivery.tenant];
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      const auto& entry = entries[i];
+      Response& response = responses[i];
+      latency_samples_.push_back(response.latency.total_seconds());
+      queue_wait_samples_.push_back(response.latency.queue_seconds());
+      TenantState& tenant = tenants_[entry.tenant];
       ++tenant.completed;
-      tenant.latency_samples.push_back(delivery.response.latency.total_seconds());
-      if (delivery.had_deadline) {
-        delivery.response.deadline_met ? ++totals_.deadlines_met
-                                       : ++totals_.deadlines_missed;
-        delivery.response.deadline_met ? ++tenant.deadlines_met
-                                       : ++tenant.deadlines_missed;
+      tenant.latency_samples.push_back(response.latency.total_seconds());
+      if (entry.deadline.has_value()) {
+        response.deadline_met ? ++totals_.deadlines_met : ++totals_.deadlines_missed;
+        response.deadline_met ? ++tenant.deadlines_met : ++tenant.deadlines_missed;
       }
-      totals_.completed_cells += delivery.cells;
-      ++totals_.sw_completed;
-      totals_.last_completion_time = std::max(
-          totals_.last_completion_time, delivery.response.latency.completion_time);
-      auto slot = delivery.slot;
-      slot->response = std::move(delivery.response);
-      if (slot->callback) {
-        ready.push_back([slot]() { slot->callback(*slot->response); });
-      }
-    }
-    return ready;
-  };
-  in_flight_.push_back(std::move(flight));
-}
-
-void AlignmentService::flush_ph() {
-  auto entries =
-      ph_queue_.pop_batch(config_.policy.max_batch_tasks, config_.policy.target_batch_cells);
-  if (entries.empty()) {
-    return;
-  }
-  for (const PhEntry& entry : entries) {
-    --tenants_[entry.tenant].queued_tasks;
-    tenants_[entry.tenant].queued_cells -= entry.cells;
-  }
-  std::stable_sort(entries.begin(), entries.end(),
-                   [&](const PhEntry& x, const PhEntry& y) {
-                     return workload::length_bucket(x.task, config_.length_granularity) <
-                            workload::length_bucket(y.task, config_.length_granularity);
-                   });
-  workload::PhBatch batch;
-  batch.reserve(entries.size());
-  std::size_t batch_cells = 0;
-  for (const PhEntry& entry : entries) {
-    batch.push_back(entry.task);
-    batch_cells += entry.cells;
-  }
-
-  kernels::PhBatchResult result;
-  const SimTime formed = clock_;
-  static obs::Counter c_flushes_ph("serve.ph_batches");
-  static obs::Histogram h_batch_cells_ph("serve.ph_batch_cells");
-  c_flushes_ph.add();
-  h_batch_cells_ph.observe(static_cast<double>(batch_cells));
-  obs::instant(formed, obs::Layer::kServe, "serve.flush_ph", -1, batch_order_,
-               static_cast<double>(entries.size()),
-               static_cast<double>(batch_cells));
-  SimTime start = 0.0;
-  SimTime completion = 0.0;
-  double seconds = 0.0;
-  try {
-    if (fleet_ != nullptr) {
-      fleet::ExecOptions exec_options;
-      exec_options.collect_outputs = config_.collect_outputs;
-      exec_options.overlap_transfers = config_.overlap_transfers;
-      exec_options.double_fallback = config_.double_fallback;
-      auto executed = fleet_->execute_ph(batch, formed, exec_options);
-      result = std::move(executed.result);
-      seconds = executed.exec.service_seconds;
-      start = executed.exec.start_time;
-      completion = executed.exec.completion_time;
-    } else {
-      kernels::PhRunOptions options;
-      options.engine = engine_;
-      options.overlap_transfers = config_.overlap_transfers;
-      const bool guarded = config_.collect_outputs && config_.guard.enabled();
-      if (config_.collect_outputs) {
-        options.collect_outputs = true;
-        options.double_fallback = config_.double_fallback;
-      } else {
-        options.mode = simt::ExecMode::kCachedByShape;
-        options.use_engine_cache = true;
-      }
-      if (guarded) {
-        options.max_block_cycles = config_.guard.max_block_cycles;
-      }
-      const auto launch_once = [&] {
-        if (guarded && config_.guard.sdc.enabled()) {
-          options.sdc = config_.guard.sdc;
-          options.sdc_launch_id = guard_launch_seq_++;
-        }
-        return ph_runner_.run_batch(config_.device, batch, options);
-      };
-      const auto run_once = [&] {
-        auto run = run_with_retry(launch_once, config_.guard);
-        seconds += run.run.launch.total_seconds();
-        totals_.sdc_flips += run.run.launch.sdc_flips;
-        return run;
-      };
-      if (guarded && config_.guard.verifying()) {
-        result = guarded_single<kernels::PhBatchResult>(
-            config_.guard, totals_, run_once,
-            [&](const kernels::PhBatchResult& r) {
-              return guard::validate_ph(batch, r.log10);
-            },
-            [](const kernels::PhBatchResult& r) {
-              return guard::fingerprint_ph(r.log10);
-            },
-            [&](kernels::PhBatchResult& r) {
-              r.log10 = guard::cpu_ph(batch);
-            });
-      } else {
-        result = run_once();
-      }
-      start = std::max(formed, device_free_at_);
-      completion = start + seconds;
-      device_free_at_ = completion;
-      obs::span_begin(start, obs::Layer::kServe, "serve.batch", 0, batch_order_,
-                      static_cast<double>(entries.size()),
-                      static_cast<double>(batch_cells));
-      obs::span_end(completion, obs::Layer::kServe, "serve.batch", 0,
-                    batch_order_);
-    }
-  } catch (const simt::LaunchTimeout& e) {
-    ++totals_.watchdog_timeouts;
-    static obs::Counter c_timeouts("serve.watchdog_timeouts");
-    c_timeouts.add();
-    obs::instant(formed, obs::Layer::kServe, "serve.watchdog_timeout", -1,
-                 batch_order_);
-    obs::dump_flight(std::string("serve watchdog timeout: ") + e.what(),
-                     fleet_ == nullptr ? 0 : -1, batch_order_, formed);
-    totals_.failed += fail_entries(entries, e.what());
-    return;
-  } catch (const util::CheckError& e) {
-    static obs::Counter c_failed("serve.batch_failures");
-    c_failed.add();
-    obs::instant(formed, obs::Layer::kServe, "serve.batch_failure", -1,
-                 batch_order_);
-    obs::dump_flight(std::string("serve ticket failure: ") + e.what(),
-                     fleet_ == nullptr ? 0 : -1, batch_order_, formed);
-    totals_.failed += fail_entries(entries, e.what());
-    return;
-  }
-  estimator_.observe(batch_cells, seconds);
-  totals_.batch_sizes.record(entries.size());
-  totals_.device_busy_seconds += seconds;
-
-  std::vector<Delivery<PairHmmResponse>> deliveries;
-  deliveries.reserve(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    Delivery<PairHmmResponse> delivery;
-    if (config_.collect_outputs) {
-      delivery.response.log10 = result.log10[i];
-    }
-    delivery.response.latency = {entries[i].submit_time, formed, start, completion};
-    delivery.response.batch_tasks = entries.size();
-    delivery.response.deadline_met =
-        !entries[i].deadline.has_value() || completion <= *entries[i].deadline;
-    delivery.had_deadline = entries[i].deadline.has_value();
-    delivery.cells = entries[i].cells;
-    delivery.tenant = entries[i].tenant;
-    delivery.slot = std::move(entries[i].slot);
-    deliveries.push_back(std::move(delivery));
-  }
-  InFlight flight;
-  flight.completion_time = completion;
-  flight.order = batch_order_++;
-  flight.deliver = [this, deliveries = std::move(deliveries)]() mutable {
-    Callbacks ready;
-    for (auto& delivery : deliveries) {
-      latency_samples_.push_back(delivery.response.latency.total_seconds());
-      queue_wait_samples_.push_back(delivery.response.latency.queue_seconds());
-      TenantState& tenant = tenants_[delivery.tenant];
-      ++tenant.completed;
-      tenant.latency_samples.push_back(delivery.response.latency.total_seconds());
-      if (delivery.had_deadline) {
-        delivery.response.deadline_met ? ++totals_.deadlines_met
-                                       : ++totals_.deadlines_missed;
-        delivery.response.deadline_met ? ++tenant.deadlines_met
-                                       : ++tenant.deadlines_missed;
-      }
-      totals_.completed_cells += delivery.cells;
-      ++totals_.ph_completed;
-      totals_.last_completion_time = std::max(
-          totals_.last_completion_time, delivery.response.latency.completion_time);
-      auto slot = delivery.slot;
-      slot->response = std::move(delivery.response);
+      totals_.completed_cells += entry.cells;
+      ++(Kind::kIsSw ? totals_.sw_completed : totals_.ph_completed);
+      totals_.last_completion_time =
+          std::max(totals_.last_completion_time, response.latency.completion_time);
+      auto slot = entry.slot;
+      slot->response = std::move(response);
       if (slot->callback) {
         ready.push_back([slot]() { slot->callback(*slot->response); });
       }

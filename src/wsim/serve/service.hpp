@@ -5,27 +5,16 @@
 #include <mutex>
 #include <vector>
 
-#include "wsim/guard/guard.hpp"
-#include "wsim/kernels/ph_kernels.hpp"
-#include "wsim/kernels/sw_kernels.hpp"
+#include "wsim/fleet/fleet.hpp"
 #include "wsim/serve/batch_former.hpp"
 #include "wsim/serve/queue.hpp"
 #include "wsim/serve/request.hpp"
 #include "wsim/serve/stats.hpp"
 #include "wsim/serve/tenant.hpp"
-#include "wsim/simt/device.hpp"
-
-namespace wsim::fleet {
-class FleetExecutor;
-}  // namespace wsim::fleet
 
 namespace wsim::serve {
 
 struct ServiceConfig {
-  simt::DeviceSpec device = simt::make_titan_x();
-  kernels::CommMode sw_design = kernels::CommMode::kShuffle;
-  kernels::PhDesign ph_design = kernels::PhDesign::kShuffle;
-
   /// Flush triggers and batch capacity (see BatchPolicy).
   BatchPolicy policy;
 
@@ -49,29 +38,15 @@ struct ServiceConfig {
   /// responses then carry latencies but default payloads.
   bool collect_outputs = true;
 
-  /// SDC injection, detection mode, watchdog budget, and escalation knobs
-  /// for the single-device path (output-collecting batches only; the
-  /// timing-only path stays clean). Detection escalates on the one
-  /// device: re-run up to max_reexecutions, then the CPU reference. With
-  /// a fleet backend this field is unused — configure the fleet's own
-  /// FleetConfig::guard instead, and the fleet also re-places flagged or
-  /// timed-out batches on other devices.
-  guard::GuardConfig guard;
-
-  /// Engine that executes the launches; null means the process-wide
-  /// simt::shared_engine(), shared with the pipeline and the CLI.
-  simt::ExecutionEngine* engine = nullptr;
-
-  /// Optional fleet backend (non-owning). When set, formed batches are
-  /// dispatched to this multi-device executor — placement policy, fault
-  /// injection, retry-with-backoff — instead of the single `device`;
-  /// `device`, `sw_design`, `ph_design`, and `engine` above are then
-  /// unused (the fleet brings its own per-device kernel variants and
-  /// engine). Results are bit-identical to the single-device path:
-  /// placement and faults move time, not values. With several devices
-  /// ServiceStats::device_busy_seconds sums across them, so
-  /// device_utilization() reads as busy device-seconds per wall second
-  /// (it can exceed 1); per-device utilization comes from
+  /// The executor formed batches are dispatched to (non-owning, required;
+  /// the constructor rejects null). It brings the devices and their
+  /// kernel variants, the engine, placement, fault injection,
+  /// retry-with-backoff, and the guard ladder (FleetConfig::guard) — a
+  /// single-device service is a one-worker fleet. Placement and faults
+  /// move time, not values. ServiceStats::device_busy_seconds sums every
+  /// device run (re-executions included) across devices, so
+  /// device_utilization() reads as busy device-seconds per wall second (it
+  /// can exceed 1); per-device utilization comes from
   /// fleet::FleetExecutor::stats().
   fleet::FleetExecutor* fleet = nullptr;
 
@@ -98,19 +73,19 @@ struct QueueSnapshot {
 /// admission queue (reject-with-reason when full, never block), forms
 /// batches dynamically — flush at the cell target, when the oldest
 /// request's batching delay expires, or when a deadline is at risk —
-/// groups each batch by similar task length, and executes it on the
-/// shared ExecutionEngine. This is the paper's Fig. 10 re-batching result
-/// operated online: many small submissions are merged into launches large
-/// enough to occupy the device.
+/// groups each batch by similar task length, and dispatches it to the
+/// configured fleet::FleetExecutor. This is the paper's Fig. 10
+/// re-batching result operated online: many small submissions are merged
+/// into launches large enough to occupy the device. One templated path
+/// serves both request kinds (fleet::SwKind / fleet::PhKind).
 ///
 /// Time model: the service owns a simulated clock. Submissions are
 /// stamped with the current clock; `advance_to(t)` processes every flush
-/// and delivery due up to `t` in deterministic event order. Batches
-/// execute on a single simulated device timeline (a batch starts when the
-/// device frees up), and responses become ready when the clock reaches
-/// their batch's completion time. Results are bit-identical to running
-/// the same tasks directly through the runners — batching moves time, not
-/// values.
+/// and delivery due up to `t` in deterministic event order. A batch starts
+/// when the fleet's chosen device frees up, and responses become ready
+/// when the clock reaches their batch's completion time. Results are
+/// bit-identical to running the same tasks directly through the runners —
+/// batching moves time, not values.
 ///
 /// Thread safety: all public methods lock the service; callbacks run on
 /// the advancing thread after the lock is released. Ticket state is
@@ -118,7 +93,9 @@ struct QueueSnapshot {
 /// external synchronization with the advancer.
 class AlignmentService {
  public:
-  explicit AlignmentService(ServiceConfig config = {});
+  /// Throws util::CheckError when `config.fleet` is null or a batch
+  /// policy bound is invalid.
+  explicit AlignmentService(ServiceConfig config);
 
   AlignmentService(const AlignmentService&) = delete;
   AlignmentService& operator=(const AlignmentService&) = delete;
@@ -162,8 +139,9 @@ class AlignmentService {
     std::shared_ptr<detail::ResponseSlot<Response>> slot;
     std::uint32_t tenant = 0;  ///< index into tenants_; 0 = default
   };
-  using SwEntry = Entry<workload::SwTask, SwResponse>;
-  using PhEntry = Entry<align::PairHmmTask, PairHmmResponse>;
+  /// The queue entry of one request kind (fleet::SwKind / fleet::PhKind).
+  template <typename Kind>
+  using KindEntry = Entry<typename Kind::Task, typename Kind::Response>;
 
   /// A batch that was formed and executed but whose simulated completion
   /// time has not been reached yet. `deliver` writes the responses into
@@ -202,27 +180,32 @@ class AlignmentService {
   template <typename E>
   RejectReason admit_tenant(const std::string& name, E& entry);
 
+  /// Admission of one request of kind `Kind`: task validation, the stop
+  /// and quota checks, and the push into the kind's queue.
+  template <typename Kind, typename Request>
+  Submit<typename Kind::Response> admit(Request request);
+
+  template <typename Kind>
+  AdmissionQueue<KindEntry<Kind>>& queue_of();
+
   void process_until(SimTime limit, Callbacks& callbacks);
-  void flush_sw();
-  void flush_ph();
+  /// Forms one batch from the kind's queue, dispatches it to the fleet,
+  /// and schedules its delivery.
+  template <typename Kind>
+  void flush();
   void flush_while_over_target();
   void deliver_in_flight(std::size_t index, Callbacks& callbacks);
 
   ServiceConfig config_;
-  kernels::SwRunner sw_runner_;
-  kernels::PhRunner ph_runner_;
-  simt::ExecutionEngine* engine_;  ///< non-null after construction
-  fleet::FleetExecutor* fleet_;    ///< null = single-device backend
+  fleet::FleetExecutor* fleet_;  ///< non-null after construction
 
   mutable std::mutex mu_;
   SimTime clock_ = 0.0;
-  SimTime device_free_at_ = 0.0;
   bool stopped_ = false;
   std::uint64_t batch_order_ = 0;
-  std::uint64_t guard_launch_seq_ = 0;  ///< fresh SDC launch id per run
 
-  AdmissionQueue<SwEntry> sw_queue_;
-  AdmissionQueue<PhEntry> ph_queue_;
+  AdmissionQueue<KindEntry<fleet::SwKind>> sw_queue_;
+  AdmissionQueue<KindEntry<fleet::PhKind>> ph_queue_;
   ServiceTimeEstimator estimator_;
   std::vector<InFlight> in_flight_;
   std::vector<TenantState> tenants_;  ///< [0] = default; config order after

@@ -86,10 +86,9 @@ struct ServiceStats {
   std::size_t queued_cells = 0;
   std::size_t in_flight_batches = 0;
 
-  // Resilience (guard): silent-data-corruption and watchdog accounting.
-  // On the single-device path these count this service's own injection
-  // and verification; with a fleet backend stats() adds the fleet's
-  // lifetime guard counters (the fleet runs the escalation ladder).
+  // Resilience (guard): silent-data-corruption and watchdog accounting,
+  // copied by stats() from the fleet's lifetime guard counters (the fleet
+  // runs the escalation ladder for every batch the service dispatches).
   std::uint64_t sdc_flips = 0;         ///< bit flips injected into launches
   std::size_t sdc_detected = 0;        ///< batches flagged by verification
   std::size_t sdc_corrected = 0;       ///< flagged batches fixed by re-execution
@@ -107,7 +106,7 @@ struct ServiceStats {
   double first_submit_time = 0.0;
   double last_completion_time = 0.0;
   std::size_t completed_cells = 0;
-  double device_busy_seconds = 0.0;
+  double device_busy_seconds = 0.0;  ///< sum of fleet::Execution::busy_seconds
 
   LatencySummary latency;     ///< total submit→completion seconds
   LatencySummary queue_wait;  ///< submit→batch-formed seconds
@@ -127,9 +126,10 @@ struct ServiceStats {
   double duration_seconds() const noexcept;
   double throughput_tasks_per_second() const noexcept;
   double gcups() const noexcept;
-  /// Fraction of the duration the simulated device was executing batches.
-  /// With a fleet backend busy seconds sum across devices, so this reads
-  /// as busy device-seconds per wall second and can exceed 1.
+  /// Fraction of the duration the simulated devices were executing
+  /// batches. Busy seconds sum across the fleet's devices and every run of
+  /// a guarded batch, so this reads as busy device-seconds per wall second
+  /// and can exceed 1.
   double device_utilization() const noexcept;
 };
 

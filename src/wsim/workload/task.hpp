@@ -35,6 +35,7 @@ struct Dataset {
 /// Number of DP cells in a PairHMM task (one "cell update" covers all
 /// three matrices, the paper's CUPS convention).
 std::size_t cells(const align::PairHmmTask& task) noexcept;
+inline std::size_t cells(const SwTask& task) noexcept { return task.cells(); }
 
 /// Aggregate shape statistics used by benches and EXPERIMENTS.md.
 struct DatasetStats {

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <limits>
 #include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "wsim/cli/commands.hpp"
+#include "wsim/util/check.hpp"
 
 namespace {
 
@@ -72,6 +78,89 @@ TEST(CliUsage, InterpErrorAcceptsKnownEnginesOnly) {
   EXPECT_FALSE(cli::interp_error("").empty());
   EXPECT_FALSE(cli::interp_error("FAST").empty());
   EXPECT_FALSE(cli::interp_error("vector ").empty());
+}
+
+// Numeric flags go through one checked parser: the whole value must be
+// one finite number inside the flag's range, and every error names the
+// flag.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr long kLongMax = std::numeric_limits<long>::max();
+
+/// The CheckError text `parse` throws, or "" when it returns.
+template <typename Parse>
+std::string parse_error(Parse parse) {
+  try {
+    parse();
+  } catch (const wsim::util::CheckError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(CliFlags, ParseNumberAcceptsOneInRangeNumber) {
+  EXPECT_DOUBLE_EQ(cli::parse_number<double>("rate", "40000", 0.0, kInf), 40000.0);
+  EXPECT_DOUBLE_EQ(cli::parse_number<double>("flip-prob", "1e-6", 0.0, 1.0), 1e-6);
+  EXPECT_DOUBLE_EQ(cli::parse_number<double>("fail-prob", "1", 0.0, 1.0), 1.0);
+  EXPECT_EQ(cli::parse_number<long>("regions", "16", 1, kLongMax), 16);
+  EXPECT_EQ(cli::parse_number<long>("threads", "-1", -8, 8), -1);
+}
+
+TEST(CliFlags, ParseNumberRejectsJunkNonFiniteAndOutOfRange) {
+  EXPECT_EQ(parse_error([] { cli::parse_number<double>("rate", "5abc", 0.0, kInf); }),
+            "--rate '5abc' is not a number");
+  EXPECT_EQ(parse_error([] { cli::parse_number<long>("regions", "x", 1, kLongMax); }),
+            "--regions 'x' is not an integer");
+  EXPECT_EQ(parse_error([] { cli::parse_number<long>("regions", "2.5", 1, kLongMax); }),
+            "--regions '2.5' is not an integer");
+  EXPECT_EQ(parse_error([] { cli::parse_number<double>("rate", "", 0.0, kInf); }),
+            "--rate '' is not a number");
+  EXPECT_EQ(parse_error([] { cli::parse_number<double>("rate", " 5", 0.0, kInf); }),
+            "--rate ' 5' is not a number");
+  EXPECT_EQ(parse_error([] { cli::parse_number<double>("rate", "inf", 0.0, kInf); }),
+            "--rate 'inf' is not finite");
+  EXPECT_EQ(parse_error([] { cli::parse_number<double>("rate", "nan", 0.0, kInf); }),
+            "--rate 'nan' is not finite");
+  EXPECT_EQ(parse_error([] { cli::parse_number<double>("fail-prob", "2", 0.0, 1.0); }),
+            "--fail-prob '2' must be in [0, 1]");
+  EXPECT_EQ(parse_error([] { cli::parse_number<double>("slow-factor", "0.5", 1.0, kInf); }),
+            "--slow-factor '0.5' must be >= 1");
+  EXPECT_EQ(parse_error([] { cli::parse_number<double>("slo", "-5", 0.0, kInf); }),
+            "--slo '-5' must be >= 0");
+  EXPECT_EQ(parse_error([] { cli::parse_number<double>("rate", "1e999", 0.0, kInf); }),
+            "--rate '1e999' must be >= 0");
+  EXPECT_EQ(
+      parse_error([] { cli::parse_number<long>("seed", "99999999999999999999", 0, kLongMax); }),
+      "--seed '99999999999999999999' must be >= 0");
+}
+
+/// Runs the wsim driver with `args`; returns its exit status and its
+/// combined stdout/stderr.
+std::pair<int, std::string> run_wsim(const std::string& args) {
+  const std::string out_path = ::testing::TempDir() + "cli_usage_test_wsim.out";
+  const std::string command =
+      std::string("\"") + WSIM_CLI + "\" " + args + " > \"" + out_path + "\" 2>&1";
+  const int status = std::system(command.c_str());
+  std::ifstream in(out_path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return {status, text.str()};
+}
+
+TEST(CliFlags, DriverExitsNonZeroNamingTheBadFlag) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"serve-sim --regions 1 --rate 5abc", "--rate '5abc'"},
+      {"fleet-sim --regions 1 --fail-prob 2", "--fail-prob '2'"},
+      {"fleet-sim --regions 1 --slow-factor 0.5", "--slow-factor '0.5'"},
+      {"cluster-sim --regions 1 --duration 0.01 --slo -5", "--slo '-5'"},
+      {"serve-sim --regions x", "--regions 'x'"},
+  };
+  for (const auto& [args, flag] : cases) {
+    const auto [status, output] = run_wsim(args);
+    EXPECT_NE(status, 0) << args;
+    EXPECT_NE(output.find(std::string("error: ") + flag), std::string::npos)
+        << args << "\n" << output;
+  }
 }
 
 TEST(CliUsage, ResilienceCommandsAreDocumented) {

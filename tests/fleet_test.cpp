@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "wsim/fleet/fault.hpp"
@@ -367,69 +369,84 @@ TEST(Fleet, RejectsEmptyAndInvalidConfigs) {
 }
 
 // ---------------------------------------------------------------------------
-// Serving over a fleet: the service's responses stay bit-identical to the
-// single-device service, and fleet busy time feeds the service stats.
+// Serving over a fleet: the service's responses stay bit-identical to a
+// service over one device, and fleet busy time feeds the service stats.
 
-TEST(Fleet, ServiceOverFleetMatchesSingleDeviceService) {
-  const auto dataset = small_dataset(31);
-  const auto ph_tasks = wsim::workload::ph_all_tasks(dataset);
+/// Replays every PairHMM task of `ph_tasks` through a service over
+/// `executor`; returns the delivered likelihoods and the service stats.
+std::pair<std::vector<double>, wsim::serve::ServiceStats> run_service(
+    FleetExecutor& executor, const wsim::workload::PhBatch& ph_tasks) {
+  wsim::serve::ServiceConfig cfg;
+  cfg.fleet = &executor;
+  wsim::serve::AlignmentService service(std::move(cfg));
+  std::vector<wsim::serve::Ticket<wsim::serve::PairHmmResponse>> tickets;
+  double t = 0.0;
+  for (const auto& task : ph_tasks) {
+    service.advance_to(t);
+    const auto submit = service.submit(
+        wsim::serve::PairHmmRequest{task, wsim::serve::Priority::kNormal, {}, {}, {}});
+    EXPECT_TRUE(submit.admitted());
+    tickets.push_back(submit.ticket);
+    t += 25e-6;
+  }
+  service.drain();
+  std::vector<double> log10;
+  log10.reserve(tickets.size());
+  for (auto& ticket : tickets) {
+    EXPECT_TRUE(ticket.ready());
+    log10.push_back(ticket.get().log10);
+  }
+  return {log10, service.stats()};
+}
+
+FleetConfig one_k1200_fleet() {
+  FleetConfig cfg;
+  cfg.workers.push_back({wsim::simt::make_k1200(), {}, {}, {}, 8});
+  return cfg;
+}
+
+TEST(Fleet, ServiceOverFleetMatchesOneWorkerFleet) {
+  const auto ph_tasks = wsim::workload::ph_all_tasks(small_dataset(31));
   ASSERT_FALSE(ph_tasks.empty());
+  FleetExecutor single(one_k1200_fleet());
+  const auto [single_log10, single_stats] = run_service(single, ph_tasks);
 
-  const auto run_service = [&](wsim::serve::ServiceConfig cfg) {
-    wsim::serve::AlignmentService service(std::move(cfg));
-    std::vector<wsim::serve::Ticket<wsim::serve::PairHmmResponse>> tickets;
-    double t = 0.0;
-    for (const auto& task : ph_tasks) {
-      service.advance_to(t);
-      const auto submit = service.submit(
-          wsim::serve::PairHmmRequest{task, wsim::serve::Priority::kNormal,
-                                      {}, {}, {}});
-      EXPECT_TRUE(submit.admitted());
-      tickets.push_back(submit.ticket);
-      t += 25e-6;
+  // Dual execution runs every batch at least twice: the service's busy
+  // time (and its estimator's samples) must cover every run, as the
+  // fleet's per-device busy time does.
+  for (const auto mode : {wsim::guard::DetectMode::kNone,
+                          wsim::guard::DetectMode::kDual}) {
+    SCOPED_TRACE(std::string(wsim::guard::to_string(mode)));
+    FleetConfig fleet_cfg = heterogeneous_config();
+    // Round-robin so the light trickle of batches provably spreads across
+    // devices (model-guided would park it all on the always-free Titan X).
+    fleet_cfg.policy = PlacementPolicy::kRoundRobin;
+    fleet_cfg.faults.seed = 13;
+    fleet_cfg.faults.launch_failure_prob = 0.15;
+    fleet_cfg.faults.slowdown_prob = 0.15;
+    fleet_cfg.guard.detect = mode;
+    FleetExecutor executor(std::move(fleet_cfg));
+    const auto [fleet_log10, fleet_stats] = run_service(executor, ph_tasks);
+
+    ASSERT_EQ(fleet_log10.size(), single_log10.size());
+    for (std::size_t i = 0; i < fleet_log10.size(); ++i) {
+      EXPECT_EQ(fleet_log10[i], single_log10[i]) << i;  // bit-identical
     }
-    service.drain();
-    std::vector<double> log10;
-    log10.reserve(tickets.size());
-    for (auto& ticket : tickets) {
-      EXPECT_TRUE(ticket.ready());
-      log10.push_back(ticket.get().log10);
+    EXPECT_EQ(fleet_stats.completed(), single_stats.completed());
+
+    // The service accounted the fleet's busy time, and the fleet saw work
+    // on more than one device.
+    const auto executor_stats = executor.stats();
+    EXPECT_NEAR(fleet_stats.device_busy_seconds,
+                executor_stats.total_busy_seconds(), 1e-12);
+    EXPECT_EQ(executor_stats.guard.reexecutions > 0,
+              mode == wsim::guard::DetectMode::kDual);
+    std::size_t devices_used = 0;
+    for (const auto& d : executor_stats.devices) {
+      devices_used += d.batches > 0 ? 1 : 0;
     }
-    return std::make_pair(log10, service.stats());
-  };
-
-  FleetConfig fleet_cfg = heterogeneous_config();
-  // Round-robin so the light trickle of batches provably spreads across
-  // devices (model-guided would park it all on the always-free Titan X).
-  fleet_cfg.policy = PlacementPolicy::kRoundRobin;
-  fleet_cfg.faults.seed = 13;
-  fleet_cfg.faults.launch_failure_prob = 0.15;
-  fleet_cfg.faults.slowdown_prob = 0.15;
-  FleetExecutor executor(std::move(fleet_cfg));
-  wsim::serve::ServiceConfig over_fleet;
-  over_fleet.fleet = &executor;
-  const auto [fleet_log10, fleet_stats] = run_service(std::move(over_fleet));
-
-  wsim::serve::ServiceConfig single;
-  single.device = wsim::simt::make_k1200();
-  const auto [single_log10, single_stats] = run_service(std::move(single));
-
-  ASSERT_EQ(fleet_log10.size(), single_log10.size());
-  for (std::size_t i = 0; i < fleet_log10.size(); ++i) {
-    EXPECT_EQ(fleet_log10[i], single_log10[i]) << i;  // bit-identical
+    EXPECT_GE(devices_used, 2U);
   }
-  EXPECT_EQ(fleet_stats.completed(), single_stats.completed());
-
-  // The service accounted the fleet's busy time, and the fleet saw work on
-  // more than one device.
-  const auto executor_stats = executor.stats();
-  EXPECT_NEAR(fleet_stats.device_busy_seconds,
-              executor_stats.total_busy_seconds(), 1e-12);
-  std::size_t devices_used = 0;
-  for (const auto& d : executor_stats.devices) {
-    devices_used += d.batches > 0 ? 1 : 0;
-  }
-  EXPECT_GE(devices_used, 2U);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "wsim/fleet/fleet.hpp"
+#include "wsim/guard/guard.hpp"
 #include "wsim/obs/chrome_trace.hpp"
 #include "wsim/obs/json.hpp"
 #include "wsim/obs/metrics.hpp"
@@ -52,11 +53,19 @@ wsim::workload::Dataset small_dataset(std::uint64_t seed) {
   return wsim::workload::generate_dataset(gen);
 }
 
-/// One small serve replay on the single-device path: submit every SW task
-/// at a fixed cadence, then drain.
+/// One simulated K1200: the single-device fleet the serve replays use.
+wsim::fleet::FleetConfig one_worker_fleet() {
+  wsim::fleet::FleetConfig cfg;
+  cfg.workers.push_back({wsim::simt::make_k1200(), {}, {}, {}, 8});
+  return cfg;
+}
+
+/// One small serve replay over a one-worker fleet: submit every SW task at
+/// a fixed cadence, then drain.
 void run_serve_replay(const wsim::workload::Dataset& dataset) {
+  wsim::fleet::FleetExecutor executor(one_worker_fleet());
   wsim::serve::ServiceConfig cfg;
-  cfg.device = wsim::simt::make_k1200();
+  cfg.fleet = &executor;
   wsim::serve::AlignmentService service(cfg);
   const auto tasks = wsim::workload::sw_all_tasks(dataset);
   double t = 0.0;
@@ -226,10 +235,12 @@ TEST_F(ObsTest, WatchdogTimeoutDumpsFlightRecorder) {
   const auto tasks = wsim::workload::sw_all_tasks(dataset);
   ASSERT_FALSE(tasks.empty());
 
+  wsim::fleet::FleetConfig fleet_cfg = one_worker_fleet();
+  fleet_cfg.guard.max_block_cycles = 1;  // every batch times out
+  wsim::fleet::FleetExecutor executor(std::move(fleet_cfg));
   wsim::serve::ServiceConfig cfg;
-  cfg.device = wsim::simt::make_k1200();
   cfg.collect_outputs = true;
-  cfg.guard.max_block_cycles = 1;  // every batch times out
+  cfg.fleet = &executor;
   wsim::serve::AlignmentService service(cfg);
   const auto submit = service.submit(wsim::serve::SwRequest{
       tasks.front(), wsim::serve::Priority::kNormal, {}, {}, {}});
@@ -291,6 +302,69 @@ TEST_F(ObsTest, MetricsJsonIsVersionedAndSorted) {
   obs::reset();
   EXPECT_EQ(c_a.value(), 0U);
   EXPECT_EQ(h.count(), 0U);
+}
+
+// Function-local static instruments inside templates register once per
+// instantiation (and per site), so a dump after the templated SW and
+// PairHMM paths ran could name one metric several times. Each key must
+// appear once per section.
+TEST_F(ObsTest, MetricsJsonNamesEachInstrumentOnce) {
+  obs::set_level(obs::Level::kMetrics);
+  const auto dataset = small_dataset(11);
+  wsim::fleet::FleetConfig fleet_cfg = one_worker_fleet();
+  fleet_cfg.guard.detect = wsim::guard::DetectMode::kDual;
+  fleet_cfg.calibration.enabled = true;
+  wsim::fleet::FleetExecutor executor(std::move(fleet_cfg));
+  for (const auto& batch : wsim::workload::sw_rebatch(dataset, 4)) {
+    executor.execute_sw(batch, 0.0, {});
+  }
+  for (const auto& batch : wsim::workload::ph_rebatch(dataset, 16)) {
+    executor.execute_ph(batch, 0.0, {});
+  }
+  {
+    wsim::serve::ServiceConfig cfg;
+    cfg.fleet = &executor;
+    wsim::serve::AlignmentService service(cfg);
+    for (const auto& task : wsim::workload::sw_all_tasks(dataset)) {
+      service.submit(wsim::serve::SwRequest{
+          task, wsim::serve::Priority::kNormal, {}, {}, {}});
+    }
+    for (const auto& task : wsim::workload::ph_all_tasks(dataset)) {
+      service.submit(wsim::serve::PairHmmRequest{
+          task, wsim::serve::Priority::kNormal, {}, {}, {}});
+    }
+    service.drain();
+  }
+  run_serve_replay(dataset);
+
+  std::ostringstream os;
+  obs::write_metrics_json(os);
+  // One instrument per line: `    "name": value` inside a `  "section": {`.
+  std::istringstream lines(os.str());
+  std::map<std::string, std::map<std::string, int>> seen;
+  std::string section;
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("  \"", 0) == 0 && line.back() == '{') {
+      section = line.substr(3, line.find('"', 3) - 3);
+    } else if (line.rfind("    \"", 0) == 0) {
+      ++seen[section][line.substr(5, line.find('"', 5) - 5)];
+    }
+  }
+  for (const char* key : {"fleet.dispatches", "fleet.batch_seconds",
+                          "fleet.calibration_factor", "guard.reexecutions",
+                          "serve.sw_batches", "serve.ph_batches"}) {
+    bool found = false;
+    for (const auto& [name, keys] : seen) {
+      found = found || keys.count(key) == 1;
+    }
+    EXPECT_TRUE(found) << key << "\n" << os.str();
+  }
+  for (const auto& [name, keys] : seen) {
+    for (const auto& [key, count] : keys) {
+      EXPECT_EQ(count, 1) << name << "." << key;
+    }
+  }
 }
 
 // --- shared stats schema ----------------------------------------------------

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "wsim/fleet/fleet.hpp"
+#include "wsim/guard/guard.hpp"
 #include "wsim/kernels/ph_kernels.hpp"
 #include "wsim/kernels/sw_kernels.hpp"
 #include "wsim/serve/batch_former.hpp"
@@ -21,6 +22,8 @@
 
 namespace {
 
+using wsim::fleet::FleetConfig;
+using wsim::fleet::FleetExecutor;
 using wsim::serve::AlignmentService;
 using wsim::serve::PairHmmRequest;
 using wsim::serve::Priority;
@@ -41,9 +44,19 @@ wsim::workload::Dataset small_dataset(std::uint64_t seed = 11) {
   return wsim::workload::generate_dataset(cfg);
 }
 
-ServiceConfig base_config() {
+/// One simulated K1200 with the shuffle designs and task-per-block SW: the
+/// one-worker fleet every service in this file dispatches to.
+FleetConfig one_worker_fleet() {
+  FleetConfig fc;
+  fc.workers.push_back({wsim::simt::make_k1200(), wsim::kernels::CommMode::kShuffle,
+                        wsim::kernels::PhDesign::kShuffle, {}, 8});
+  fc.parallelism = wsim::fleet::ParallelismPolicy::kInterTask;
+  return fc;
+}
+
+ServiceConfig base_config(FleetExecutor& executor) {
   ServiceConfig cfg;
-  cfg.device = wsim::simt::make_k1200();
+  cfg.fleet = &executor;
   return cfg;
 }
 
@@ -55,7 +68,8 @@ TEST(Serve, ResultsMatchDirectExecutionExactly) {
   const auto sw_tasks = wsim::workload::sw_all_tasks(dataset);
   const auto ph_tasks = wsim::workload::ph_all_tasks(dataset);
 
-  ServiceConfig cfg = base_config();
+  FleetExecutor executor(one_worker_fleet());
+  ServiceConfig cfg = base_config(executor);
   cfg.collect_outputs = true;
   AlignmentService service(cfg);
 
@@ -80,10 +94,10 @@ TEST(Serve, ResultsMatchDirectExecutionExactly) {
   service.drain();
 
   // Direct execution: everything in one batch per kind, same designs.
-  const wsim::kernels::SwRunner sw_runner(cfg.sw_design);
+  const wsim::kernels::SwRunner sw_runner(executor.sw_design(0));
   wsim::kernels::SwRunOptions sw_opt;
   sw_opt.collect_outputs = true;
-  const auto sw_direct = sw_runner.run_batch(cfg.device, sw_tasks, sw_opt);
+  const auto sw_direct = sw_runner.run_batch(executor.device(0), sw_tasks, sw_opt);
   for (std::size_t i = 0; i < sw_tasks.size(); ++i) {
     ASSERT_TRUE(sw_tickets[i].ready()) << i;
     const SwResponse& response = sw_tickets[i].get();
@@ -92,11 +106,11 @@ TEST(Serve, ResultsMatchDirectExecutionExactly) {
     EXPECT_GE(response.batch_tasks, 1U);
   }
 
-  const wsim::kernels::PhRunner ph_runner(cfg.ph_design);
+  const wsim::kernels::PhRunner ph_runner(executor.ph_design(0));
   wsim::kernels::PhRunOptions ph_opt;
   ph_opt.collect_outputs = true;
   ph_opt.double_fallback = cfg.double_fallback;
-  const auto ph_direct = ph_runner.run_batch(cfg.device, ph_tasks, ph_opt);
+  const auto ph_direct = ph_runner.run_batch(executor.device(0), ph_tasks, ph_opt);
   for (std::size_t i = 0; i < ph_tasks.size(); ++i) {
     ASSERT_TRUE(ph_tickets[i].ready()) << i;
     // Bit-identical, not approximately equal.
@@ -110,13 +124,92 @@ TEST(Serve, ResultsMatchDirectExecutionExactly) {
 }
 
 // ---------------------------------------------------------------------------
+// The fleet's guard ladder through the service: under SDC injection every
+// admitted request resolves exactly once, delivered SW alignments equal
+// the CPU reference bit for bit, and PairHMM likelihoods pass the ABFT
+// bounds — under both detection modes.
+TEST(ServeGuard, InjectedCorruptionNeverReachesDeliveredResponses) {
+  const auto dataset = small_dataset(17);
+  const auto sw_tasks = wsim::workload::sw_all_tasks(dataset);
+  const auto ph_tasks = wsim::workload::ph_all_tasks(dataset);
+  const auto sw_reference = wsim::guard::cpu_sw(sw_tasks, wsim::align::SwParams{});
+
+  for (const auto mode :
+       {wsim::guard::DetectMode::kAbft, wsim::guard::DetectMode::kDual}) {
+    SCOPED_TRACE(std::string(wsim::guard::to_string(mode)));
+    FleetConfig fc = one_worker_fleet();
+    fc.guard.detect = mode;
+    fc.guard.sdc.seed = 7;
+    fc.guard.sdc.flip_prob = 3e-6;
+    FleetExecutor executor(std::move(fc));
+    ServiceConfig cfg = base_config(executor);
+    cfg.collect_outputs = true;
+    AlignmentService service(cfg);
+
+    std::vector<int> sw_calls(sw_tasks.size(), 0);
+    std::vector<int> ph_calls(ph_tasks.size(), 0);
+    std::vector<wsim::serve::Ticket<SwResponse>> sw_tickets;
+    std::vector<wsim::serve::Ticket<wsim::serve::PairHmmResponse>> ph_tickets;
+    double t = 0.0;
+    for (std::size_t i = 0; i < sw_tasks.size(); ++i) {
+      service.advance_to(t);
+      const auto submit = service.submit(SwRequest{
+          sw_tasks[i], Priority::kNormal, {},
+          [&sw_calls, i](const SwResponse&) { ++sw_calls[i]; }, {}});
+      ASSERT_TRUE(submit.admitted());
+      sw_tickets.push_back(submit.ticket);
+      t += 25e-6;
+    }
+    for (std::size_t i = 0; i < ph_tasks.size(); ++i) {
+      service.advance_to(t);
+      const auto submit = service.submit(PairHmmRequest{
+          ph_tasks[i], Priority::kNormal, {},
+          [&ph_calls, i](const wsim::serve::PairHmmResponse&) { ++ph_calls[i]; },
+          {}});
+      ASSERT_TRUE(submit.admitted());
+      ph_tickets.push_back(submit.ticket);
+      t += 25e-6;
+    }
+    service.drain();
+
+    for (std::size_t i = 0; i < sw_tasks.size(); ++i) {
+      EXPECT_EQ(sw_calls[i], 1) << i;
+      ASSERT_TRUE(sw_tickets[i].ready()) << i;
+      const auto& got = sw_tickets[i].get().alignment;
+      const auto& want = sw_reference[i].alignment;
+      EXPECT_EQ(got.score, want.score) << i;
+      EXPECT_EQ(got.cigar, want.cigar) << i;
+      EXPECT_EQ(got.query_begin, want.query_begin) << i;
+      EXPECT_EQ(got.query_end, want.query_end) << i;
+      EXPECT_EQ(got.target_begin, want.target_begin) << i;
+      EXPECT_EQ(got.target_end, want.target_end) << i;
+    }
+    std::vector<double> log10;
+    for (std::size_t i = 0; i < ph_tasks.size(); ++i) {
+      EXPECT_EQ(ph_calls[i], 1) << i;
+      ASSERT_TRUE(ph_tickets[i].ready()) << i;
+      log10.push_back(ph_tickets[i].get().log10);
+    }
+    EXPECT_EQ(wsim::guard::validate_ph(ph_tasks, log10), std::nullopt);
+
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.completed(), sw_tasks.size() + ph_tasks.size());
+    EXPECT_EQ(stats.failed, 0U);
+    // The injection really exercised the ladder.
+    EXPECT_GT(stats.sdc_flips, 0U);
+    EXPECT_GT(stats.sdc_detected, 0U);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Acceptance (b): a full queue answers with a backpressure reason
 // immediately — submit never blocks and never silently drops.
 TEST(Serve, FullQueueRejectsWithBackpressure) {
   const auto sw_tasks = wsim::workload::sw_all_tasks(small_dataset());
   ASSERT_GE(sw_tasks.size(), 4U);
 
-  ServiceConfig cfg = base_config();
+  FleetExecutor executor(one_worker_fleet());
+  ServiceConfig cfg = base_config(executor);
   cfg.collect_outputs = false;
   cfg.max_queue_tasks = 3;
   cfg.policy.max_batch_delay = 1.0;           // no delay flush in this test
@@ -145,7 +238,8 @@ TEST(Serve, FullQueueRejectsWithBackpressure) {
 
 TEST(Serve, CellBoundRejectsWithCellsFull) {
   const auto sw_tasks = wsim::workload::sw_all_tasks(small_dataset());
-  ServiceConfig cfg = base_config();
+  FleetExecutor executor(one_worker_fleet());
+  ServiceConfig cfg = base_config(executor);
   cfg.collect_outputs = false;
   cfg.max_queue_cells = sw_tasks[0].cells();  // room for exactly one task
   cfg.policy.max_batch_delay = 1.0;
@@ -163,7 +257,8 @@ TEST(Serve, CellBoundRejectsWithCellsFull) {
 
 TEST(Serve, StoppedServiceRejectsButDrainsAdmittedWork) {
   const auto sw_tasks = wsim::workload::sw_all_tasks(small_dataset());
-  ServiceConfig cfg = base_config();
+  FleetExecutor executor(one_worker_fleet());
+  ServiceConfig cfg = base_config(executor);
   cfg.collect_outputs = false;
   AlignmentService service(cfg);
 
@@ -200,7 +295,8 @@ TEST(Serve, LargerBatchingDelayGrowsBatchesAndLatency) {
   }
 
   const auto replay = [&](double max_batch_delay) {
-    ServiceConfig cfg = base_config();
+    FleetExecutor executor(one_worker_fleet());
+    ServiceConfig cfg = base_config(executor);
     cfg.collect_outputs = false;
     cfg.policy.max_batch_delay = max_batch_delay;
     AlignmentService service(cfg);
@@ -237,7 +333,8 @@ TEST(Serve, LargerBatchingDelayGrowsBatchesAndLatency) {
 // Flush triggers and ordering.
 TEST(Serve, CellTargetFlushesWithoutAdvancingClock) {
   const auto sw_tasks = wsim::workload::sw_all_tasks(small_dataset());
-  ServiceConfig cfg = base_config();
+  FleetExecutor executor(one_worker_fleet());
+  ServiceConfig cfg = base_config(executor);
   cfg.collect_outputs = false;
   cfg.policy.target_batch_cells = sw_tasks[0].cells();  // any task saturates
   cfg.policy.max_batch_delay = 1.0;
@@ -254,7 +351,8 @@ TEST(Serve, CellTargetFlushesWithoutAdvancingClock) {
 
 TEST(Serve, DeadlineAtRiskFlushesBeforeBatchDelay) {
   const auto sw_tasks = wsim::workload::sw_all_tasks(small_dataset());
-  ServiceConfig cfg = base_config();
+  FleetExecutor executor(one_worker_fleet());
+  ServiceConfig cfg = base_config(executor);
   cfg.collect_outputs = false;
   cfg.policy.max_batch_delay = 5000e-6;  // would otherwise wait 5 ms
   AlignmentService service(cfg);
@@ -277,7 +375,8 @@ TEST(Serve, HighPriorityJumpsTheLineInCapacityLimitedBatches) {
   // high-priority request must take a seat in that first batch ahead of a
   // low-priority request submitted before it.
   const auto task = wsim::workload::sw_all_tasks(small_dataset())[0];
-  ServiceConfig cfg = base_config();
+  FleetExecutor executor(one_worker_fleet());
+  ServiceConfig cfg = base_config(executor);
   cfg.collect_outputs = false;
   cfg.policy.target_batch_cells = task.cells() * 5 / 2;
   cfg.policy.max_batch_delay = 100e-6;
@@ -302,7 +401,8 @@ TEST(Serve, HighPriorityJumpsTheLineInCapacityLimitedBatches) {
 
 TEST(Serve, CallbackFiresOnceWithReadyResponse) {
   const auto sw_tasks = wsim::workload::sw_all_tasks(small_dataset());
-  ServiceConfig cfg = base_config();
+  FleetExecutor executor(one_worker_fleet());
+  ServiceConfig cfg = base_config(executor);
   cfg.collect_outputs = false;
   AlignmentService service(cfg);
 
@@ -321,7 +421,8 @@ TEST(Serve, CallbackFiresOnceWithReadyResponse) {
 
 TEST(Serve, AdvanceIsIncrementalAndMonotonic) {
   const auto sw_tasks = wsim::workload::sw_all_tasks(small_dataset());
-  ServiceConfig cfg = base_config();
+  FleetExecutor executor(one_worker_fleet());
+  ServiceConfig cfg = base_config(executor);
   cfg.collect_outputs = false;
   cfg.policy.max_batch_delay = 100e-6;
   AlignmentService service(cfg);
@@ -346,8 +447,13 @@ TEST(Serve, AdvanceIsIncrementalAndMonotonic) {
               1e-12);
 }
 
+TEST(Serve, RequiresAFleet) {
+  EXPECT_THROW(AlignmentService(ServiceConfig{}), wsim::util::CheckError);
+}
+
 TEST(Serve, RejectsInvalidTasks) {
-  ServiceConfig cfg = base_config();
+  FleetExecutor executor(one_worker_fleet());
+  ServiceConfig cfg = base_config(executor);
   cfg.collect_outputs = false;
   AlignmentService service(cfg);
   EXPECT_THROW(service.submit(SwRequest{{"", "ACGT"}, Priority::kNormal, {}, {}, {}}),
@@ -413,7 +519,8 @@ TEST(AdmissionQueue, CellTargetStopsBatchButTakesAtLeastOne) {
 
 TEST(ServeTenants, TaskAndCellQuotasRejectWithTenantReasons) {
   const auto sw_tasks = wsim::workload::sw_all_tasks(small_dataset());
-  ServiceConfig cfg = base_config();
+  FleetExecutor executor(one_worker_fleet());
+  ServiceConfig cfg = base_config(executor);
   cfg.collect_outputs = false;
   wsim::serve::TenantConfig alpha;
   alpha.name = "alpha";
@@ -462,7 +569,8 @@ TEST(ServeTenants, SloDerivesDeadlineAndPriorityLane) {
   EXPECT_EQ(wsim::serve::priority_for_slo(1.0), Priority::kLow);
 
   const auto sw_tasks = wsim::workload::sw_all_tasks(small_dataset());
-  ServiceConfig cfg = base_config();
+  FleetExecutor executor(one_worker_fleet());
+  ServiceConfig cfg = base_config(executor);
   cfg.collect_outputs = false;
   wsim::serve::TenantConfig gold;
   gold.name = "gold";
@@ -489,7 +597,8 @@ TEST(ServeTenants, TightSloTenantJumpsTheSharedQueue) {
   // kHigh and takes a seat in the first capacity-limited batch ahead of a
   // best-effort tenant's earlier request.
   const auto task = wsim::workload::sw_all_tasks(small_dataset())[0];
-  ServiceConfig cfg = base_config();
+  FleetExecutor executor(one_worker_fleet());
+  ServiceConfig cfg = base_config(executor);
   cfg.collect_outputs = false;
   cfg.policy.target_batch_cells = task.cells() * 5 / 2;
   cfg.policy.max_batch_delay = 100e-6;
@@ -525,7 +634,8 @@ TEST(ServeTenants, SamePriorityTenantsStayFifoAndNeitherStarves) {
   // cannot be starved by a high-rate one, and within each batch the seats
   // go in submission order across tenants.
   const auto task = wsim::workload::sw_all_tasks(small_dataset())[0];
-  ServiceConfig cfg = base_config();
+  FleetExecutor executor(one_worker_fleet());
+  ServiceConfig cfg = base_config(executor);
   cfg.collect_outputs = false;
   cfg.policy.target_batch_cells = task.cells() * 5 / 2;  // two seats per batch
   cfg.policy.max_batch_delay = 100e-6;
@@ -741,18 +851,19 @@ TEST(ServeStats, JsonCarriesTenantBreakdownAndSharedDeviceSchema) {
   }
 }
 
-// Regression for the cross-layer shared-engine contract: a service built
-// without an explicit engine runs on simt::shared_engine(), so the
-// cost-cache entries it writes are hits for a bare runner (and vice
+// Regression for the cross-layer shared-engine contract: a service over a
+// fleet built without an explicit engine runs on simt::shared_engine(), so
+// the cost-cache entries it writes are hits for a bare runner (and vice
 // versa) — same cache across serving layer, runners, pipeline, CLI.
 TEST(ServeStats, TimingOnlyServiceSharesTheProcessWideCostCache) {
   const auto dataset = small_dataset(41);
   const auto sw_tasks = wsim::workload::sw_all_tasks(dataset);
   ASSERT_FALSE(sw_tasks.empty());
 
-  ServiceConfig cfg = base_config();
+  FleetExecutor executor(one_worker_fleet());
+  ServiceConfig cfg = base_config(executor);
   cfg.collect_outputs = false;  // timing-only: shape-cached via engine cache
-  cfg.engine = nullptr;         // explicit: the process-wide shared_engine()
+  ASSERT_EQ(executor.config().engine, nullptr);  // the process-wide shared_engine()
   AlignmentService service(cfg);
   double t = 0.0;
   for (const auto& task : sw_tasks) {
@@ -769,11 +880,11 @@ TEST(ServeStats, TimingOnlyServiceSharesTheProcessWideCostCache) {
 
   // The same task shapes through a bare runner: pure cache hits — no new
   // entries, no blocks executed.
-  const wsim::kernels::SwRunner runner(cfg.sw_design);
+  const wsim::kernels::SwRunner runner(executor.sw_design(0));
   wsim::kernels::SwRunOptions opt;
   opt.mode = wsim::simt::ExecMode::kCachedByShape;
   opt.use_engine_cache = true;
-  const auto warm = runner.run_batch(cfg.device, sw_tasks, opt);
+  const auto warm = runner.run_batch(executor.device(0), sw_tasks, opt);
   EXPECT_EQ(shared.cost_cache_size(), after_service);
   EXPECT_EQ(warm.run.launch.blocks_executed, 0U);
 }

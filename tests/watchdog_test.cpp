@@ -251,9 +251,9 @@ TEST(Watchdog, FleetRequeuesTimedOutBatchOnAnotherDevice) {
 }
 
 // ---------------------------------------------------------------------------
-// Serve: on the single-device path a LaunchTimeout cannot be re-placed, so
-// the service fails the carrying requests with the watchdog's message in
-// the ticket instead of answering them.
+// Serve: when a LaunchTimeout exhausts the fleet's attempts (here one, on
+// a one-worker fleet), the service fails the carrying requests with the
+// watchdog's message in the ticket instead of answering them.
 
 TEST(Watchdog, ServeTicketCarriesTimeoutError) {
   wsim::workload::GeneratorConfig gen;
@@ -267,10 +267,14 @@ TEST(Watchdog, ServeTicketCarriesTimeoutError) {
   const auto tasks = wsim::workload::sw_all_tasks(dataset);
   ASSERT_FALSE(tasks.empty());
 
+  wsim::fleet::FleetConfig fleet_cfg;
+  fleet_cfg.workers.push_back({wsim::simt::make_k1200(), {}, {}, {}, 8});
+  fleet_cfg.guard.max_block_cycles = 1;  // every batch times out
+  fleet_cfg.retry.max_attempts = 1;      // the fleet would otherwise retry
+  wsim::fleet::FleetExecutor executor(std::move(fleet_cfg));
   wsim::serve::ServiceConfig cfg;
-  cfg.device = wsim::simt::make_k1200();
   cfg.collect_outputs = true;
-  cfg.guard.max_block_cycles = 1;  // every batch times out
+  cfg.fleet = &executor;
   wsim::serve::AlignmentService service(cfg);
 
   const auto submit = service.submit(

@@ -31,10 +31,12 @@
 // --batch N, --qual N, --threads N (or the WSIM_THREADS environment
 // variable for commands using the shared engine).
 
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -73,6 +75,9 @@ using wsim::kernels::CommMode;
 using wsim::util::format_fixed;
 using wsim::util::format_percent;
 
+constexpr long kLongMax = std::numeric_limits<long>::max();
+constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;
@@ -81,9 +86,19 @@ struct Args {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
-  long get_int(const std::string& key, long fallback) const {
+  /// Numeric flags: `fallback` when absent, else the value checked by
+  /// wsim::cli::parse_number against [lo, hi].
+  long get_int(const std::string& key, long fallback, long lo = 0,
+               long hi = kLongMax) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::stol(it->second);
+    return it == options.end() ? fallback
+                               : wsim::cli::parse_number(key, it->second, lo, hi);
+  }
+  double get_double(const std::string& key, double fallback, double lo = 0.0,
+                    double hi = kUnbounded) const {
+    const auto it = options.find(key);
+    return it == options.end() ? fallback
+                               : wsim::cli::parse_number(key, it->second, lo, hi);
   }
 };
 
@@ -114,7 +129,7 @@ wsim::simt::DeviceSpec device_from(const Args& args) {
 /// routes its launches through it.
 wsim::simt::EngineOptions engine_options_from(const Args& args) {
   return wsim::simt::EngineOptions{
-      .threads = static_cast<int>(args.get_int("threads", 0))};
+      .threads = static_cast<int>(args.get_int("threads", 0, INT_MIN, INT_MAX))};
 }
 
 CommMode mode_from(const Args& args) {
@@ -229,7 +244,7 @@ int cmd_pairhmm(const Args& args) {
   wsim::align::PairHmmTask task;
   task.read = args.positional[0];
   task.hap = args.positional[1];
-  const auto qual = static_cast<std::uint8_t>(args.get_int("qual", 30));
+  const auto qual = static_cast<std::uint8_t>(args.get_int("qual", 30, 0, 255));
   task.base_quals.assign(task.read.size(), qual);
   task.ins_quals.assign(task.read.size(), 45);
   task.del_quals.assign(task.read.size(), 45);
@@ -252,7 +267,7 @@ int cmd_workload(const Args& args) {
     ds = wsim::workload::load_dataset(in);
   } else {
     wsim::workload::GeneratorConfig cfg;
-    cfg.regions = static_cast<int>(args.get_int("regions", 16));
+    cfg.regions = static_cast<int>(args.get_int("regions", 16, 1, INT_MAX));
     cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
     ds = wsim::workload::generate_dataset(cfg);
   }
@@ -284,11 +299,11 @@ int cmd_sweep(const Args& args) {
     ds = wsim::workload::load_dataset(in);
   } else {
     wsim::workload::GeneratorConfig cfg;
-    cfg.regions = static_cast<int>(args.get_int("regions", 16));
+    cfg.regions = static_cast<int>(args.get_int("regions", 16, 1, INT_MAX));
     cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
     ds = wsim::workload::generate_dataset(cfg);
   }
-  const auto batch_size = static_cast<std::size_t>(args.get_int("batch", 200));
+  const auto batch_size = static_cast<std::size_t>(args.get_int("batch", 200, 1));
   const auto sw_batches = wsim::workload::sw_rebatch(ds, batch_size);
   const auto ph_batches = wsim::workload::ph_rebatch(ds, batch_size);
 
@@ -336,7 +351,7 @@ int cmd_pipeline(const Args& args) {
     ds = wsim::workload::load_dataset(in);
   } else {
     wsim::workload::GeneratorConfig cfg;
-    cfg.regions = static_cast<int>(args.get_int("regions", 8));
+    cfg.regions = static_cast<int>(args.get_int("regions", 8, 1, INT_MAX));
     cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
     cfg.ph_tasks_per_region_mean = 24.0;
     ds = wsim::workload::generate_dataset(cfg);
@@ -348,7 +363,7 @@ int cmd_pipeline(const Args& args) {
     cfg.ph_design = wsim::kernels::PhDesign::kShared;
   }
   cfg.rebatch_size = static_cast<std::size_t>(args.get_int("batch", 0));
-  cfg.threads = static_cast<int>(args.get_int("threads", 0));
+  cfg.threads = static_cast<int>(args.get_int("threads", 0, INT_MIN, INT_MAX));
   cfg.overlap_transfers = args.options.count("streams") != 0;
   cfg.lpt_order = args.options.count("lpt") != 0;
   cfg.validate_sample = args.options.count("validate") != 0;
@@ -388,7 +403,8 @@ wsim::workload::Dataset dataset_from(const Args& args, int default_regions) {
           ? wsim::workload::GeneratorConfig{}
           : wsim::workload::profile_config(
                 wsim::workload::length_profile_by_name(profile), seed);
-  cfg.regions = static_cast<int>(args.get_int("regions", default_regions));
+  cfg.regions =
+      static_cast<int>(args.get_int("regions", default_regions, 1, INT_MAX));
   cfg.seed = seed;
   return wsim::workload::generate_dataset(cfg);
 }
@@ -400,8 +416,7 @@ int cmd_sw_run(const Args& args) {
   const auto profile = wsim::workload::length_profile_by_name(
       args.get("profile", "long-read"));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  const auto want = static_cast<std::size_t>(args.get_int("tasks", 4));
-  wsim::util::require(want >= 1, "sw-run: --tasks must be >= 1");
+  const auto want = static_cast<std::size_t>(args.get_int("tasks", 4, 1, INT_MAX));
 
   wsim::workload::GeneratorConfig cfg =
       wsim::workload::profile_config(profile, seed);
@@ -489,10 +504,10 @@ struct ReplaySetup {
 
 ReplaySetup replay_setup_from(const Args& args) {
   ReplaySetup setup;
-  setup.rate = std::stod(args.get("rate", "50000"));
+  setup.rate = args.get_double("rate", 50000.0);
   wsim::util::require(setup.rate > 0.0, "--rate must be > 0");
-  setup.delay_us = std::stod(args.get("delay", "200"));
-  setup.deadline_us = std::stod(args.get("deadline", "0"));
+  setup.delay_us = args.get_double("delay", 200.0);
+  setup.deadline_us = args.get_double("deadline", 0.0);
   return setup;
 }
 
@@ -500,13 +515,12 @@ ReplaySetup replay_setup_from(const Args& args) {
 void apply_service_args(const Args& args, const ReplaySetup& setup,
                         wsim::serve::ServiceConfig& cfg) {
   cfg.policy.max_batch_delay = setup.delay_us * 1e-6;
-  cfg.policy.target_batch_cells =
-      static_cast<std::size_t>(args.get_int(
-          "target-cells", static_cast<long>(cfg.policy.target_batch_cells)));
-  cfg.policy.max_batch_tasks = static_cast<std::size_t>(
-      args.get_int("max-batch", static_cast<long>(cfg.policy.max_batch_tasks)));
+  cfg.policy.target_batch_cells = static_cast<std::size_t>(args.get_int(
+      "target-cells", static_cast<long>(cfg.policy.target_batch_cells), 1));
+  cfg.policy.max_batch_tasks = static_cast<std::size_t>(args.get_int(
+      "max-batch", static_cast<long>(cfg.policy.max_batch_tasks), 1));
   cfg.max_queue_tasks =
-      static_cast<std::size_t>(args.get_int("queue", 4096));
+      static_cast<std::size_t>(args.get_int("queue", 4096, 1));
   // Timing-only by default: the load experiment needs latencies, not
   // alignments, and shape-cached execution keeps large replays fast.
   cfg.collect_outputs = args.options.count("outputs") != 0;
@@ -670,27 +684,37 @@ void maybe_write_stats_json(const Args& args,
 }
 
 int cmd_serve_sim(const Args& args) {
+  namespace fleet = wsim::fleet;
   namespace serve = wsim::serve;
   configure_obs(args);
   const auto ds = dataset_from(args, /*default_regions=*/8);
   const ReplaySetup setup = replay_setup_from(args);
 
-  serve::ServiceConfig cfg;
-  cfg.device = device_from(args);
-  if (mode_from(args) == CommMode::kSharedMemory) {
-    cfg.sw_design = CommMode::kSharedMemory;
-    cfg.ph_design = wsim::kernels::PhDesign::kShared;
-  }
-  apply_service_args(args, setup, cfg);
+  // One simulated GPU is a one-worker fleet: --mode pins its kernel
+  // designs (default shuffle) and SW batches stay task-per-block.
+  fleet::WorkerConfig worker;
+  worker.device = device_from(args);
+  const bool shared = mode_from(args) == CommMode::kSharedMemory;
+  worker.sw_design = shared ? CommMode::kSharedMemory : CommMode::kShuffle;
+  worker.ph_design = shared ? wsim::kernels::PhDesign::kShared
+                            : wsim::kernels::PhDesign::kShuffle;
+  fleet::FleetConfig fleet_cfg;
+  fleet_cfg.workers = {worker};
+  fleet_cfg.parallelism = fleet::ParallelismPolicy::kInterTask;
   wsim::simt::ExecutionEngine engine(engine_options_from(args));
-  cfg.engine = &engine;
+  fleet_cfg.engine = &engine;
+  fleet::FleetExecutor executor(std::move(fleet_cfg));
+
+  serve::ServiceConfig cfg;
+  apply_service_args(args, setup, cfg);
+  cfg.fleet = &executor;
   serve::AlignmentService service(std::move(cfg));
 
   const ReplayOutcome outcome = replay_poisson(
       service, ds, setup, static_cast<std::uint64_t>(args.get_int("seed", 42)));
   const auto stats = service.stats();
 
-  std::cout << "Device: " << service.config().device.name << ", rate "
+  std::cout << "Device: " << executor.device(0).name << ", rate "
             << format_fixed(setup.rate, 0) << " req/s, batching delay "
             << format_fixed(setup.delay_us, 0) << " us"
             << (setup.deadline_us > 0.0
@@ -757,7 +781,8 @@ std::vector<wsim::fleet::DegradeSpec> degradations_from(const Args& args) {
                         "--degrade expects DEV@FACTOR[:KIND[:ONSET[:PARAM]]], "
                         "got '" + item + "'");
     wsim::fleet::DegradeSpec spec;
-    spec.device = static_cast<int>(std::stol(item.substr(0, at)));
+    spec.device = static_cast<int>(
+        wsim::cli::parse_number<long>("degrade", item.substr(0, at), 0, INT_MAX));
     std::vector<std::string> fields;
     std::size_t f = at + 1;
     while (f <= item.size()) {
@@ -770,7 +795,8 @@ std::vector<wsim::fleet::DegradeSpec> degradations_from(const Args& args) {
     }
     wsim::util::require(!fields.empty() && !fields[0].empty(),
                         "--degrade '" + item + "' names no factor");
-    spec.factor = std::stod(fields[0]);
+    spec.factor =
+        wsim::cli::parse_number<double>("degrade", fields[0], 0.0, kUnbounded);
     wsim::util::require(spec.factor > 1.0,
                         "--degrade factor must be > 1 (a slowdown)");
     if (fields.size() > 1 && !fields[1].empty()) {
@@ -787,11 +813,12 @@ std::vector<wsim::fleet::DegradeSpec> degradations_from(const Args& args) {
       }
     }
     if (fields.size() > 2 && !fields[2].empty()) {
-      spec.onset_seq = static_cast<std::uint64_t>(std::stoul(fields[2]));
+      spec.onset_seq = static_cast<std::uint64_t>(
+          wsim::cli::parse_number<long>("degrade", fields[2], 0, kLongMax));
     }
     if (fields.size() > 3 && !fields[3].empty()) {
-      const auto param = static_cast<std::uint64_t>(std::stoul(fields[3]));
-      wsim::util::require(param >= 1, "--degrade PARAM must be >= 1");
+      const auto param = static_cast<std::uint64_t>(
+          wsim::cli::parse_number<long>("degrade", fields[3], 1, kLongMax));
       if (spec.kind == wsim::fleet::DegradeKind::kProgressive) {
         spec.ramp_batches = param;
       } else {
@@ -847,9 +874,9 @@ int cmd_fleet_sim(const Args& args) {
     }
   }
   fleet_cfg.faults.seed = static_cast<std::uint64_t>(args.get_int("fault-seed", 1));
-  fleet_cfg.faults.launch_failure_prob = std::stod(args.get("fail-prob", "0"));
-  fleet_cfg.faults.slowdown_prob = std::stod(args.get("slow-prob", "0"));
-  fleet_cfg.faults.slowdown_factor = std::stod(args.get("slow-factor", "4"));
+  fleet_cfg.faults.launch_failure_prob = args.get_double("fail-prob", 0.0, 0.0, 1.0);
+  fleet_cfg.faults.slowdown_prob = args.get_double("slow-prob", 0.0, 0.0, 1.0);
+  fleet_cfg.faults.slowdown_factor = args.get_double("slow-factor", 4.0, 1.0);
   fleet_cfg.faults.degradations = degradations_from(args);
   fleet_cfg.calibration.enabled = calibration_from(args, fleet_cfg.policy);
   wsim::simt::ExecutionEngine engine(engine_options_from(args));
@@ -929,12 +956,11 @@ wsim::workload::Trace cluster_trace_from(const Args& args) {
   } else {
     workload::TraceConfig cfg;
     cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-    cfg.duration_seconds = std::stod(args.get("duration", "0.5"));
+    cfg.duration_seconds = args.get_double("duration", 0.5);
     wsim::util::require(cfg.duration_seconds > 0.0, "--duration must be > 0");
     cfg.shape = workload::trace_shape_by_name(args.get("shape", "diurnal"));
-    const long tenants = args.get_int("tenants", 2);
-    wsim::util::require(tenants >= 1, "--tenants must be >= 1");
-    const double rate = std::stod(args.get("rate", "20000"));
+    const long tenants = args.get_int("tenants", 2, 1);
+    const double rate = args.get_double("rate", 20000.0);
     wsim::util::require(rate > 0.0, "--rate must be > 0");
     for (long i = 0; i < tenants; ++i) {
       workload::TenantTraffic traffic;
@@ -970,9 +996,9 @@ int cmd_cluster_sim(const Args& args) {
     cfg.worker.ph_design = wsim::kernels::PhDesign::kShared;
   }
   cfg.autoscaler.min_workers =
-      static_cast<std::size_t>(args.get_int("min", 1));
+      static_cast<std::size_t>(args.get_int("min", 1, 1));
   cfg.autoscaler.max_workers =
-      static_cast<std::size_t>(args.get_int("max", 8));
+      static_cast<std::size_t>(args.get_int("max", 8, 1));
   const std::string autoscale = args.get("autoscaler", "on");
   wsim::util::require(autoscale == "on" || autoscale == "off",
                       "--autoscaler must be 'on' or 'off'");
@@ -981,23 +1007,23 @@ int cmd_cluster_sim(const Args& args) {
   // run (pass --min = --max to size the fixed fleet).
   cfg.initial_workers = cfg.autoscaler.min_workers;
   cfg.control_interval_seconds =
-      static_cast<double>(args.get_int("interval", 2000)) * 1e-6;
+      static_cast<double>(args.get_int("interval", 2000, 1)) * 1e-6;
   cfg.join_warmup_seconds =
       static_cast<double>(args.get_int("warmup", 2000)) * 1e-6;
   cfg.autoscaler.target_backlog_seconds =
-      static_cast<double>(args.get_int("target-backlog", 5000)) * 1e-6;
-  cfg.cost_per_device_hour = std::stod(args.get("cost-hour", "2.5"));
+      static_cast<double>(args.get_int("target-backlog", 5000, 1)) * 1e-6;
+  cfg.cost_per_device_hour = args.get_double("cost-hour", 2.5);
   cfg.faults.seed = static_cast<std::uint64_t>(args.get_int("fault-seed", 1));
-  cfg.faults.launch_failure_prob = std::stod(args.get("fail-prob", "0"));
-  cfg.faults.slowdown_prob = std::stod(args.get("slow-prob", "0"));
-  cfg.faults.slowdown_factor = std::stod(args.get("slow-factor", "4"));
+  cfg.faults.launch_failure_prob = args.get_double("fail-prob", 0.0, 0.0, 1.0);
+  cfg.faults.slowdown_prob = args.get_double("slow-prob", 0.0, 0.0, 1.0);
+  cfg.faults.slowdown_factor = args.get_double("slow-factor", 4.0, 1.0);
   cfg.faults.degradations = degradations_from(args);
   cfg.policy = fleet::placement_policy_by_name(args.get("policy", "model"));
   cfg.calibration.enabled = calibration_from(args, cfg.policy);
 
   // Every trace tenant gets the same contract: an SLO class (--slo, in
   // milliseconds, 0 = none) and a queued-task quota (--quota, 0 = none).
-  const double slo_seconds = std::stod(args.get("slo", "20")) * 1e-3;
+  const double slo_seconds = args.get_double("slo", 20.0) * 1e-3;
   const std::size_t quota =
       static_cast<std::size_t>(args.get_int("quota", 0));
   for (const std::string& name : trace.tenants) {
@@ -1100,7 +1126,7 @@ int cmd_guard_sim(const Args& args) {
   namespace guard = wsim::guard;
   configure_obs(args);
   const auto ds = dataset_from(args, /*default_regions=*/2);
-  const auto batch_size = static_cast<std::size_t>(args.get_int("batch", 64));
+  const auto batch_size = static_cast<std::size_t>(args.get_int("batch", 64, 1));
   const auto sw_batches = wsim::workload::sw_rebatch(ds, batch_size);
   const auto ph_batches = wsim::workload::ph_rebatch(ds, batch_size);
 
@@ -1115,7 +1141,8 @@ int cmd_guard_sim(const Args& args) {
       }
       const std::string item = list.substr(begin, end - begin);
       if (!item.empty()) {
-        probs.push_back(std::stod(item));
+        probs.push_back(
+            wsim::cli::parse_number<double>("flip-prob", item, 0.0, 1.0));
       }
       begin = end + 1;
     }
