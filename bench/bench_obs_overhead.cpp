@@ -219,7 +219,10 @@ int main(int argc, char** argv) {
   wsim::bench::banner("the observability-overhead gate",
                       "wsim::obs disabled / metrics / trace levels");
 
-  const int trials = smoke ? 3 : 7;
+  // Smoke runs shrink the work but keep every trial: the gate is a median
+  // of per-trial paired deltas, and with fewer trials one host-noise burst
+  // decides it.
+  const int trials = 7;
   const int reps = smoke ? 1 : 2;
 
   auto cfg = wsim::bench::standard_dataset_config();

@@ -121,10 +121,10 @@ std::string usage_text() {
       "                --threads N  simulation worker threads for block execution\n"
       "                             (default: one per hardware thread; results\n"
       "                              are identical at any thread count)\n"
-      "                --interp fast|legacy|vector  interpreter path: predecoded\n"
-      "                             fast dispatch (default), the legacy switch\n"
-      "                             interpreter, or the SIMD lane-vector engine\n"
-      "                             (results are bit-identical on all three)\n"
+      "                --interp legacy|vector  interpreter path: the SIMD\n"
+      "                             lane-vector engine (default) or the legacy\n"
+      "                             switch interpreter (results are\n"
+      "                             bit-identical on both)\n"
       "observability:  --trace-out F   write a Chrome trace-event JSON of the\n"
       "                             run (simulated clock; open in Perfetto or\n"
       "                             chrome://tracing)\n"
@@ -136,7 +136,7 @@ std::string usage_text() {
       "                             engine, used whenever --threads is absent or\n"
       "                             <= 0 (pipeline, benches, library default)\n"
       "                WSIM_INTERP=legacy|vector  select the interpreter when\n"
-      "                             --interp is absent (default: fast)\n"
+      "                             --interp is absent (default: vector)\n"
       "                WSIM_VECTOR_ISA=generic|avx2|avx512  clamp the lane-vector\n"
       "                             engine's SIMD tier (downgrade-only; default:\n"
       "                             best the CPU supports)\n";
@@ -174,12 +174,12 @@ template long parse_number<long>(std::string_view, std::string_view, long, long)
 template double parse_number<double>(std::string_view, std::string_view, double,
                                      double);
 
-std::string interp_error(std::string_view name) {
-  if (name == "fast" || name == "legacy" || name == "vector") {
+std::string interp_error(std::string_view name, std::string_view source) {
+  if (name == "legacy" || name == "vector") {
     return {};
   }
-  return "error: unknown interpreter '" + std::string(name) +
-         "' for --interp; valid names: fast, legacy, vector";
+  return "error: unknown interpreter '" + std::string(name) + "' for " +
+         std::string(source) + "; valid names: legacy, vector";
 }
 
 }  // namespace wsim::cli

@@ -37,10 +37,12 @@ template <typename T>
 T parse_number(std::string_view flag, std::string_view text, T lo, T hi);
 
 /// Validates a --interp / WSIM_INTERP interpreter name. Returns the empty
-/// string when `name` is a known engine ("fast", "legacy", "vector");
-/// otherwise the exact one-line error the driver prints, which lists the
-/// valid names. Shared between the binary and cli_usage_test so the error
-/// surface cannot drift from the documented set.
-std::string interp_error(std::string_view name);
+/// string when `name` is a user-selectable engine ("legacy", "vector");
+/// otherwise the exact one-line error the driver prints, which names
+/// `source` (the flag or the environment variable the value came from)
+/// and lists the valid names. Shared between the binary and
+/// cli_usage_test so the error surface cannot drift from the documented
+/// set.
+std::string interp_error(std::string_view name, std::string_view source = "--interp");
 
 }  // namespace wsim::cli

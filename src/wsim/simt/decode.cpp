@@ -249,6 +249,8 @@ void mark_vector_metadata(DecodedProgram& prog) {
         case ExecClass::kScalar:
         case ExecClass::kLds:
         case ExecClass::kSts:
+        case ExecClass::kLdg:
+        case ExecClass::kStg:
           break;
         case ExecClass::kBar:
           // A single-warp barrier is a pure cursor bump (arrival == the
@@ -258,9 +260,7 @@ void mark_vector_metadata(DecodedProgram& prog) {
           eligible = prog.warps == 1;
           break;
         default:
-          // kLdg/kStg (global warm-set state) and nested loops keep the
-          // body on the exact path.
-          eligible = false;
+          eligible = false;  // nested loops keep the body on the exact path
           break;
       }
     }

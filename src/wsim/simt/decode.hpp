@@ -174,15 +174,15 @@ struct DecodedInstr {
 struct DecodedProgram {
   /// Register-usage summary of one loop whose body the vector engine may
   /// fast-forward (see DecodedInstr::accel and vectorpath.cpp). A loop is
-  /// eligible when its body contains only kSimple/kShuffle/kScalar/kLds/
-  /// kSts instructions — plus kBar when the program has a single warp, in
-  /// which case the barrier degenerates to a fixed cursor bump (no nested
-  /// loops or global memory): for
-  /// such a body the per-iteration timing profile is a pure function of
-  /// the warp's timing state relative to its own cursor plus the
-  /// shared-memory replay cycles, so once two consecutive iterations
-  /// produce identical relative profiles, the remaining iterations can run
-  /// value-only with the timing deltas replayed — bit-identically.
+  /// eligible when its body holds no nested loop, and a kBar only when the
+  /// program has a single warp (the barrier then degenerates to a fixed
+  /// cursor bump). For such a body the per-iteration timing profile is a
+  /// pure function of the warp's timing state relative to its own cursor
+  /// plus the dynamic inputs: shared-memory replay cycles, global-load
+  /// cold/cached latencies, and barrier decisions. Once two consecutive
+  /// iterations produce identical relative profiles, the remaining
+  /// iterations can run value-only with the timing deltas replayed —
+  /// bit-identically.
   struct AccelLoop {
     std::uint32_t begin = 0;  ///< pc of the kLoop instruction
     /// Vector/scalar registers written by a body instruction (finish()
@@ -261,8 +261,8 @@ class DecodedProgramCache {
   std::atomic<std::uint64_t> decodes_{0};
 };
 
-/// The process-wide decoded-program cache used by the fast interpreter
-/// path (run_block and every ExecutionEngine launch).
+/// The process-wide decoded-program cache used by the predecoded
+/// interpreters (run_block and every ExecutionEngine launch).
 DecodedProgramCache& shared_decoded_cache();
 
 }  // namespace wsim::simt

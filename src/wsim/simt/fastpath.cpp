@@ -8,9 +8,10 @@
 // unpredicated instructions skip per-lane activity bookkeeping entirely.
 //
 // This engine uses EngineBase's default dispatch loop unchanged; it exists
-// as the concrete instantiation the handler tables bind to, and as the
-// reference the lane-vector engine (vectorpath.cpp) is differentially
-// tested against.
+// as the concrete instantiation the handler tables bind to, as the engine
+// SDC-injected blocks run on, and as the reference the lane-vector engine
+// (vectorpath.cpp, the default) is differentially tested against. It is
+// not user-selectable: WSIM_INTERP and --interp name only legacy|vector.
 
 #include <cstdlib>
 #include <string_view>
@@ -24,16 +25,10 @@ InterpPath resolve_interp_path(InterpPath requested) noexcept {
     return requested;
   }
   const char* env = std::getenv("WSIM_INTERP");
-  if (env != nullptr) {
-    const std::string_view name(env);
-    if (name == "legacy") {
-      return InterpPath::kLegacy;
-    }
-    if (name == "vector") {
-      return InterpPath::kVector;
-    }
+  if (env != nullptr && std::string_view(env) == "legacy") {
+    return InterpPath::kLegacy;
   }
-  return InterpPath::kFast;
+  return InterpPath::kVector;
 }
 
 namespace {

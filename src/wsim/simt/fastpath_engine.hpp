@@ -127,11 +127,13 @@ std::uint64_t lane_apply(const Ref& ra, const Ref& rb, const Ref& rc, Cmp cmp,
   } else if constexpr (L == LaneOp::kFMin) {
     return from_f32(std::min(as_f32(a), as_f32(b)));
   } else if constexpr (L == LaneOp::kIAdd) {
-    return from_i64(as_i64(a) + as_i64(b));
+    // Integer add/sub/mul wrap modulo 2^64 like the hardware; computing on
+    // the unsigned bits gives the same result without signed-overflow UB.
+    return a + b;
   } else if constexpr (L == LaneOp::kISub) {
-    return from_i64(as_i64(a) - as_i64(b));
+    return a - b;
   } else if constexpr (L == LaneOp::kIMul) {
-    return from_i64(as_i64(a) * as_i64(b));
+    return a * b;
   } else if constexpr (L == LaneOp::kIMax) {
     return from_i64(std::max(as_i64(a), as_i64(b)));
   } else if constexpr (L == LaneOp::kIMin) {
@@ -580,16 +582,13 @@ struct EngineBase {
         out = scalar_operand(warp, d.a);
         break;
       case Op::kSAdd:
-        out = from_i64(as_i64(scalar_operand(warp, d.a)) +
-                       as_i64(scalar_operand(warp, d.b)));
+        out = scalar_operand(warp, d.a) + scalar_operand(warp, d.b);
         break;
       case Op::kSSub:
-        out = from_i64(as_i64(scalar_operand(warp, d.a)) -
-                       as_i64(scalar_operand(warp, d.b)));
+        out = scalar_operand(warp, d.a) - scalar_operand(warp, d.b);
         break;
       case Op::kSMul:
-        out = from_i64(as_i64(scalar_operand(warp, d.a)) *
-                       as_i64(scalar_operand(warp, d.b)));
+        out = scalar_operand(warp, d.a) * scalar_operand(warp, d.b);
         break;
       case Op::kSMin:
         out = from_i64(std::min(as_i64(scalar_operand(warp, d.a)),

@@ -496,16 +496,16 @@ class BlockEngine {
         warp.sregs[static_cast<std::size_t>(ins.dst)] = scalar_value(warp, ins.a);
         return;
       case Op::kSAdd:
-        warp.sregs[static_cast<std::size_t>(ins.dst)] = from_i64(
-            as_i64(scalar_value(warp, ins.a)) + as_i64(scalar_value(warp, ins.b)));
+        warp.sregs[static_cast<std::size_t>(ins.dst)] =
+            scalar_value(warp, ins.a) + scalar_value(warp, ins.b);
         return;
       case Op::kSSub:
-        warp.sregs[static_cast<std::size_t>(ins.dst)] = from_i64(
-            as_i64(scalar_value(warp, ins.a)) - as_i64(scalar_value(warp, ins.b)));
+        warp.sregs[static_cast<std::size_t>(ins.dst)] =
+            scalar_value(warp, ins.a) - scalar_value(warp, ins.b);
         return;
       case Op::kSMul:
-        warp.sregs[static_cast<std::size_t>(ins.dst)] = from_i64(
-            as_i64(scalar_value(warp, ins.a)) * as_i64(scalar_value(warp, ins.b)));
+        warp.sregs[static_cast<std::size_t>(ins.dst)] =
+            scalar_value(warp, ins.a) * scalar_value(warp, ins.b);
         return;
       case Op::kSMin:
         warp.sregs[static_cast<std::size_t>(ins.dst)] = from_i64(std::min(
@@ -568,14 +568,16 @@ class BlockEngine {
         case Op::kFMin:
           out = from_f32(std::min(as_f32(a), as_f32(b)));
           break;
+        // Integer add/sub/mul wrap modulo 2^64 like the hardware; computing
+        // on the unsigned bits avoids signed-overflow UB on the host.
         case Op::kIAdd:
-          out = from_i64(as_i64(a) + as_i64(b));
+          out = a + b;
           break;
         case Op::kISub:
-          out = from_i64(as_i64(a) - as_i64(b));
+          out = a - b;
           break;
         case Op::kIMul:
-          out = from_i64(as_i64(a) * as_i64(b));
+          out = a * b;
           break;
         case Op::kIMax:
           out = from_i64(std::max(as_i64(a), as_i64(b)));

@@ -91,22 +91,27 @@ struct DecodedProgram;  // simt/decode.hpp
 
 /// Which interpreter executes a block / launch.
 ///
-/// kFast runs the predecoded fast path (per-(kernel, device) DecodedProgram
-/// from the shared cache, handler dispatch, superinstruction fusion); it is
-/// the default and is bit-identical to kLegacy in functional outputs,
-/// BlockResult counters, and SDC write-event numbering. kVector runs the
-/// lane-vector engine: all 32 lanes of an unpredicated instruction in a
-/// handful of SIMD ops (AVX-512/AVX2/generic variants picked once at
-/// runtime, overridable via WSIM_VECTOR_ISA), with a masked per-lane
-/// fallback for divergent warps — also bit-identical. kLegacy runs the
-/// original switch interpreter — kept for A/B comparison and as the
-/// differential-testing reference. kDefault defers to the WSIM_INTERP
-/// environment variable ("legacy" selects kLegacy, "vector" kVector;
-/// anything else kFast).
+/// kVector, the default, runs the lane-vector engine over the predecoded
+/// program (per-(kernel, device) DecodedProgram from the shared cache):
+/// all 32 lanes of an unpredicated instruction in a handful of SIMD ops
+/// (AVX-512/AVX2/generic variants picked once at runtime, overridable via
+/// WSIM_VECTOR_ISA), a masked per-lane fallback for divergent warps, and
+/// the steady-state loop fast-forward. It is bit-identical to kLegacy in
+/// functional outputs, BlockResult counters, and the error surface.
+/// kFast runs the scalar predecoded path (handler dispatch,
+/// superinstruction fusion), also bit-identical including SDC write-event
+/// numbering; it is internal — the engine SDC-injected blocks run on, and
+/// the baseline bench_simulator_perf and the equivalence tests request
+/// explicitly — and no environment value selects it. kLegacy runs the
+/// original switch interpreter: the differential-testing oracle that
+/// shares no timing code with the other two. kDefault defers to the
+/// WSIM_INTERP environment variable ("legacy" selects kLegacy; unset or
+/// anything else kVector — the wsim driver rejects names other than
+/// legacy|vector before any launch).
 enum class InterpPath : std::uint8_t { kDefault, kFast, kLegacy, kVector };
 
-/// Resolves kDefault against WSIM_INTERP; returns kFast, kLegacy, or
-/// kVector.
+/// Resolves kDefault against WSIM_INTERP; returns kVector or kLegacy for
+/// kDefault and any explicit request unchanged.
 InterpPath resolve_interp_path(InterpPath requested) noexcept;
 
 /// Name of the SIMD tier the lane-vector engine resolved to for this
@@ -138,8 +143,9 @@ struct BlockRunOptions {
   long long max_cycles = 0;
   /// Interpreter selection (see InterpPath).
   InterpPath interp = InterpPath::kDefault;
-  /// Fast path only: predecoded program for (kernel, device), usually
-  /// resolved once per launch by the ExecutionEngine. When null the block
+  /// Predecoded engines (vector, fast) only: the program for (kernel,
+  /// device), usually resolved once per launch by the ExecutionEngine.
+  /// When null the block
   /// fetches it from simt::shared_decoded_cache() itself. Must match the
   /// (kernel, device) passed to run_block.
   const DecodedProgram* decoded = nullptr;

@@ -78,7 +78,7 @@ struct LaunchOptions {
   /// simt::LaunchTimeout. 0 disables. Barrier deadlocks are detected and
   /// thrown unconditionally.
   long long max_block_cycles = 0;
-  /// Interpreter selection: the predecoded fast path (default) or the
+  /// Interpreter selection: the lane-vector engine (default) or the
   /// legacy switch interpreter, for A/B comparison and differential
   /// testing (see simt::InterpPath; WSIM_INTERP=legacy flips the default).
   InterpPath interp = InterpPath::kDefault;

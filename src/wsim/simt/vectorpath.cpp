@@ -20,14 +20,15 @@
 //     steady-state fast-forward: iterations execute exactly while the
 //     warp's relative timing signature is recorded; once two consecutive
 //     iterations produce the same signature and the same dynamic inputs
-//     (shared-memory replay cycles, single-warp barrier decisions), the
-//     remaining iterations run value-only and the timing state is shifted
-//     by the steady per-iteration delta. Any deviation in the dynamic
-//     inputs retro-applies timing for the executed prefix and finishes
-//     the iteration exactly, so the shortcut is bit-identical — including
-//     the throw points and messages of cycle-budget and out-of-bounds
-//     errors. Tracing disables the shortcut (each instruction must emit
-//     its own trace event).
+//     (shared-memory replay cycles, global-load cold/cached latencies,
+//     single-warp barrier decisions), the remaining iterations run
+//     value-only and the timing state is shifted by the steady
+//     per-iteration delta. Any deviation in the dynamic inputs
+//     retro-applies timing for the executed prefix and finishes the
+//     iteration exactly, so the shortcut is bit-identical — including the
+//     throw points and messages of cycle-budget and out-of-bounds errors.
+//     Tracing disables the shortcut (each instruction must emit its own
+//     trace event).
 //
 // Everything observable — functional outputs, BlockResult counters, SDC
 // event numbering, trace contents, error surface — stays bit-identical to
@@ -278,14 +279,16 @@ WSIM_VEC_INLINE void vec_exec(const VecArgs& x) noexcept {
         r = vbits<U64>(f) & f32_mask;
       } else if constexpr (L == LaneOp::kIAdd || L == LaneOp::kISub ||
                            L == LaneOp::kIMul) {
-        const I64 a = vbits<I64>(operand_chunk<T>(x.a, c));
-        const I64 b = vbits<I64>(operand_chunk<T>(x.b, c));
+        // Unsigned lanes: the same wrapping bits as the scalar engines,
+        // without signed-overflow UB.
+        const U64 a = operand_chunk<T>(x.a, c);
+        const U64 b = operand_chunk<T>(x.b, c);
         if constexpr (L == LaneOp::kIAdd) {
-          r = vbits<U64>(I64(a + b));
+          r = a + b;
         } else if constexpr (L == LaneOp::kISub) {
-          r = vbits<U64>(I64(a - b));
+          r = a - b;
         } else {
-          r = vbits<U64>(I64(a * b));
+          r = a * b;
         }
       } else if constexpr (L == LaneOp::kIMax || L == LaneOp::kIMin) {
         const I64 a = vbits<I64>(operand_chunk<T>(x.a, c));
@@ -752,17 +755,19 @@ struct VectorEngine final : fastdetail::EngineBase<VectorEngine> {
 
   // --- steady-state loop fast-forward ---------------------------------------
   //
-  // An accel-eligible body (decode.cpp) has no global memory, no nested
-  // loops, and barriers only in single-warp programs, so one iteration's
-  // timing is a pure function of (a) the warp's timing state relative to
-  // its own cursor at the loop head and (b) the dynamic inputs: per-access
-  // bank-conflict replay cycles and per-barrier taken/skipped decisions.
-  // Iterations run exactly — recording the relative signature and the
-  // dynamic inputs — until two consecutive iterations match; from then on
-  // iterations run value-only and the timing state shifts by the constant
-  // per-iteration delta. Values still execute in full (register writes,
-  // shared-memory traffic, every counter), so only redundant scoreboard
-  // arithmetic is skipped.
+  // An accel-eligible body (decode.cpp) has no nested loops and barriers
+  // only in single-warp programs, so one iteration's timing is a pure
+  // function of (a) the warp's timing state relative to its own cursor at
+  // the loop head and (b) the dynamic inputs: per-access extra latency
+  // (shared-memory bank-conflict replay cycles, and a global load's cold
+  // vs cached 128 B segment latency) and per-barrier taken/skipped
+  // decisions. Iterations run exactly — recording the relative signature
+  // and the dynamic inputs — until two consecutive iterations match; from
+  // then on iterations run value-only and the timing state shifts by the
+  // constant per-iteration delta. Values still execute in full (register
+  // writes, shared- and global-memory traffic with the warm-set update,
+  // the write set and bounds checks, every counter), so only redundant
+  // scoreboard arithmetic is skipped.
   //
   // Bit-identity notes, load-bearing:
   //  * Read-only registers' ready cells are frozen; the signature clamps
@@ -866,12 +871,14 @@ struct VectorEngine final : fastdetail::EngineBase<VectorEngine> {
           }
           break;
         case ExecClass::kLds:
-        case ExecClass::kSts: {
+        case ExecClass::kSts:
+        case ExecClass::kLdg:
+        case ExecClass::kStg: {
           count_issue(d);
           const long long start = issue_start(warp, d);
-          const long long replay = exec_smem(warp, d, pred_lanes(warp, d));
-          dyn_cur_.push_back(replay);
-          finish(warp, d, start, d.latency + replay);
+          const long long extra = exec_mem(warp, d);
+          dyn_cur_.push_back(extra);
+          finish(warp, d, start, d.latency + extra);
           break;
         }
         case ExecClass::kBar: {
@@ -891,6 +898,16 @@ struct VectorEngine final : fastdetail::EngineBase<VectorEngine> {
     warp.cursor += kBranchCycles;
     record_signature(warp);
     peak_rel_ = std::max(warp.cursor, warp.last_complete) - head;
+  }
+
+  /// A memory access with its predicate mask re-read: returns the extra
+  /// latency on top of the baked one (the dynamic input the fast-forward
+  /// records and checks).
+  long long exec_mem(Warp& warp, const DecodedInstr& d) {
+    const std::uint64_t* pv = pred_lanes(warp, d);
+    return d.cls == ExecClass::kLds || d.cls == ExecClass::kSts
+               ? exec_smem(warp, d, pv)
+               : exec_gmem(warp, d, pv);
   }
 
   void record_signature(const Warp& warp) {
@@ -940,7 +957,7 @@ struct VectorEngine final : fastdetail::EngineBase<VectorEngine> {
       kSimple,       ///< scalar kSimple table fallback (lane == kNop)
       kScalarOp,
       kSmemMask,     ///< kLds/kSts with loop-invariant active mask
-      kSmem,         ///< kLds/kSts, predicate re-evaluated per iteration
+      kMem,          ///< shared/global access, predicate re-read per iteration
       kBar,
     };
     Kind kind = Kind::kSimple;
@@ -1058,8 +1075,12 @@ struct VectorEngine final : fastdetail::EngineBase<VectorEngine> {
             p.lane_mask = active_mask(warp, d);
             p.kind = PlanOp::Kind::kSmemMask;
           } else {
-            p.kind = PlanOp::Kind::kSmem;
+            p.kind = PlanOp::Kind::kMem;
           }
+          break;
+        case ExecClass::kLdg:
+        case ExecClass::kStg:
+          p.kind = PlanOp::Kind::kMem;
           break;
         case ExecClass::kBar:
           p.kind = PlanOp::Kind::kBar;
@@ -1250,11 +1271,11 @@ struct VectorEngine final : fastdetail::EngineBase<VectorEngine> {
           ++dyn;
           break;
         }
-        case PlanOp::Kind::kSmem: {
+        case PlanOp::Kind::kMem: {
           count_issue(d);
-          const long long replay = exec_smem(warp, d, pred_lanes(warp, d));
-          if (replay != dyn_prev_[dyn]) {
-            finish_deviated_iteration(warp, begin, end, de, p.pc, replay);
+          const long long extra = exec_mem(warp, d);
+          if (extra != dyn_prev_[dyn]) {
+            finish_deviated_iteration(warp, begin, end, de, p.pc, extra);
             return false;
           }
           ++dyn;
@@ -1293,11 +1314,13 @@ struct VectorEngine final : fastdetail::EngineBase<VectorEngine> {
       const DecodedInstr& d = code[pc];
       switch (d.cls) {
         case ExecClass::kLds:
-        case ExecClass::kSts: {
-          const long long replay = pc == dev_pc ? true_dyn : dyn_prev_[dyn];
+        case ExecClass::kSts:
+        case ExecClass::kLdg:
+        case ExecClass::kStg: {
+          const long long extra = pc == dev_pc ? true_dyn : dyn_prev_[dyn];
           ++dyn;
           const long long start = issue_start(warp, d);
-          finish(warp, d, start, d.latency + replay);
+          finish(warp, d, start, d.latency + extra);
           break;
         }
         case ExecClass::kBar: {

@@ -73,8 +73,11 @@ void ThreadPool::worker_loop() {
     }
     if (job != nullptr) {
       run_job(*job);
+      // Release under job->mu: once `holders` reads 0 the submitter may
+      // return and reuse the Job's stack slot, so this worker must be done
+      // touching the job before the submitter can observe the drop.
+      std::lock_guard<std::mutex> lock(job->mu);
       if (job->holders.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(job->mu);
         job->finished.notify_all();
       }
     }

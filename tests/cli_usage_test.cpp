@@ -58,25 +58,33 @@ TEST(CliUsage, HasCommandMatchesRegistry) {
   EXPECT_FALSE(cli::has_command("guard"));  // prefix of guard-sim, not a command
 }
 
-TEST(CliUsage, InterpreterKnobDocumentsAllThreeEngines) {
+TEST(CliUsage, InterpreterKnobDocumentsUserSelectableEngines) {
   const std::string usage = cli::usage_text();
-  EXPECT_NE(usage.find("--interp fast|legacy|vector"), std::string::npos);
+  EXPECT_NE(usage.find("--interp legacy|vector"), std::string::npos);
   EXPECT_NE(usage.find("WSIM_INTERP=legacy|vector"), std::string::npos);
+  EXPECT_NE(usage.find("(default: vector)"), std::string::npos);
   EXPECT_NE(usage.find("WSIM_VECTOR_ISA=generic|avx2|avx512"), std::string::npos);
+  EXPECT_EQ(usage.find("fast|"), std::string::npos);
 }
 
 TEST(CliUsage, InterpErrorAcceptsKnownEnginesOnly) {
-  EXPECT_TRUE(cli::interp_error("fast").empty());
   EXPECT_TRUE(cli::interp_error("legacy").empty());
   EXPECT_TRUE(cli::interp_error("vector").empty());
-  // Unknown names produce the one-line error naming the offender and
-  // listing every valid engine, exactly as the driver prints it.
-  const std::string err = cli::interp_error("turbo");
-  EXPECT_EQ(err,
+  // The scalar fast path is internal (SDC-injected blocks, benches, and
+  // equivalence tests request it explicitly); users cannot select it.
+  EXPECT_EQ(cli::interp_error("fast"),
+            "error: unknown interpreter 'fast' for --interp; "
+            "valid names: legacy, vector");
+  // Unknown names produce the one-line error naming the offender, where
+  // it came from, and every valid engine, exactly as the driver prints it.
+  EXPECT_EQ(cli::interp_error("turbo"),
             "error: unknown interpreter 'turbo' for --interp; "
-            "valid names: fast, legacy, vector");
+            "valid names: legacy, vector");
+  EXPECT_EQ(cli::interp_error("vectr", "WSIM_INTERP"),
+            "error: unknown interpreter 'vectr' for WSIM_INTERP; "
+            "valid names: legacy, vector");
   EXPECT_FALSE(cli::interp_error("").empty());
-  EXPECT_FALSE(cli::interp_error("FAST").empty());
+  EXPECT_FALSE(cli::interp_error("LEGACY").empty());
   EXPECT_FALSE(cli::interp_error("vector ").empty());
 }
 
@@ -137,7 +145,11 @@ TEST(CliFlags, ParseNumberRejectsJunkNonFiniteAndOutOfRange) {
 /// Runs the wsim driver with `args`; returns its exit status and its
 /// combined stdout/stderr.
 std::pair<int, std::string> run_wsim(const std::string& args) {
-  const std::string out_path = ::testing::TempDir() + "cli_usage_test_wsim.out";
+  // One file per test: ctest -j runs the driver tests as parallel
+  // processes, which must not clobber each other's output.
+  const std::string out_path =
+      ::testing::TempDir() + "cli_usage_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".out";
   const std::string command =
       std::string("\"") + WSIM_CLI + "\" " + args + " > \"" + out_path + "\" 2>&1";
   const int status = std::system(command.c_str());
@@ -161,6 +173,32 @@ TEST(CliFlags, DriverExitsNonZeroNamingTheBadFlag) {
     EXPECT_NE(output.find(std::string("error: ") + flag), std::string::npos)
         << args << "\n" << output;
   }
+}
+
+// The driver validates the interpreter name from the flag and from an
+// inherited WSIM_INTERP before running anything: the library resolves an
+// unknown name to the default engine, so a typo would otherwise run
+// silently on an engine the user did not ask for.
+TEST(CliFlags, DriverRejectsUnknownInterpreterFromFlagOrEnvironment) {
+  {
+    const auto [status, output] = run_wsim("devices --interp fast");
+    EXPECT_NE(status, 0);
+    EXPECT_NE(output.find("error: unknown interpreter 'fast' for --interp"),
+              std::string::npos)
+        << output;
+  }
+  ::setenv("WSIM_INTERP", "vectr", 1);
+  const auto [env_status, env_output] = run_wsim("devices");
+  // An explicit valid flag wins over (and replaces) the inherited value.
+  const auto [flag_status, flag_output] = run_wsim("devices --interp legacy");
+  ::unsetenv("WSIM_INTERP");
+  EXPECT_NE(env_status, 0);
+  EXPECT_NE(env_output.find("error: unknown interpreter 'vectr' for WSIM_INTERP"),
+            std::string::npos)
+      << env_output;
+  EXPECT_EQ(flag_status, 0) << flag_output;
+  const auto [ok_status, ok_output] = run_wsim("devices");
+  EXPECT_EQ(ok_status, 0) << ok_output;
 }
 
 TEST(CliUsage, ResilienceCommandsAreDocumented) {

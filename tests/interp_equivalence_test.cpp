@@ -12,16 +12,21 @@
 #include <cstdlib>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "wsim/guard/guard.hpp"
 #include "wsim/kernels/nw_kernels.hpp"
 #include "wsim/kernels/ph_kernels.hpp"
 #include "wsim/kernels/sw_kernels.hpp"
+#include "wsim/obs/metrics.hpp"
+#include "wsim/obs/obs.hpp"
 #include "wsim/simt/builder.hpp"
 #include "wsim/simt/decode.hpp"
 #include "wsim/simt/device.hpp"
+#include "wsim/simt/engine.hpp"
 #include "wsim/simt/interpreter.hpp"
 #include "wsim/simt/memory.hpp"
 #include "wsim/simt/sdc.hpp"
@@ -202,6 +207,7 @@ void expect_equal_results(const BlockResult& legacy, const BlockResult& fast,
 void expect_equal_outcomes(const RunOutcome& legacy, const RunOutcome& fast,
                            const std::string& label) {
   ASSERT_EQ(legacy.threw, fast.threw) << label;
+  EXPECT_EQ(legacy.error, fast.error) << label;
   expect_equal_results(legacy.result, fast.result, label);
   EXPECT_EQ(legacy.memory, fast.memory) << label;
   EXPECT_EQ(legacy.writes, fast.writes) << label;
@@ -632,19 +638,337 @@ TEST(InterpEquivalence, EnvironmentKnobSelectsThePath) {
   EXPECT_EQ(wsim::simt::resolve_interp_path(InterpPath::kFast), InterpPath::kFast);
   EXPECT_EQ(wsim::simt::resolve_interp_path(InterpPath::kLegacy),
             InterpPath::kLegacy);
+  EXPECT_EQ(wsim::simt::resolve_interp_path(InterpPath::kVector),
+            InterpPath::kVector);
   // kDefault defers to WSIM_INTERP, resolved per call (not cached).
   ::setenv("WSIM_INTERP", "legacy", 1);
   EXPECT_EQ(wsim::simt::resolve_interp_path(InterpPath::kDefault),
             InterpPath::kLegacy);
-  ::setenv("WSIM_INTERP", "fast", 1);
-  EXPECT_EQ(wsim::simt::resolve_interp_path(InterpPath::kDefault),
-            InterpPath::kFast);
   ::setenv("WSIM_INTERP", "vector", 1);
+  EXPECT_EQ(wsim::simt::resolve_interp_path(InterpPath::kDefault),
+            InterpPath::kVector);
+  // The scalar fast path is internal: no environment value selects it,
+  // and unknown names resolve to the default (the wsim driver rejects
+  // them before any launch).
+  ::setenv("WSIM_INTERP", "fast", 1);
   EXPECT_EQ(wsim::simt::resolve_interp_path(InterpPath::kDefault),
             InterpPath::kVector);
   ::unsetenv("WSIM_INTERP");
   EXPECT_EQ(wsim::simt::resolve_interp_path(InterpPath::kDefault),
-            InterpPath::kFast);
+            InterpPath::kVector);
+}
+
+// --- global memory inside fast-forwarded loops ------------------------------
+
+/// Single-warp kernel whose loop streams global memory, so the vector
+/// engine fast-forwards it with loads and stores in the value phase:
+///  * a predicated B1 `ldg` under a mask of `window` lanes that rotates
+///    every iteration, at an address advancing `stride` bytes per
+///    iteration — the active lanes enter a new 128 B segment every
+///    ~128/stride iterations, so a cold load deviates inside the value
+///    phase and its extra latency lands on the loop's critical path
+///    (the accumulate depends on it);
+///  * an unpredicated B4 `stg` of the running sum into a ring of `rows`
+///    output rows (a power of two), one 128 B row per iteration.
+Kernel build_gmem_stream(int window, int stride, int rows) {
+  KernelBuilder kb("gmem_stream", 32);
+  const SReg in = kb.param();     // s0: input bytes
+  const SReg out = kb.param();    // s1: output ring
+  const SReg trips = kb.param();  // s2
+  const VReg t = kb.tid();
+  const VReg idx = kb.mov(t);
+  const VReg p = kb.setp(Cmp::kLt, DType::kI64, idx, imm_i64(window));
+  const VReg pos = kb.mov(t);
+  const VReg slot = kb.imul(t, imm_i64(4));
+  const VReg v = kb.mov(imm_i64(0));
+  const VReg acc = kb.mov(imm_i64(1));
+  kb.loop(trips);
+  kb.begin_pred(p);
+  kb.ldg_to(v, kb.iadd(in, pos), 0, MemWidth::kB1);
+  kb.end_pred();
+  kb.assign(acc, kb.iadd(kb.imul(acc, imm_i64(3)), v));  // wraps mod 2^64
+  kb.stg(kb.iadd(out, slot), acc);
+  kb.assign(pos, kb.iadd(pos, imm_i64(stride)));
+  kb.assign(slot, kb.iand(kb.iadd(slot, imm_i64(32 * 4)), imm_i64(rows * 32 * 4 - 1)));
+  kb.assign(idx, kb.iand(kb.iadd(idx, imm_i64(1)), imm_i64(31)));
+  kb.assign(p, kb.setp(Cmp::kLt, DType::kI64, idx, imm_i64(window)));
+  kb.endloop();
+  return kb.build();
+}
+
+/// Arena layout and knobs of one gmem_stream run. The region allocated
+/// last ends the arena, so making it shorter than the loop needs puts an
+/// out-of-bounds access at a chosen iteration.
+struct StreamCase {
+  std::int64_t trips = 0;
+  std::int64_t in_bytes = 0;
+  std::int64_t out_rows = 0;
+  bool in_last = false;
+  long long max_cycles = 0;
+};
+
+RunOutcome run_gmem_stream(const Kernel& kernel, const DeviceSpec& device,
+                           InterpPath path, const StreamCase& c) {
+  GlobalMemory gmem;
+  std::int64_t in = 0;
+  std::int64_t out = 0;
+  if (c.in_last) {
+    out = gmem.alloc(static_cast<std::size_t>(c.out_rows) * 32 * 4);
+    in = gmem.alloc(static_cast<std::size_t>(c.in_bytes), 1);
+  } else {
+    in = gmem.alloc(static_cast<std::size_t>(c.in_bytes), 1);
+    out = gmem.alloc(static_cast<std::size_t>(c.out_rows) * 32 * 4);
+  }
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(c.in_bytes));
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>((i * 37 + 11) & 0xFF);
+  }
+  gmem.write_u8(in, bytes);
+  const std::vector<std::uint64_t> args = {static_cast<std::uint64_t>(in),
+                                           static_cast<std::uint64_t>(out),
+                                           static_cast<std::uint64_t>(c.trips)};
+  RunOutcome outcome;
+  GmemWriteSet writes;
+  BlockRunOptions options;
+  options.interp = path;
+  options.writes = &writes;
+  options.max_cycles = c.max_cycles;
+  try {
+    outcome.result = run_block(kernel, device, gmem, args, options);
+  } catch (const CheckError& e) {
+    // Out-of-bounds accesses and cycle-budget timeouts (LaunchTimeout is
+    // a CheckError) both land here; the message pins the throw point.
+    outcome.threw = true;
+    outcome.error = e.what();
+  }
+  outcome.memory = gmem.read_u8(0, gmem.size());
+  outcome.writes = writes.spans();
+  return outcome;
+}
+
+constexpr int kStreamRows = 8;
+
+StreamCase clean_stream(std::int64_t trips, int stride) {
+  return {trips, 32 + stride * trips, kStreamRows, false, 0};
+}
+
+/// Reads one counter from the metrics dump (0 when absent).
+std::uint64_t metric_counter(const std::string& name) {
+  std::ostringstream os;
+  wsim::obs::write_metrics_json(os);
+  const std::string json = os.str();
+  const std::string key = "\"" + name + "\": ";
+  const std::size_t at = json.find(key);
+  return at == std::string::npos
+             ? 0
+             : std::stoull(json.substr(at + key.size()));
+}
+
+struct AccelIters {
+  std::uint64_t exact = 0;
+  std::uint64_t value = 0;
+};
+
+/// Runs `body` with metrics armed and returns how many accel-loop
+/// iterations the vector engine ran exactly and value-only meanwhile.
+template <typename Body>
+AccelIters count_accel_iters(Body body) {
+  wsim::obs::set_level(wsim::obs::Level::kMetrics);
+  wsim::obs::reset_metrics();
+  body();
+  const AccelIters iters{metric_counter("simt.vector.accel_exact_iters"),
+                         metric_counter("simt.vector.accel_value_iters")};
+  wsim::obs::set_level(wsim::obs::Level::kOff);
+  return iters;
+}
+
+TEST(InterpEquivalence, GlobalMemoryInFastForwardedLoops) {
+  // The tier the vector engine runs at is fixed per process; ctest reruns
+  // these cases with WSIM_VECTOR_ISA clamped to each lower tier.
+  SCOPED_TRACE(std::string("vector tier ") + wsim::simt::vector_isa_name());
+  const auto device = wsim::simt::make_k1200();
+  for (const int window : {0, 5, 32}) {
+    for (const int stride : {1, 4, 24}) {
+      const Kernel kernel = build_gmem_stream(window, stride, kStreamRows);
+      const auto program = wsim::simt::decode_program(kernel, device);
+      ASSERT_EQ(program->accel_loops.size(), 1U);
+      for (const std::int64_t trips : {0LL, 1LL, 2LL, 3LL, 300LL}) {
+        const std::string label = "window=" + std::to_string(window) +
+                                  " stride=" + std::to_string(stride) +
+                                  " trips=" + std::to_string(trips);
+        const StreamCase c = clean_stream(trips, stride);
+        const RunOutcome legacy =
+            run_gmem_stream(kernel, device, InterpPath::kLegacy, c);
+        const RunOutcome fast = run_gmem_stream(kernel, device, InterpPath::kFast, c);
+        RunOutcome vec;
+        const AccelIters iters = count_accel_iters(
+            [&] { vec = run_gmem_stream(kernel, device, InterpPath::kVector, c); });
+        EXPECT_FALSE(legacy.threw) << label << ": " << legacy.error;
+        expect_equal_outcomes(legacy, fast, label + " fast");
+        expect_equal_outcomes(legacy, vec, label + " vector");
+        EXPECT_EQ(iters.exact + iters.value, static_cast<std::uint64_t>(trips)) << label;
+        if (trips == 300) {
+          // Loads and stores really ran inside the value phase, and with
+          // a mask that touches memory the segment walk made cold loads
+          // deviate from it (more exact iterations than the first two).
+          EXPECT_GT(iters.value, 0U) << label;
+          EXPECT_GT(legacy.result.gmem_transactions, 300U) << label;
+          if (window > 0) {
+            EXPECT_GT(iters.exact, 2U) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(InterpEquivalence, GlobalMemoryFaultsInsideTheValuePhase) {
+  SCOPED_TRACE(std::string("vector tier ") + wsim::simt::vector_isa_name());
+  const auto device = wsim::simt::make_k1200();
+  constexpr std::int64_t kTrips = 300;
+  for (const int window : {5, 32}) {
+    for (const int stride : {1, 4, 24}) {
+      const Kernel kernel = build_gmem_stream(window, stride, kStreamRows);
+      const StreamCase clean = clean_stream(kTrips, stride);
+      std::vector<std::pair<std::string, StreamCase>> cases;
+      // Loads run off the end of the arena mid-loop: the input is the
+      // last allocation and ends one stride early at iteration `at`, so
+      // the top lanes go out of bounds there and every lane within 32
+      // more iterations (the rotating mask decides which lane trips).
+      for (const std::int64_t at : {9LL, 150LL, 250LL}) {
+        StreamCase c = clean;
+        c.in_last = true;
+        c.in_bytes = 32 + stride * (at - 1);
+        cases.emplace_back("load oob at " + std::to_string(at), c);
+      }
+      // Stores run off the end: the output ring is the last allocation
+      // and is three rows short, so iteration 5 of the ring stores past it.
+      {
+        StreamCase c = clean;
+        c.out_rows = kStreamRows - 3;
+        cases.emplace_back("store oob", c);
+      }
+      // Cycle budgets swept across the whole run, and densely over its
+      // last iterations: the budget trips at a different instruction each
+      // time, including inside iterations the vector engine finishes after
+      // a cold-load deviation and inside the final value-only iteration.
+      const RunOutcome full = run_gmem_stream(kernel, device, InterpPath::kLegacy, clean);
+      ASSERT_FALSE(full.threw) << full.error;
+      std::vector<long long> budgets;
+      for (int k = 1; k <= 48; ++k) {
+        budgets.push_back(full.result.cycles * k / 48 - (k % 3));
+      }
+      for (const long long back : {1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144}) {
+        budgets.push_back(full.result.cycles - back);
+      }
+      for (const long long budget : budgets) {
+        StreamCase c = clean;
+        c.max_cycles = budget;
+        cases.emplace_back("budget " + std::to_string(budget), c);
+      }
+      for (const auto& [what, c] : cases) {
+        const std::string label = "window=" + std::to_string(window) +
+                                  " stride=" + std::to_string(stride) + " " + what;
+        const RunOutcome legacy = run_gmem_stream(kernel, device, InterpPath::kLegacy, c);
+        const RunOutcome fast = run_gmem_stream(kernel, device, InterpPath::kFast, c);
+        const RunOutcome vec = run_gmem_stream(kernel, device, InterpPath::kVector, c);
+        if (c.max_cycles == 0 || c.max_cycles < full.result.cycles) {
+          EXPECT_TRUE(legacy.threw) << label;
+        }
+        expect_equal_outcomes(legacy, fast, label + " fast");
+        expect_equal_outcomes(legacy, vec, label + " vector");
+      }
+    }
+  }
+}
+
+TEST(InterpEquivalence, GlobalMemoryStreamUnderWriteOverlapCheck) {
+  SCOPED_TRACE(std::string("vector tier ") + wsim::simt::vector_isa_name());
+  const auto device = wsim::simt::make_titan_x();
+  const Kernel kernel = build_gmem_stream(7, 4, kStreamRows);
+  constexpr std::int64_t kTrips = 200;
+  constexpr int kBlocks = 4;
+  wsim::simt::ExecutionEngine engine(
+      wsim::simt::EngineOptions{.threads = 2, .check_write_overlap = true});
+
+  struct GridOutcome {
+    bool threw = false;
+    std::string error;
+    wsim::simt::LaunchResult result;
+    std::vector<std::uint8_t> memory;
+  };
+  // `shared_out` points every block at one output ring: a racy grid the
+  // checker must reject identically on every engine.
+  const auto run_grid = [&](InterpPath path, bool shared_out) {
+    GlobalMemory gmem;
+    const std::size_t in_bytes = 32 + 4 * kTrips;
+    std::vector<wsim::simt::BlockLaunch> blocks(kBlocks);
+    std::int64_t first_out = -1;
+    for (int b = 0; b < kBlocks; ++b) {
+      const std::int64_t in = gmem.alloc(in_bytes, 1);
+      std::vector<std::uint8_t> bytes(in_bytes);
+      for (std::size_t i = 0; i < bytes.size(); ++i) {
+        bytes[i] = static_cast<std::uint8_t>((i * 13 + static_cast<std::size_t>(b)) & 0xFF);
+      }
+      gmem.write_u8(in, bytes);
+      std::int64_t out = first_out;
+      if (!shared_out || b == 0) {
+        out = gmem.alloc(kStreamRows * 32 * 4);
+        first_out = out;
+      }
+      blocks[static_cast<std::size_t>(b)].args = {static_cast<std::uint64_t>(in),
+                                                  static_cast<std::uint64_t>(out),
+                                                  static_cast<std::uint64_t>(kTrips)};
+    }
+    wsim::simt::LaunchOptions lopt;
+    lopt.interp = path;
+    GridOutcome outcome;
+    try {
+      outcome.result = engine.launch(kernel, device, gmem, blocks, lopt);
+    } catch (const CheckError& e) {
+      outcome.threw = true;
+      outcome.error = e.what();
+    }
+    outcome.memory = gmem.read_u8(0, gmem.size());
+    return outcome;
+  };
+  for (const bool shared_out : {false, true}) {
+    const std::string label = shared_out ? "racy grid" : "disjoint grid";
+    const GridOutcome legacy = run_grid(InterpPath::kLegacy, shared_out);
+    EXPECT_EQ(legacy.threw, shared_out) << label << ": " << legacy.error;
+    for (const InterpPath path : {InterpPath::kFast, InterpPath::kVector}) {
+      const GridOutcome other = run_grid(path, shared_out);
+      ASSERT_EQ(legacy.threw, other.threw) << label;
+      EXPECT_EQ(legacy.error, other.error) << label;
+      if (!shared_out) {
+        EXPECT_EQ(legacy.memory, other.memory) << label;
+        EXPECT_EQ(legacy.result.instructions, other.result.instructions) << label;
+        EXPECT_EQ(legacy.result.blocks_executed, other.result.blocks_executed) << label;
+        expect_equal_results(legacy.result.representative,
+                             other.result.representative, label);
+      }
+    }
+  }
+}
+
+// The production kernels' main loops hold global loads, so the
+// fast-forward only pays on the real stack if those loops run value-only:
+// PairHMM forward (the shuffle design) dominates the serving workload.
+TEST(InterpEquivalence, PairHmmShuffleLoopRunsMostlyValueOnly) {
+  const auto dataset = small_dataset();
+  const auto batches = wsim::workload::ph_rebatch(dataset, 8);
+  ASSERT_FALSE(batches.empty());
+  const wsim::kernels::PhRunner runner(CommMode::kShuffle);
+  wsim::kernels::PhRunOptions opt;
+  opt.collect_outputs = true;
+  opt.double_fallback = true;
+  opt.interp = InterpPath::kVector;
+  const AccelIters iters = count_accel_iters(
+      [&] { runner.run_batch(wsim::simt::make_k1200(), batches.front(), opt); });
+  const std::uint64_t total = iters.exact + iters.value;
+  ASSERT_GT(total, 0U) << "the PairHMM shuffle loop is not fast-forward eligible";
+  EXPECT_GE(iters.value * 10, total * 9)
+      << iters.value << " of " << total << " accel iterations ran value-only";
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "wsim/simt/builder.hpp"
@@ -19,6 +20,7 @@ using wsim::simt::DType;
 using wsim::simt::GlobalMemory;
 using wsim::simt::imm_f32;
 using wsim::simt::imm_i64;
+using wsim::simt::InterpPath;
 using wsim::simt::Kernel;
 using wsim::simt::KernelBuilder;
 using wsim::simt::Op;
@@ -28,7 +30,8 @@ using wsim::simt::VReg;
 const wsim::simt::DeviceSpec kDev = wsim::simt::make_k1200();
 
 template <typename Body>
-std::vector<std::int32_t> run_lanes(Body body, int threads = 32) {
+std::vector<std::int32_t> run_lanes(Body body, int threads = 32,
+                                    InterpPath interp = InterpPath::kDefault) {
   KernelBuilder kb("case", threads);
   const SReg out = kb.param();
   const VReg t = kb.tid();
@@ -38,7 +41,9 @@ std::vector<std::int32_t> run_lanes(Body body, int threads = 32) {
   GlobalMemory gmem;
   const auto buf = gmem.alloc(static_cast<std::size_t>(threads) * 4);
   const std::vector<std::uint64_t> args = {static_cast<std::uint64_t>(buf)};
-  run_block(k, kDev, gmem, args);
+  wsim::simt::BlockRunOptions options;
+  options.interp = interp;
+  run_block(k, kDev, gmem, args, options);
   return gmem.read_i32(buf, static_cast<std::size_t>(threads));
 }
 
@@ -53,6 +58,52 @@ TEST(IsaSemantics, ShiftLeftAndRight) {
   });
   for (int i = 0; i < 32; ++i) {
     EXPECT_EQ(right[static_cast<std::size_t>(i)], -i >> 1);
+  }
+}
+
+// Integer add/sub/mul wrap modulo 2^64, like the hardware, on every
+// engine and in vector and scalar registers alike. The engines compute
+// them on the unsigned bits, so the UBSan job sees no signed overflow.
+TEST(IsaSemantics, IntegerArithmeticWrapsOnEveryEngine) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  for (const InterpPath path :
+       {InterpPath::kLegacy, InterpPath::kFast, InterpPath::kVector}) {
+    // (max + t) + 1 = min + t; its high word is INT32_MIN.
+    const auto add = run_lanes(
+        [](KernelBuilder& kb, VReg t) {
+          return kb.shr(kb.iadd(kb.iadd(t, imm_i64(kMax)), imm_i64(1)), imm_i64(32));
+        },
+        32, path);
+    // (min - t) - 1 = max - t; its high word is INT32_MAX.
+    const auto sub = run_lanes(
+        [](KernelBuilder& kb, VReg t) {
+          return kb.shr(kb.isub(kb.isub(imm_i64(kMin), t), imm_i64(1)), imm_i64(32));
+        },
+        32, path);
+    // (2^62 + t) * 4 = 4t.
+    const auto mul = run_lanes(
+        [](KernelBuilder& kb, VReg t) {
+          return kb.imul(kb.iadd(t, imm_i64(std::int64_t{1} << 62)), imm_i64(4));
+        },
+        32, path);
+    // Scalar registers: (max + 1) * 2 - (min - 1) = 0 - max = min + 1; its
+    // high word is INT32_MIN.
+    const auto scalar = run_lanes(
+        [](KernelBuilder& kb, VReg t) {
+          const SReg wrapped = kb.ssub(kb.smul(kb.sadd(imm_i64(kMax), imm_i64(1)),
+                                               imm_i64(2)),
+                                       kb.ssub(imm_i64(kMin), imm_i64(1)));
+          return kb.iadd(t, kb.shr(kb.mov(wrapped), imm_i64(32)));
+        },
+        32, path);
+    for (int i = 0; i < 32; ++i) {
+      const auto lane = static_cast<std::size_t>(i);
+      EXPECT_EQ(add[lane], std::numeric_limits<std::int32_t>::min()) << i;
+      EXPECT_EQ(sub[lane], std::numeric_limits<std::int32_t>::max()) << i;
+      EXPECT_EQ(mul[lane], 4 * i) << i;
+      EXPECT_EQ(scalar[lane], i + std::numeric_limits<std::int32_t>::min()) << i;
+    }
   }
 }
 

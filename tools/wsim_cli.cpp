@@ -1342,13 +1342,21 @@ int main(int argc, char** argv) {
   // The interpreter knob routes through the WSIM_INTERP environment
   // variable so every launch in the process — including engines built by
   // library code — resolves the same path (simt::resolve_interp_path).
+  // An inherited value is validated too: the library treats unknown names
+  // as the default, which would silently ignore a typo.
   const std::string interp = args.get("interp", "");
+  const char* inherited = std::getenv("WSIM_INTERP");
+  std::string interp_err;
   if (!interp.empty()) {
-    const std::string interp_err = wsim::cli::interp_error(interp);
-    if (!interp_err.empty()) {
-      std::cerr << interp_err << '\n';
-      return usage_error();
-    }
+    interp_err = wsim::cli::interp_error(interp);
+  } else if (inherited != nullptr && *inherited != '\0') {
+    interp_err = wsim::cli::interp_error(inherited, "WSIM_INTERP");
+  }
+  if (!interp_err.empty()) {
+    std::cerr << interp_err << '\n';
+    return usage_error();
+  }
+  if (!interp.empty()) {
     ::setenv("WSIM_INTERP", interp.c_str(), 1);
   }
   try {
