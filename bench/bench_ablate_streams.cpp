@@ -7,6 +7,7 @@
 
 #include "bench_common.hpp"
 #include "wsim/kernels/ph_kernels.hpp"
+#include "wsim/simt/engine.hpp"
 #include "wsim/util/stats.hpp"
 #include "wsim/util/table.hpp"
 #include "wsim/workload/batching.hpp"
@@ -19,7 +20,7 @@ using wsim::util::format_fixed;
 double avg_gcups(const wsim::kernels::PhRunner& runner,
                  const wsim::simt::DeviceSpec& dev,
                  const std::vector<wsim::workload::PhBatch>& batches,
-                 bool overlap, bool lpt, wsim::kernels::PhCostCaches& caches) {
+                 bool overlap, bool lpt, wsim::simt::ExecutionEngine& engine) {
   std::vector<double> gcups;
   gcups.reserve(batches.size());
   for (auto batch : batches) {
@@ -28,7 +29,7 @@ double avg_gcups(const wsim::kernels::PhRunner& runner,
     }
     wsim::kernels::PhRunOptions opt;
     opt.mode = wsim::simt::ExecMode::kCachedByShape;
-    opt.cost_caches = &caches;
+    opt.engine = &engine;
     opt.overlap_transfers = overlap;
     gcups.push_back(runner.run_batch(dev, batch, opt).run.gcups_total());
   }
@@ -47,17 +48,18 @@ int main() {
     std::cout << "--- " << dev.name << " (PH2, region batches, avg GCUPS incl. "
                  "transfer) ---\n";
     const wsim::kernels::PhRunner runner(CommMode::kShuffle);
-    wsim::kernels::PhCostCaches caches;
+    // One cost cache per device, shared by the four configurations.
+    wsim::simt::ExecutionEngine engine(wsim::bench::series_engine_options());
     wsim::util::Table table({"configuration", "avg GCUPS", "vs baseline"});
-    const double base = avg_gcups(runner, dev, batches, false, false, caches);
+    const double base = avg_gcups(runner, dev, batches, false, false, engine);
     table.add_row({"baseline (paper setup)", format_fixed(base, 2), "1.00x"});
-    const double lpt = avg_gcups(runner, dev, batches, false, true, caches);
+    const double lpt = avg_gcups(runner, dev, batches, false, true, engine);
     table.add_row({"+ LPT batch order", format_fixed(lpt, 2),
                    format_fixed(lpt / base, 2) + "x"});
-    const double streams = avg_gcups(runner, dev, batches, true, false, caches);
+    const double streams = avg_gcups(runner, dev, batches, true, false, engine);
     table.add_row({"+ transfer overlap", format_fixed(streams, 2),
                    format_fixed(streams / base, 2) + "x"});
-    const double both = avg_gcups(runner, dev, batches, true, true, caches);
+    const double both = avg_gcups(runner, dev, batches, true, true, engine);
     table.add_row({"+ both", format_fixed(both, 2),
                    format_fixed(both / base, 2) + "x"});
     table.print(std::cout);

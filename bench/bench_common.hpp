@@ -18,6 +18,13 @@ namespace wsim::bench {
 /// SwRunOptions/PhRunOptions::engine or call launch() on it directly.
 inline simt::ExecutionEngine& bench_engine() { return simt::shared_engine(); }
 
+/// Options for a dedicated engine whose cost cache spans one series of a
+/// sweep (the shared engine's would carry costs across series): the same
+/// thread count as bench_engine().
+inline simt::EngineOptions series_engine_options() {
+  return simt::EngineOptions{.threads = bench_engine().threads()};
+}
+
 /// Prints the standard experiment banner so every bench's output states
 /// which paper artifact it regenerates.
 inline void banner(std::string_view experiment, std::string_view description) {

@@ -8,6 +8,7 @@
 
 #include "bench_common.hpp"
 #include "wsim/kernels/sw_kernels.hpp"
+#include "wsim/simt/engine.hpp"
 #include "wsim/util/stats.hpp"
 #include "wsim/util/table.hpp"
 #include "wsim/workload/batching.hpp"
@@ -36,12 +37,12 @@ int main() {
     std::cout << "--- " << dev.name << " ---\n";
     wsim::util::Table table({"batch size", "SW1 avg", "SW1 peak", "SW2 avg",
                              "SW2 peak", "SW2/SW1"});
-    // One persistent cost cache per kernel: identical task shapes repeat
-    // across the sweep.
+    // One cost cache per device for the whole sweep (entries are keyed by
+    // kernel, so SW1 and SW2 never alias): identical task shapes repeat
+    // across batch sizes.
     const wsim::kernels::SwRunner sw1(CommMode::kSharedMemory);
     const wsim::kernels::SwRunner sw2(CommMode::kShuffle);
-    wsim::simt::BlockCostCache cache1;
-    wsim::simt::BlockCostCache cache2;
+    wsim::simt::ExecutionEngine engine(wsim::bench::series_engine_options());
     for (const std::size_t size : batch_sizes) {
       const auto batches = wsim::workload::sw_rebatch(dataset, size);
       std::vector<double> g1;
@@ -49,9 +50,8 @@ int main() {
       for (const auto& batch : batches) {
         wsim::kernels::SwRunOptions opt;
         opt.mode = wsim::simt::ExecMode::kCachedByShape;
-        opt.cost_cache = &cache1;
+        opt.engine = &engine;
         g1.push_back(sw1.run_batch(dev, batch, opt).run.gcups_total());
-        opt.cost_cache = &cache2;
         g2.push_back(sw2.run_batch(dev, batch, opt).run.gcups_total());
       }
       const auto s1 = wsim::util::summarize(g1);

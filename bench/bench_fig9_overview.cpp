@@ -10,6 +10,7 @@
 #include "bench_common.hpp"
 #include "wsim/kernels/ph_kernels.hpp"
 #include "wsim/kernels/sw_kernels.hpp"
+#include "wsim/simt/engine.hpp"
 #include "wsim/util/stats.hpp"
 #include "wsim/util/table.hpp"
 #include "wsim/workload/batching.hpp"
@@ -32,10 +33,11 @@ Series summarize(const std::vector<double>& gcups) {
 Series run_sw(const wsim::simt::DeviceSpec& dev, CommMode mode,
               const std::vector<wsim::workload::SwBatch>& batches) {
   const wsim::kernels::SwRunner runner(mode);
-  wsim::simt::BlockCostCache cache;
+  // A cost cache scoped to this (kernel, device) series.
+  wsim::simt::ExecutionEngine engine(wsim::bench::series_engine_options());
   wsim::kernels::SwRunOptions opt;
   opt.mode = wsim::simt::ExecMode::kCachedByShape;
-  opt.cost_cache = &cache;
+  opt.engine = &engine;
   std::vector<double> gcups;
   gcups.reserve(batches.size());
   for (const auto& batch : batches) {
@@ -47,10 +49,10 @@ Series run_sw(const wsim::simt::DeviceSpec& dev, CommMode mode,
 Series run_ph(const wsim::simt::DeviceSpec& dev, CommMode mode,
               const std::vector<wsim::workload::PhBatch>& batches) {
   const wsim::kernels::PhRunner runner(mode);
-  wsim::kernels::PhCostCaches caches;
+  wsim::simt::ExecutionEngine engine(wsim::bench::series_engine_options());
   wsim::kernels::PhRunOptions opt;
   opt.mode = wsim::simt::ExecMode::kCachedByShape;
-  opt.cost_caches = &caches;
+  opt.engine = &engine;
   std::vector<double> gcups;
   gcups.reserve(batches.size());
   for (const auto& batch : batches) {

@@ -107,7 +107,6 @@ double run_inter(const wsim::simt::DeviceSpec& device,
                  const wsim::workload::SwBatch& batch) {
   kernels::SwRunOptions opt;
   opt.mode = wsim::simt::ExecMode::kCachedByShape;
-  opt.use_engine_cache = true;
   opt.engine = &wsim::bench::bench_engine();
   return runner.run_batch(device, batch, opt).run.launch.total_seconds();
 }
@@ -117,7 +116,6 @@ kernels::WfSwBatchResult run_wf(const wsim::simt::DeviceSpec& device,
                                 const wsim::workload::SwBatch& batch) {
   kernels::WfRunOptions opt;
   opt.mode = wsim::simt::ExecMode::kCachedByShape;
-  opt.use_engine_cache = true;
   opt.engine = &wsim::bench::bench_engine();
   return runner.run_batch(device, batch, opt);
 }

@@ -600,7 +600,6 @@ double FleetExecutor::run_on(DeviceWorker& worker,
       }
     } else {
       opt.mode = simt::ExecMode::kCachedByShape;
-      opt.use_engine_cache = true;
     }
     return opt;
   };

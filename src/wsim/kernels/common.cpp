@@ -1,5 +1,9 @@
 #include "wsim/kernels/common.hpp"
 
+#include <utility>
+
+#include "wsim/obs/metrics.hpp"
+
 namespace wsim::kernels {
 
 std::string_view to_string(CommMode mode) noexcept {
@@ -36,6 +40,21 @@ std::uint64_t shape_key(std::size_t rows, std::size_t cols,
   const std::uint64_t r = (rows + g - 1) / g;
   const std::uint64_t c = (cols + g - 1) / g;
   return (r << 32) | (c & 0xffffffffULL);
+}
+
+std::vector<simt::BlockArgs> take_executed(std::vector<simt::BlockArgs>& all,
+                                           std::span<const std::size_t> execute) {
+  std::vector<simt::BlockArgs> args;
+  args.reserve(execute.size());
+  for (const std::size_t i : execute) {
+    args.push_back(std::move(all[i]));
+  }
+  return args;
+}
+
+void count_arena_bytes(const simt::GlobalMemory& gmem) {
+  static obs::Counter c_arena_bytes("kernels.arena_bytes");
+  c_arena_bytes.add(gmem.size());
 }
 
 }  // namespace wsim::kernels

@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string_view>
+#include <vector>
 
 #include "wsim/simt/runtime.hpp"
 
@@ -44,6 +46,17 @@ struct KernelRunResult {
 /// stay within a few percent of exact. Granularity 1 gives exact caching.
 std::uint64_t shape_key(std::size_t rows, std::size_t cols,
                         std::size_t granularity) noexcept;
+
+/// For a binder that lays out every block of a grid (so each executing
+/// block keeps the addresses it has with all blocks bound): moves the
+/// executing blocks' arguments out of `all`, in `execute` order.
+std::vector<simt::BlockArgs> take_executed(std::vector<simt::BlockArgs>& all,
+                                           std::span<const std::size_t> execute);
+
+/// Adds a finished batch's arena size to the obs counter
+/// `kernels.arena_bytes`: the device memory the batch allocated, zero
+/// when no block executed.
+void count_arena_bytes(const simt::GlobalMemory& gmem);
 
 /// Large negative sentinel for integer DP (matches the host reference).
 inline constexpr std::int64_t kNegInf = std::numeric_limits<std::int32_t>::min() / 4;

@@ -1,7 +1,8 @@
 #include "wsim/kernels/nw_kernels.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <span>
+#include <unordered_set>
 
 #include "wsim/simt/builder.hpp"
 #include "wsim/simt/engine.hpp"
@@ -260,75 +261,75 @@ NwBatchResult NwRunner::run_batch(const simt::DeviceSpec& device,
   util::require(!batch.empty(), "NwRunner: batch must be non-empty");
   util::require(!options.collect_outputs || options.mode == simt::ExecMode::kFull,
                 "NwRunner: collect_outputs requires ExecMode::kFull");
-  for (const workload::SwTask& task : batch) {
-    util::require(!task.query.empty() && !task.target.empty(),
-                  "NwRunner: sequences must be non-empty");
-  }
-
-  simt::GlobalMemory gmem;
   std::size_t max_n = 0;
-  for (const workload::SwTask& task : batch) {
-    max_n = std::max(max_n, task.target.size());
-  }
-  const auto bound_h = gmem.alloc(max_n * 4);
-  const auto bound_f = gmem.alloc(max_n * 4);
-
-  std::vector<std::int64_t> result_addr(batch.size());
-  std::vector<simt::BlockLaunch> blocks(batch.size());
   std::size_t h2d_bytes = 0;
   std::size_t cells = 0;
+  std::vector<std::uint64_t> shape_keys(batch.size());
   for (std::size_t t = 0; t < batch.size(); ++t) {
     const workload::SwTask& task = batch[t];
+    util::require(!task.query.empty() && !task.target.empty(),
+                  "NwRunner: sequences must be non-empty");
     const std::size_t m = task.query.size();
     const std::size_t n = task.target.size();
+    max_n = std::max(max_n, n);
     cells += m * n;
     h2d_bytes += m + n;
-    const auto query = gmem.alloc(m);
-    const auto target = gmem.alloc(n);
-    gmem.write_u8(query, {reinterpret_cast<const std::uint8_t*>(task.query.data()), m});
-    gmem.write_u8(target,
-                  {reinterpret_cast<const std::uint8_t*>(task.target.data()), n});
-    result_addr[t] = gmem.alloc(4);
-    blocks[t].args = {
-        static_cast<std::uint64_t>(query),
-        static_cast<std::uint64_t>(target),
-        static_cast<std::uint64_t>(m),
-        static_cast<std::uint64_t>(n),
-        static_cast<std::uint64_t>(result_addr[t]),
-        static_cast<std::uint64_t>(bound_h),
-        static_cast<std::uint64_t>(bound_f),
-        static_cast<std::uint64_t>(bands_for(m)),
-        static_cast<std::uint64_t>(tiles_for(n)),
-    };
-    blocks[t].shape_key = shape_key(m, n, options.shape_granularity);
+    shape_keys[t] = shape_key(m, n, options.shape_granularity);
   }
 
-  // Per-executor boundary-carry replicas (see SwRunner::run_batch): the
-  // first task or first distinct shape keeps the head bound_h/bound_f
-  // pair; every other potential executor gets a 128-byte-aligned tail
-  // replica so concurrent blocks never share carry buffers and each
-  // block's segment geometry matches sequential execution.
+  std::vector<std::int64_t> result_addr(batch.size());
   const bool cached_mode = options.mode == simt::ExecMode::kCachedByShape;
-  std::unordered_map<std::uint64_t, bool> shape_seen;
-  bool head_taken = false;
-  for (std::size_t t = 0; t < batch.size(); ++t) {
-    if (cached_mode && !shape_seen.emplace(blocks[t].shape_key, true).second) {
-      continue;  // never executed: the shape's first block is its executor
+  // Lays out every task so each executing block keeps its addresses.
+  const auto bind = [&](std::span<const std::size_t> execute, simt::GlobalMemory& gmem) {
+    const auto bound_h = gmem.alloc(max_n * 4);
+    const auto bound_f = gmem.alloc(max_n * 4);
+    std::vector<simt::BlockArgs> args(batch.size());
+    for (std::size_t t = 0; t < batch.size(); ++t) {
+      const workload::SwTask& task = batch[t];
+      const std::size_t m = task.query.size();
+      const std::size_t n = task.target.size();
+      const auto query = gmem.alloc(m);
+      const auto target = gmem.alloc(n);
+      gmem.write_u8(query, {reinterpret_cast<const std::uint8_t*>(task.query.data()), m});
+      gmem.write_u8(target,
+                    {reinterpret_cast<const std::uint8_t*>(task.target.data()), n});
+      result_addr[t] = gmem.alloc(4);
+      args[t] = {
+          static_cast<std::uint64_t>(query),
+          static_cast<std::uint64_t>(target),
+          static_cast<std::uint64_t>(m),
+          static_cast<std::uint64_t>(n),
+          static_cast<std::uint64_t>(result_addr[t]),
+          static_cast<std::uint64_t>(bound_h),
+          static_cast<std::uint64_t>(bound_f),
+          static_cast<std::uint64_t>(bands_for(m)),
+          static_cast<std::uint64_t>(tiles_for(n)),
+      };
     }
-    if (!head_taken) {
-      head_taken = true;
-      continue;
+
+    // Per-executor boundary-carry replicas (see SwRunner::run_batch): the
+    // first task or first distinct shape keeps the head bound_h/bound_f
+    // pair; every other potential executor gets a 128-byte-aligned tail
+    // replica so concurrent blocks never share carry buffers and each
+    // block's segment geometry matches sequential execution.
+    std::unordered_set<std::uint64_t> shapes_seen;
+    bool head_taken = false;
+    for (std::size_t t = 0; t < batch.size(); ++t) {
+      if (cached_mode && !shapes_seen.insert(shape_keys[t]).second) {
+        continue;  // never executed: the shape's first block is its executor
+      }
+      if (!head_taken) {
+        head_taken = true;
+        continue;
+      }
+      args[t][5] = static_cast<std::uint64_t>(gmem.alloc(max_n * 4, 128));
+      args[t][6] = static_cast<std::uint64_t>(gmem.alloc(max_n * 4));
     }
-    const auto own_h = gmem.alloc(max_n * 4, 128);
-    const auto own_f = gmem.alloc(max_n * 4);
-    blocks[t].args[5] = static_cast<std::uint64_t>(own_h);
-    blocks[t].args[6] = static_cast<std::uint64_t>(own_f);
-  }
+    return take_executed(args, execute);
+  };
 
   simt::LaunchOptions launch_options;
   launch_options.mode = options.mode;
-  launch_options.cost_cache = options.cost_cache;
-  launch_options.use_engine_cache = options.use_engine_cache;
   launch_options.overlap_transfers = options.overlap_transfers;
   launch_options.transfer.h2d_bytes = h2d_bytes;
   launch_options.transfer.d2h_bytes = batch.size() * 4;
@@ -339,9 +340,12 @@ NwBatchResult NwRunner::run_batch(const simt::DeviceSpec& device,
 
   simt::ExecutionEngine& engine =
       options.engine != nullptr ? *options.engine : simt::shared_engine();
+  simt::GlobalMemory gmem;
   NwBatchResult result;
-  result.run.launch = engine.launch(kernel_, device, gmem, blocks, launch_options);
+  result.run.launch =
+      engine.launch(kernel_, device, gmem, shape_keys, bind, launch_options);
   result.run.cells = cells;
+  count_arena_bytes(gmem);
   if (options.collect_outputs) {
     result.scores.reserve(batch.size());
     for (std::size_t t = 0; t < batch.size(); ++t) {

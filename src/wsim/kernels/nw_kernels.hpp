@@ -32,14 +32,10 @@ struct NwRunOptions {
   bool collect_outputs = false;
   simt::ExecMode mode = simt::ExecMode::kFull;
   std::size_t shape_granularity = kSwBsize;
-  simt::BlockCostCache* cost_cache = nullptr;
-  /// Memoize block costs in the executing engine's persistent cache
-  /// instead of `cost_cache` (see simt::LaunchOptions::use_engine_cache).
-  bool use_engine_cache = false;
   /// Overlap PCIe copies with kernel execution (CUDA streams).
   bool overlap_transfers = false;
-  /// Engine that executes the launch; null means the process-wide
-  /// simt::shared_engine().
+  /// Engine that executes the launch and whose cost cache kCachedByShape
+  /// uses; null means the process-wide simt::shared_engine().
   simt::ExecutionEngine* engine = nullptr;
   /// Deterministic SDC injection (requires kFull; see simt/sdc.hpp).
   simt::SdcPlan sdc;
@@ -54,7 +50,7 @@ class NwRunner {
  public:
   explicit NwRunner(CommMode mode, const align::SwParams& params = {});
 
-  const simt::Kernel& kernel() const noexcept { return kernel_; }
+  const simt::Kernel& kernel() const noexcept { return kernel_.kernel(); }
   CommMode comm_mode() const noexcept { return mode_; }
 
   NwBatchResult run_batch(const simt::DeviceSpec& device,
@@ -64,7 +60,7 @@ class NwRunner {
  private:
   CommMode mode_;
   align::SwParams params_;
-  simt::Kernel kernel_;
+  simt::PreparedKernel kernel_;
 };
 
 }  // namespace wsim::kernels

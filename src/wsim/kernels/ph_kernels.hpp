@@ -1,11 +1,11 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "wsim/align/pairhmm.hpp"
 #include "wsim/kernels/common.hpp"
+#include "wsim/simt/decode.hpp"
 #include "wsim/simt/isa.hpp"
 #include "wsim/simt/runtime.hpp"
 #include "wsim/workload/batching.hpp"
@@ -58,19 +58,11 @@ inline std::size_t ph_iterations(std::size_t r, std::size_t h) noexcept {
   return r + h - 1;
 }
 
-/// Per-variant block-cost caches (kernel variants must not share a cache).
-struct PhCostCaches {
-  std::array<simt::BlockCostCache, kPhVariants> per_variant;
-};
-
 struct PhRunOptions {
   bool collect_outputs = false;  ///< read back per-task log10 likelihoods
   simt::ExecMode mode = simt::ExecMode::kFull;
   std::size_t shape_granularity = 16;
-  PhCostCaches* cost_caches = nullptr;
-  /// Memoize block costs in the executing engine's persistent cache
-  /// instead of `cost_caches`; the engine keys by kernel variant, so one
-  /// cache serves all variants (see simt::LaunchOptions::use_engine_cache).
+  /// Ignored (see simt::LaunchOptions::use_engine_cache).
   bool use_engine_cache = false;
   /// Overlap PCIe copies with kernel execution (CUDA streams).
   bool overlap_transfers = false;
@@ -78,8 +70,9 @@ struct PhRunOptions {
   /// recompute that task on the host in double precision instead of
   /// throwing (collect_outputs only).
   bool double_fallback = false;
-  /// Engine that executes the launches; null means the process-wide
-  /// simt::shared_engine().
+  /// Engine that executes the launches and whose cost cache
+  /// kCachedByShape uses (keyed by kernel variant); null means the
+  /// process-wide simt::shared_engine().
   simt::ExecutionEngine* engine = nullptr;
   /// Deterministic SDC injection (requires kFull; see simt/sdc.hpp). Each
   /// per-variant launch derives its own sub-launch id from sdc_launch_id.
@@ -106,6 +99,8 @@ struct PhBatchResult {
 
 /// Host-side driver: buckets tasks by read length, launches one kernel
 /// variant per bucket (the paper's launch-time routing), and aggregates.
+/// The variants' launches share one arena, filled only as far as a launch
+/// that executes a block needs.
 class PhRunner {
  public:
   explicit PhRunner(CommMode mode);
@@ -124,7 +119,7 @@ class PhRunner {
 
  private:
   PhDesign design_;
-  std::array<simt::Kernel, kPhVariants> kernels_;
+  std::vector<simt::PreparedKernel> kernels_;  ///< one per variant
 };
 
 }  // namespace wsim::kernels

@@ -1,5 +1,7 @@
+#include <array>
 #include <bit>
 #include <cmath>
+#include <span>
 
 #include "wsim/kernels/ph_kernels.hpp"
 #include "wsim/simt/engine.hpp"
@@ -7,11 +9,40 @@
 
 namespace wsim::kernels {
 
+namespace {
+
+/// Device-resident quality lookup tables (transferred with a batch's first
+/// launch): err[q] = 10^(-q/10) and err3[q] = err[q] / 3, exactly the
+/// values the host reference derives per row. Computed once per process.
+constexpr int kQualLutSize = 256;
+constexpr std::size_t kLutBytes = 2 * kQualLutSize * 4;
+
+struct QualLuts {
+  std::array<float, kQualLutSize> err{};
+  std::array<float, kQualLutSize> err3{};
+};
+
+const QualLuts& qual_luts() {
+  static const QualLuts luts = [] {
+    QualLuts l;
+    for (int q = 0; q < kQualLutSize; ++q) {
+      const auto i = static_cast<std::size_t>(q);
+      l.err[i] = align::qual_to_error_prob(static_cast<std::uint8_t>(q));
+      l.err3[i] = l.err[i] / 3.0F;
+    }
+    return l;
+  }();
+  return luts;
+}
+
+}  // namespace
+
 PhRunner::PhRunner(CommMode mode)
     : PhRunner(mode == CommMode::kSharedMemory ? PhDesign::kShared
                                                : PhDesign::kShuffle) {}
 
 PhRunner::PhRunner(PhDesign design) : design_(design) {
+  kernels_.reserve(kPhVariants);
   for (int v = 0; v < kPhVariants; ++v) {
     simt::Kernel kernel;
     switch (design) {
@@ -25,7 +56,7 @@ PhRunner::PhRunner(PhDesign design) : design_(design) {
         kernel = build_ph_hybrid_kernel(32 * (v + 1));
         break;
     }
-    kernels_[static_cast<std::size_t>(v)] = std::move(kernel);
+    kernels_.emplace_back(std::move(kernel));
   }
 }
 
@@ -36,7 +67,7 @@ int PhRunner::variant_for_read_len(std::size_t read_len) {
 }
 
 const simt::Kernel& PhRunner::kernel_for_read_len(std::size_t read_len) const {
-  return kernels_[static_cast<std::size_t>(variant_for_read_len(read_len))];
+  return kernels_[static_cast<std::size_t>(variant_for_read_len(read_len))].kernel();
 }
 
 PhBatchResult PhRunner::run_batch(const simt::DeviceSpec& device,
@@ -55,26 +86,55 @@ PhBatchResult PhRunner::run_batch(const simt::DeviceSpec& device,
         .push_back(t);
   }
 
+  // Device memory, laid out on the first bind and only as far as the
+  // binding variant: the quality LUTs, then each variant's per-task
+  // buffers in variant order. A later variant's bind lays out the earlier
+  // variants' buffers first, so every executing block gets the addresses
+  // it has when every variant is bound.
   simt::GlobalMemory gmem;
-  std::vector<std::int64_t> result_addr(batch.size(), 0);
-
-  // Device-resident quality lookup tables (transferred once per launch):
-  // err[q] = 10^(-q/10) and err3[q] = err[q] / 3, exactly the values the
-  // host reference derives per row.
-  constexpr int kQualLutSize = 256;
-  std::vector<float> err_lut(kQualLutSize);
-  std::vector<float> err3_lut(kQualLutSize);
-  for (int q = 0; q < kQualLutSize; ++q) {
-    err_lut[static_cast<std::size_t>(q)] =
-        align::qual_to_error_prob(static_cast<std::uint8_t>(q));
-    err3_lut[static_cast<std::size_t>(q)] =
-        err_lut[static_cast<std::size_t>(q)] / 3.0F;
-  }
-  const auto err_lut_addr = gmem.alloc(kQualLutSize * 4);
-  const auto err3_lut_addr = gmem.alloc(kQualLutSize * 4);
-  gmem.write_f32(err_lut_addr, err_lut);
-  gmem.write_f32(err3_lut_addr, err3_lut);
-  const std::size_t lut_bytes = 2 * kQualLutSize * 4;
+  struct TaskBuffers {
+    std::int64_t quals = 0;
+    std::int64_t read = 0;
+    std::int64_t hap = 0;
+    std::int64_t result = 0;
+  };
+  std::vector<TaskBuffers> bufs(batch.size());
+  std::int64_t err_lut_addr = 0;
+  std::int64_t err3_lut_addr = 0;
+  int bound_variants = 0;  // variants [0, bound_variants) are laid out
+  const auto lay_out_through = [&](int last_variant) {
+    if (bound_variants == 0) {
+      const QualLuts& luts = qual_luts();
+      err_lut_addr = gmem.alloc(kQualLutSize * 4);
+      err3_lut_addr = gmem.alloc(kQualLutSize * 4);
+      gmem.write_f32(err_lut_addr, luts.err);
+      gmem.write_f32(err3_lut_addr, luts.err3);
+    }
+    for (; bound_variants <= last_variant; ++bound_variants) {
+      for (const std::size_t t : groups[static_cast<std::size_t>(bound_variants)]) {
+        const align::PairHmmTask& task = batch[t];
+        const std::size_t r = task.read.size();
+        const std::size_t h = task.hap.size();
+        // Pack the raw quality bytes (4 B/row: base, ins, del, padding);
+        // the kernel prologue derives priors and transitions through the
+        // LUTs, so only quality bytes cross PCIe.
+        std::vector<std::uint8_t> quals(r * 4, 0);
+        for (std::size_t i = 0; i < r; ++i) {
+          quals[i * 4 + 0] = task.base_quals[i];
+          quals[i * 4 + 1] = task.ins_quals[i];
+          quals[i * 4 + 2] = task.del_quals[i];
+        }
+        TaskBuffers& b = bufs[t];
+        b.quals = gmem.alloc(quals.size());
+        gmem.write_u8(b.quals, quals);
+        b.read = gmem.alloc(r);
+        gmem.write_u8(b.read, {reinterpret_cast<const std::uint8_t*>(task.read.data()), r});
+        b.hap = gmem.alloc(h);
+        gmem.write_u8(b.hap, {reinterpret_cast<const std::uint8_t*>(task.hap.data()), h});
+        b.result = gmem.alloc(4);
+      }
+    }
+  };
 
   simt::ExecutionEngine& engine =
       options.engine != nullptr ? *options.engine : simt::shared_engine();
@@ -83,78 +143,61 @@ PhBatchResult PhRunner::run_batch(const simt::DeviceSpec& device,
   result.run.launch.transfers_overlapped = options.overlap_transfers;
   std::size_t primary_cells = 0;
   bool luts_counted = false;
+  std::vector<std::uint64_t> shape_keys;
 
   for (int v = 0; v < kPhVariants; ++v) {
     const auto& group = groups[static_cast<std::size_t>(v)];
     if (group.empty()) {
       continue;
     }
-    const simt::Kernel& kernel = kernels_[static_cast<std::size_t>(v)];
-
-    std::vector<simt::BlockLaunch> blocks;
-    blocks.reserve(group.size());
+    shape_keys.clear();
     std::size_t h2d_bytes = 0;
     std::size_t group_cells = 0;
-
     for (const std::size_t t : group) {
       const align::PairHmmTask& task = batch[t];
       const std::size_t r = task.read.size();
       const std::size_t h = task.hap.size();
       group_cells += r * h;
-
-      // Pack the raw quality bytes (4 B/row: base, ins, del, padding);
-      // the kernel prologue derives priors and transitions through the
-      // LUTs, so only quality bytes cross PCIe.
-      std::vector<std::uint8_t> quals(r * 4, 0);
-      for (std::size_t i = 0; i < r; ++i) {
-        quals[i * 4 + 0] = task.base_quals[i];
-        quals[i * 4 + 1] = task.ins_quals[i];
-        quals[i * 4 + 2] = task.del_quals[i];
-      }
-      const auto quals_addr = gmem.alloc(quals.size());
-      gmem.write_u8(quals_addr, quals);
-      const auto read_addr = gmem.alloc(r);
-      gmem.write_u8(read_addr,
-                    {reinterpret_cast<const std::uint8_t*>(task.read.data()), r});
-      const auto hap_addr = gmem.alloc(h);
-      gmem.write_u8(hap_addr,
-                    {reinterpret_cast<const std::uint8_t*>(task.hap.data()), h});
-      result_addr[t] = gmem.alloc(4);
-      h2d_bytes += quals.size() + r + h;
-
-      const float ic_over_h =
-          align::pairhmm_initial_condition() / static_cast<float>(h);
-      const float gcp_prob = align::qual_to_error_prob(task.gcp);
-
-      simt::BlockLaunch block;
-      block.args = {
-          static_cast<std::uint64_t>(quals_addr),
-          static_cast<std::uint64_t>(read_addr),
-          static_cast<std::uint64_t>(hap_addr),
-          static_cast<std::uint64_t>(r),
-          static_cast<std::uint64_t>(h),
-          static_cast<std::uint64_t>(r + h - 1),
-          static_cast<std::uint64_t>(result_addr[t]),
-          std::bit_cast<std::uint32_t>(ic_over_h),
-          static_cast<std::uint64_t>(err_lut_addr),
-          static_cast<std::uint64_t>(err3_lut_addr),
-          std::bit_cast<std::uint32_t>(gcp_prob),
-          std::bit_cast<std::uint32_t>(1.0F - gcp_prob),
-      };
-      block.shape_key = shape_key(r, h, options.shape_granularity);
-      blocks.push_back(std::move(block));
+      h2d_bytes += r * 4 + r + h;
+      shape_keys.push_back(shape_key(r, h, options.shape_granularity));
     }
+
+    const auto bind = [&](std::span<const std::size_t> execute, simt::GlobalMemory&) {
+      lay_out_through(v);
+      std::vector<simt::BlockArgs> args;
+      args.reserve(execute.size());
+      for (const std::size_t i : execute) {
+        const std::size_t t = group[i];
+        const align::PairHmmTask& task = batch[t];
+        const std::size_t r = task.read.size();
+        const std::size_t h = task.hap.size();
+        const TaskBuffers& b = bufs[t];
+        const float ic_over_h =
+            align::pairhmm_initial_condition() / static_cast<float>(h);
+        const float gcp_prob = align::qual_to_error_prob(task.gcp);
+        args.push_back({
+            static_cast<std::uint64_t>(b.quals),
+            static_cast<std::uint64_t>(b.read),
+            static_cast<std::uint64_t>(b.hap),
+            static_cast<std::uint64_t>(r),
+            static_cast<std::uint64_t>(h),
+            static_cast<std::uint64_t>(r + h - 1),
+            static_cast<std::uint64_t>(b.result),
+            std::bit_cast<std::uint32_t>(ic_over_h),
+            static_cast<std::uint64_t>(err_lut_addr),
+            static_cast<std::uint64_t>(err3_lut_addr),
+            std::bit_cast<std::uint32_t>(gcp_prob),
+            std::bit_cast<std::uint32_t>(1.0F - gcp_prob),
+        });
+      }
+      return args;
+    };
 
     simt::LaunchOptions launch_options;
     launch_options.mode = options.mode;
-    launch_options.use_engine_cache = options.use_engine_cache;
     launch_options.overlap_transfers = options.overlap_transfers;
-    if (options.cost_caches != nullptr && !options.use_engine_cache) {
-      launch_options.cost_cache =
-          &options.cost_caches->per_variant[static_cast<std::size_t>(v)];
-    }
     if (!luts_counted) {
-      h2d_bytes += lut_bytes;
+      h2d_bytes += kLutBytes;
       luts_counted = true;
     }
     launch_options.transfer.h2d_bytes = h2d_bytes;
@@ -168,7 +211,8 @@ PhBatchResult PhRunner::run_batch(const simt::DeviceSpec& device,
     launch_options.interp = options.interp;
 
     const simt::LaunchResult launch =
-        engine.launch(kernel, device, gmem, blocks, launch_options);
+        engine.launch(kernels_[static_cast<std::size_t>(v)], device, gmem, shape_keys,
+                      bind, launch_options);
 
     // Aggregate across variant launches.
     result.run.cells += group_cells;
@@ -194,12 +238,14 @@ PhBatchResult PhRunner::run_batch(const simt::DeviceSpec& device,
     }
   }
 
+  count_arena_bytes(gmem);
+
   if (options.collect_outputs) {
     result.log10.resize(batch.size());
     const double log10_ic =
         std::log10(static_cast<double>(align::pairhmm_initial_condition()));
     for (std::size_t t = 0; t < batch.size(); ++t) {
-      const float sum = gmem.read_f32_one(result_addr[t]);
+      const float sum = gmem.read_f32_one(bufs[t].result);
       if (sum > 0.0F) {
         result.log10[t] = std::log10(static_cast<double>(sum)) - log10_ic;
       } else if (options.double_fallback) {

@@ -5,6 +5,7 @@
 
 #include "wsim/align/smith_waterman.hpp"
 #include "wsim/kernels/common.hpp"
+#include "wsim/simt/decode.hpp"
 #include "wsim/simt/isa.hpp"
 #include "wsim/simt/runtime.hpp"
 #include "wsim/workload/batching.hpp"
@@ -72,16 +73,14 @@ struct SwRunOptions {
   simt::ExecMode mode = simt::ExecMode::kFull;
   /// Shape-cache quantization for kCachedByShape (see kernels::shape_key).
   std::size_t shape_granularity = kSwBsize;
-  simt::BlockCostCache* cost_cache = nullptr;
-  /// Memoize block costs in the executing engine's persistent cache
-  /// instead of `cost_cache` (see simt::LaunchOptions::use_engine_cache).
+  /// Ignored (see simt::LaunchOptions::use_engine_cache).
   bool use_engine_cache = false;
   /// Overlap PCIe copies with kernel execution (CUDA streams).
   bool overlap_transfers = false;
   /// Record the first block's instruction timeline (simt::Trace).
   simt::Trace* trace_representative = nullptr;
-  /// Engine that executes the launch; null means the process-wide
-  /// simt::shared_engine().
+  /// Engine that executes the launch and whose cost cache kCachedByShape
+  /// uses; null means the process-wide simt::shared_engine().
   simt::ExecutionEngine* engine = nullptr;
   /// Deterministic SDC injection (requires kFull; see simt/sdc.hpp).
   simt::SdcPlan sdc;
@@ -93,14 +92,15 @@ struct SwRunOptions {
   simt::InterpPath interp = simt::InterpPath::kDefault;
 };
 
-/// Host-side driver: packs a batch into device memory (one task per
-/// block), launches, and optionally reads back/backtraces.
+/// Host-side driver: launches a batch (one task per block), packing it
+/// into device memory only when some block executes, and optionally reads
+/// back/backtraces.
 class SwRunner {
  public:
   explicit SwRunner(CommMode mode, const align::SwParams& params = {},
                     int bsize = kSwBsize);
 
-  const simt::Kernel& kernel() const noexcept { return kernel_; }
+  const simt::Kernel& kernel() const noexcept { return kernel_.kernel(); }
   CommMode comm_mode() const noexcept { return mode_; }
   const align::SwParams& params() const noexcept { return params_; }
 
@@ -114,7 +114,7 @@ class SwRunner {
   CommMode mode_;
   align::SwParams params_;
   int bsize_;
-  simt::Kernel kernel_;
+  simt::PreparedKernel kernel_;
 };
 
 }  // namespace wsim::kernels

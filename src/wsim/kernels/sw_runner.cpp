@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
+#include <span>
+#include <unordered_set>
 
 #include "wsim/kernels/sw_kernels.hpp"
 #include "wsim/simt/engine.hpp"
@@ -43,36 +44,22 @@ SwBatchResult SwRunner::run_batch(const simt::DeviceSpec& device,
   util::require(!batch.empty(), "SwRunner: batch must be non-empty");
   util::require(!options.collect_outputs || options.mode == simt::ExecMode::kFull,
                 "SwRunner: collect_outputs requires ExecMode::kFull");
-  for (const workload::SwTask& task : batch) {
-    util::require(!task.query.empty() && !task.target.empty(),
-                  "SwRunner: sequences must be non-empty");
-  }
-
-  simt::GlobalMemory gmem;
   std::size_t max_m = 0;
   std::size_t max_n = 0;
-  for (const workload::SwTask& task : batch) {
-    max_m = std::max(max_m, task.query.size());
-    max_n = std::max(max_n, task.target.size());
-  }
-
-  // Band-boundary carry buffers are block-internal temporaries. Blocks may
-  // execute concurrently on the engine's workers, so every block that can
-  // execute gets its own set: the first task (or first distinct shape)
-  // uses this head set, the rest get replicas allocated at the arena tail
-  // below — after the per-task buffers, so all seed addresses are
-  // preserved.
-  const auto bound_h = gmem.alloc(max_n * 4);
-  const auto bound_f = gmem.alloc(max_n * 4);
-  const auto bound_kv = gmem.alloc(max_n * 4);
-
-  std::int64_t scratch_btrack = 0;
-  std::int64_t scratch_lastcol = 0;
-  std::int64_t scratch_lastrow = 0;
-  if (!options.collect_outputs) {
-    scratch_btrack = gmem.alloc(max_m * max_n * 4);
-    scratch_lastcol = gmem.alloc(max_m * 4);
-    scratch_lastrow = gmem.alloc(max_n * 4);
+  std::size_t h2d_bytes = 0;
+  std::size_t cells = 0;
+  std::vector<std::uint64_t> shape_keys(batch.size());
+  for (std::size_t t = 0; t < batch.size(); ++t) {
+    const workload::SwTask& task = batch[t];
+    util::require(!task.query.empty() && !task.target.empty(),
+                  "SwRunner: sequences must be non-empty");
+    const std::size_t m = task.query.size();
+    const std::size_t n = task.target.size();
+    max_m = std::max(max_m, m);
+    max_n = std::max(max_n, n);
+    cells += m * n;
+    h2d_bytes += m + n;
+    shape_keys[t] = shape_key(m, n, options.shape_granularity);
   }
 
   struct TaskBuffers {
@@ -81,118 +68,98 @@ SwBatchResult SwRunner::run_batch(const simt::DeviceSpec& device,
     std::int64_t lastrow = 0;
   };
   std::vector<TaskBuffers> buffers(batch.size());
-  std::vector<simt::BlockLaunch> blocks(batch.size());
-  std::size_t h2d_bytes = 0;
-  std::size_t cells = 0;
-
-  for (std::size_t t = 0; t < batch.size(); ++t) {
-    const workload::SwTask& task = batch[t];
-    const std::size_t m = task.query.size();
-    const std::size_t n = task.target.size();
-    cells += m * n;
-    h2d_bytes += m + n;
-
-    const auto query = gmem.alloc(m);
-    const auto target = gmem.alloc(n);
-    gmem.write_u8(query, {reinterpret_cast<const std::uint8_t*>(task.query.data()), m});
-    gmem.write_u8(target,
-                  {reinterpret_cast<const std::uint8_t*>(task.target.data()), n});
-
-    TaskBuffers& buf = buffers[t];
-    if (options.collect_outputs) {
-      buf.btrack = gmem.alloc(m * n * 4);
-      buf.lastcol = gmem.alloc(m * 4);
-      buf.lastrow = gmem.alloc(n * 4);
-    } else {
-      buf.btrack = scratch_btrack;
-      buf.lastcol = scratch_lastcol;
-      buf.lastrow = scratch_lastrow;
-    }
-
-    simt::BlockLaunch& block = blocks[t];
-    block.args = {
-        static_cast<std::uint64_t>(query),
-        static_cast<std::uint64_t>(target),
-        static_cast<std::uint64_t>(m),
-        static_cast<std::uint64_t>(n),
-        static_cast<std::uint64_t>(buf.btrack),
-        static_cast<std::uint64_t>(bound_h),
-        static_cast<std::uint64_t>(bound_f),
-        static_cast<std::uint64_t>(bound_kv),
-        static_cast<std::uint64_t>(buf.lastcol),
-        static_cast<std::uint64_t>(buf.lastrow),
-        static_cast<std::uint64_t>(bands_for(m, bsize_)),
-        static_cast<std::uint64_t>(tiles_for(n, bsize_)),
-    };
-    block.shape_key = shape_key(m, n, options.shape_granularity);
-  }
-
-  // Tail carry/scratch replicas for every potentially-concurrent executor
-  // beyond the first: per task in kFull mode, per distinct shape in
-  // kCachedByShape (the engine executes at most one block per shape).
-  // Each replica starts 128-byte aligned and mirrors the head layout, so a
-  // block's global-memory segment geometry — and therefore its cycle
-  // count — is identical to sequential execution with the shared head set.
-  struct CarrySet {
-    std::int64_t bound_h = 0;
-    std::int64_t bound_f = 0;
-    std::int64_t bound_kv = 0;
-    std::int64_t btrack = 0;
-    std::int64_t lastcol = 0;
-    std::int64_t lastrow = 0;
-  };
-  const auto alloc_carry_set = [&]() {
-    CarrySet set;
-    set.bound_h = gmem.alloc(max_n * 4, 128);
-    set.bound_f = gmem.alloc(max_n * 4);
-    set.bound_kv = gmem.alloc(max_n * 4);
-    if (!options.collect_outputs) {
-      set.btrack = gmem.alloc(max_m * max_n * 4);
-      set.lastcol = gmem.alloc(max_m * 4);
-      set.lastrow = gmem.alloc(max_n * 4);
-    }
-    return set;
-  };
   const bool cached_mode = options.mode == simt::ExecMode::kCachedByShape;
-  std::unordered_map<std::uint64_t, std::ptrdiff_t> shape_set;  // -1 = head set
-  bool head_taken = false;
-  for (std::size_t t = 0; t < batch.size(); ++t) {
-    std::ptrdiff_t set_index = -1;
-    if (cached_mode) {
-      const auto it = shape_set.find(blocks[t].shape_key);
-      if (it != shape_set.end()) {
-        set_index = it->second;
-      } else {
-        if (head_taken) {
-          set_index = static_cast<std::ptrdiff_t>(t);
-        }
-        head_taken = true;
-        shape_set.emplace(blocks[t].shape_key, set_index);
-      }
-    } else if (head_taken) {
-      set_index = static_cast<std::ptrdiff_t>(t);
-    } else {
-      head_taken = true;
-    }
-    if (set_index < 0 || set_index != static_cast<std::ptrdiff_t>(t)) {
-      continue;  // head set, or shares an already-allocated replica
-    }
-    const CarrySet set = alloc_carry_set();
-    auto& args = blocks[t].args;
-    args[5] = static_cast<std::uint64_t>(set.bound_h);
-    args[6] = static_cast<std::uint64_t>(set.bound_f);
-    args[7] = static_cast<std::uint64_t>(set.bound_kv);
+
+  // Lays out the whole batch — every task, whether or not its block
+  // executes — so each executing block gets the addresses it has with
+  // every block bound.
+  const auto bind = [&](std::span<const std::size_t> execute, simt::GlobalMemory& gmem) {
+    // Band-boundary carry buffers are block-internal temporaries. Blocks
+    // may execute concurrently on the engine's workers, so every block
+    // that can execute gets its own set: the first task (or first distinct
+    // shape) uses this head set, the rest get replicas allocated at the
+    // arena tail below — after the per-task buffers, so all seed addresses
+    // are preserved.
+    const auto bound_h = gmem.alloc(max_n * 4);
+    const auto bound_f = gmem.alloc(max_n * 4);
+    const auto bound_kv = gmem.alloc(max_n * 4);
+
+    std::int64_t scratch_btrack = 0;
+    std::int64_t scratch_lastcol = 0;
+    std::int64_t scratch_lastrow = 0;
     if (!options.collect_outputs) {
-      args[4] = static_cast<std::uint64_t>(set.btrack);
-      args[8] = static_cast<std::uint64_t>(set.lastcol);
-      args[9] = static_cast<std::uint64_t>(set.lastrow);
+      scratch_btrack = gmem.alloc(max_m * max_n * 4);
+      scratch_lastcol = gmem.alloc(max_m * 4);
+      scratch_lastrow = gmem.alloc(max_n * 4);
     }
-  }
+
+    std::vector<simt::BlockArgs> args(batch.size());
+    for (std::size_t t = 0; t < batch.size(); ++t) {
+      const workload::SwTask& task = batch[t];
+      const std::size_t m = task.query.size();
+      const std::size_t n = task.target.size();
+      const auto query = gmem.alloc(m);
+      const auto target = gmem.alloc(n);
+      gmem.write_u8(query, {reinterpret_cast<const std::uint8_t*>(task.query.data()), m});
+      gmem.write_u8(target,
+                    {reinterpret_cast<const std::uint8_t*>(task.target.data()), n});
+
+      TaskBuffers& buf = buffers[t];
+      if (options.collect_outputs) {
+        buf.btrack = gmem.alloc(m * n * 4);
+        buf.lastcol = gmem.alloc(m * 4);
+        buf.lastrow = gmem.alloc(n * 4);
+      } else {
+        buf.btrack = scratch_btrack;
+        buf.lastcol = scratch_lastcol;
+        buf.lastrow = scratch_lastrow;
+      }
+      args[t] = {
+          static_cast<std::uint64_t>(query),
+          static_cast<std::uint64_t>(target),
+          static_cast<std::uint64_t>(m),
+          static_cast<std::uint64_t>(n),
+          static_cast<std::uint64_t>(buf.btrack),
+          static_cast<std::uint64_t>(bound_h),
+          static_cast<std::uint64_t>(bound_f),
+          static_cast<std::uint64_t>(bound_kv),
+          static_cast<std::uint64_t>(buf.lastcol),
+          static_cast<std::uint64_t>(buf.lastrow),
+          static_cast<std::uint64_t>(bands_for(m, bsize_)),
+          static_cast<std::uint64_t>(tiles_for(n, bsize_)),
+      };
+    }
+
+    // Tail carry/scratch replicas for every potential executor beyond the
+    // first: per task in kFull mode, per distinct shape in kCachedByShape
+    // (the engine executes at most one block per shape). Each replica
+    // starts 128-byte aligned and mirrors the head layout, so a block's
+    // global-memory segment geometry — and therefore its cycle count — is
+    // identical to sequential execution with the shared head set.
+    std::unordered_set<std::uint64_t> shapes_seen;
+    bool head_taken = false;
+    for (std::size_t t = 0; t < batch.size(); ++t) {
+      if (cached_mode && !shapes_seen.insert(shape_keys[t]).second) {
+        continue;  // never executed: the shape's first block is its executor
+      }
+      if (!head_taken) {
+        head_taken = true;
+        continue;
+      }
+      args[t][5] = static_cast<std::uint64_t>(gmem.alloc(max_n * 4, 128));
+      args[t][6] = static_cast<std::uint64_t>(gmem.alloc(max_n * 4));
+      args[t][7] = static_cast<std::uint64_t>(gmem.alloc(max_n * 4));
+      if (!options.collect_outputs) {
+        args[t][4] = static_cast<std::uint64_t>(gmem.alloc(max_m * max_n * 4));
+        args[t][8] = static_cast<std::uint64_t>(gmem.alloc(max_m * 4));
+        args[t][9] = static_cast<std::uint64_t>(gmem.alloc(max_n * 4));
+      }
+    }
+    return take_executed(args, execute);
+  };
 
   simt::LaunchOptions launch_options;
   launch_options.mode = options.mode;
-  launch_options.cost_cache = options.cost_cache;
-  launch_options.use_engine_cache = options.use_engine_cache;
   launch_options.overlap_transfers = options.overlap_transfers;
   launch_options.trace_representative = options.trace_representative;
   launch_options.transfer.h2d_bytes = h2d_bytes;
@@ -204,9 +171,12 @@ SwBatchResult SwRunner::run_batch(const simt::DeviceSpec& device,
 
   simt::ExecutionEngine& engine =
       options.engine != nullptr ? *options.engine : simt::shared_engine();
+  simt::GlobalMemory gmem;
   SwBatchResult result;
-  result.run.launch = engine.launch(kernel_, device, gmem, blocks, launch_options);
+  result.run.launch =
+      engine.launch(kernel_, device, gmem, shape_keys, bind, launch_options);
   result.run.cells = cells;
+  count_arena_bytes(gmem);
 
   if (options.collect_outputs) {
     result.outputs.reserve(batch.size());

@@ -91,11 +91,13 @@ struct WfRunOptions {
   simt::ExecMode mode = simt::ExecMode::kFull;
   /// Quantization of the target length inside the tile shape key.
   std::size_t shape_granularity = kSwBsize;
-  /// Memoize block costs in the executing engine's persistent cache —
-  /// strongly recommended for kCachedByShape sweeps: tiles repeat the same
-  /// few shapes across every wave of every launch.
+  /// Ignored (see simt::LaunchOptions::use_engine_cache).
   bool use_engine_cache = false;
   bool overlap_transfers = false;
+  /// Engine that executes the wave launches and whose cost cache
+  /// kCachedByShape uses — tiles repeat the same few shapes across every
+  /// wave of every launch; null means the process-wide
+  /// simt::shared_engine().
   simt::ExecutionEngine* engine = nullptr;
   /// Deterministic SDC injection (requires kFull); every wave derives its
   /// own sub-launch id from sdc_launch_id.
@@ -129,12 +131,14 @@ struct WfNwBatchResult {
 /// wave w carries the (tr, tc: tr + tc == w) tiles of EVERY task, so a
 /// batch of long reads fills the device even when the batch is small. The
 /// kHostSyncNaive variant instead launches once per cell anti-diagonal.
+/// Device memory is laid out only by launches that execute a block, so a
+/// warm kCachedByShape batch allocates none.
 class WavefrontSwRunner {
  public:
   explicit WavefrontSwRunner(WfVariant variant, const align::SwParams& params = {},
                              int tile_rows = kWfTileRows);
 
-  const simt::Kernel& kernel() const noexcept { return kernel_; }
+  const simt::Kernel& kernel() const noexcept { return kernel_.kernel(); }
   WfVariant variant() const noexcept { return variant_; }
   const align::SwParams& params() const noexcept { return params_; }
   int tile_rows() const noexcept { return tile_rows_; }
@@ -147,7 +151,7 @@ class WavefrontSwRunner {
   WfVariant variant_;
   align::SwParams params_;
   int tile_rows_;
-  simt::Kernel kernel_;
+  simt::PreparedKernel kernel_;
 };
 
 class WavefrontNwRunner {
@@ -155,7 +159,7 @@ class WavefrontNwRunner {
   explicit WavefrontNwRunner(WfVariant variant, const align::SwParams& params = {},
                              int tile_rows = kWfTileRows);
 
-  const simt::Kernel& kernel() const noexcept { return kernel_; }
+  const simt::Kernel& kernel() const noexcept { return kernel_.kernel(); }
   WfVariant variant() const noexcept { return variant_; }
   int tile_rows() const noexcept { return tile_rows_; }
 
@@ -167,7 +171,7 @@ class WavefrontNwRunner {
   WfVariant variant_;
   align::SwParams params_;
   int tile_rows_;
-  simt::Kernel kernel_;
+  simt::PreparedKernel kernel_;
 };
 
 /// One name per selectable SW kernel across both subsystems — the

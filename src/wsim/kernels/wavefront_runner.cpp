@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -141,7 +142,7 @@ struct TileRunOutput {
   std::vector<TileTaskBufs> bufs;  // kFull only
 };
 
-TileRunOutput run_tile_waves(bool is_sw, const simt::Kernel& kernel,
+TileRunOutput run_tile_waves(bool is_sw, const simt::PreparedKernel& kernel,
                              const simt::DeviceSpec& device,
                              const workload::SwBatch& batch, int tile_rows,
                              const WfRunOptions& options, simt::GlobalMemory& gmem) {
@@ -169,8 +170,9 @@ TileRunOutput run_tile_waves(bool is_sw, const simt::Kernel& kernel,
 
   // kFull: real per-task buffers (boundary buffers are shared by all tiles
   // of a task — within one wave the tiles touch disjoint row/column
-  // ranges, so concurrent block execution stays write-disjoint).
-  if (!cached) {
+  // ranges, so concurrent block execution stays write-disjoint), laid out
+  // by the first bind: every kFull block executes, so that is wave 0's.
+  const auto lay_out_tasks = [&] {
     out.bufs.resize(batch.size());
     for (std::size_t t = 0; t < batch.size(); ++t) {
       const workload::SwTask& task = batch[t];
@@ -198,10 +200,12 @@ TileRunOutput run_tile_waves(bool is_sw, const simt::Kernel& kernel,
       b.cb_lh = is_sw ? gmem.alloc(m * 4) : 0;
       b.corner = gmem.alloc(3 * geoms[t].tile_col_count * 4);
     }
-  }
+  };
 
-  // kCachedByShape: one scratch slab per distinct tile shape, allocated
-  // lazily, 128-byte aligned like the task-per-block runner's replicas.
+  // kCachedByShape: one scratch slab per distinct tile shape that
+  // executes, allocated by the bind that first executes it. Every access
+  // of a slab's block is slab-relative and each slab starts 128-byte
+  // aligned, so where a slab lands moves no block's segment offsets.
   std::unordered_map<std::uint64_t, TileShapeSlab> slabs;
   const auto slab_for = [&](std::uint64_t key) -> const TileShapeSlab& {
     const auto it = slabs.find(key);
@@ -225,13 +229,115 @@ TileRunOutput run_tile_waves(bool is_sw, const simt::Kernel& kernel,
     return slabs.emplace(key, s).first->second;
   };
 
+  struct Tile {
+    std::size_t task = 0;
+    std::size_t tr = 0;  ///< tile row
+    std::size_t tc = 0;  ///< tile column
+  };
+  const auto tile_args = [&](const Tile& tile, std::uint64_t key) -> simt::BlockArgs {
+    const WfGeometry& g = geoms[tile.task];
+    const std::size_t m = batch[tile.task].query.size();
+    const std::size_t n = batch[tile.task].target.size();
+    const std::size_t row_base = tile.tr * trows;
+    const std::size_t col_base = tile.tc * kSwBsize;
+    const std::size_t rows = std::min(trows, m - row_base);
+    const bool has_up = tile.tr > 0;
+    const bool has_left = tile.tc > 0;
+
+    std::int64_t a_query = 0;
+    std::int64_t a_target = 0;
+    std::int64_t a_out = 0;
+    std::int64_t a_lastcol = 0;
+    std::int64_t a_lastrow = 0;
+    std::int64_t a_rb_h = 0;
+    std::int64_t a_rb_f = 0;
+    std::int64_t a_rb_kv = 0;
+    std::int64_t a_cb_h = 0;
+    std::int64_t a_cb_e = 0;
+    std::int64_t a_cb_lh = 0;
+    std::int64_t a_corner_rd = 0;
+    std::int64_t a_corner_wr = 0;
+    if (cached) {
+      // Rebase every buffer argument by this tile's own position: the
+      // kernel indexes with global (r, c), so subtracting the base puts
+      // all of this tile's accesses inside the shared slab.
+      const TileShapeSlab& s = slab_for(key);
+      const auto rb = static_cast<std::int64_t>(row_base);
+      const auto cb = static_cast<std::int64_t>(col_base);
+      const auto nn = static_cast<std::int64_t>(n);
+      a_query = s.query - rb;
+      a_target = s.target - cb;
+      a_out = is_sw ? s.out - (rb * nn + cb) * 4 : s.out;
+      a_lastcol = s.lastcol - rb * 4;
+      a_lastrow = s.lastrow - cb * 4;
+      a_rb_h = s.rb_h - cb * 4;
+      a_rb_f = s.rb_f - cb * 4;
+      a_rb_kv = s.rb_kv - cb * 4;
+      a_cb_h = s.cb_h - rb * 4;
+      a_cb_e = s.cb_e - rb * 4;
+      a_cb_lh = s.cb_lh - rb * 4;
+      a_corner_rd = s.corner_rd;
+      a_corner_wr = s.corner_wr;
+    } else {
+      const TileTaskBufs& b = out.bufs[tile.task];
+      a_query = b.query;
+      a_target = b.target;
+      a_out = b.out;
+      a_lastcol = b.lastcol;
+      a_lastrow = b.lastrow;
+      a_rb_h = b.rb_h;
+      a_rb_f = b.rb_f;
+      a_rb_kv = b.rb_kv;
+      a_cb_h = b.cb_h;
+      a_cb_e = b.cb_e;
+      a_cb_lh = b.cb_lh;
+      // 3-slot parity rotation: the corner this tile reads was written by
+      // (tr-1, tc-1) two waves ago into slot (tr-1) mod 3; the tile
+      // publishes its own into slot tr mod 3 for (tr+1, tc+1). Three slots
+      // keep the intervening wave's writer off the slot still being read.
+      const std::size_t tcc = g.tile_col_count;
+      a_corner_rd =
+          has_up && has_left
+              ? b.corner + static_cast<std::int64_t>(
+                               (((tile.tr + 2) % 3) * tcc + (tile.tc - 1)) * 4)
+              : b.corner;
+      a_corner_wr =
+          b.corner + static_cast<std::int64_t>(((tile.tr % 3) * tcc + tile.tc) * 4);
+    }
+    return {
+        static_cast<std::uint64_t>(a_query),
+        static_cast<std::uint64_t>(a_target),
+        static_cast<std::uint64_t>(m),
+        static_cast<std::uint64_t>(n),
+        static_cast<std::uint64_t>(a_out),
+        static_cast<std::uint64_t>(a_rb_h),
+        static_cast<std::uint64_t>(a_rb_f),
+        static_cast<std::uint64_t>(a_rb_kv),
+        static_cast<std::uint64_t>(a_cb_h),
+        static_cast<std::uint64_t>(a_cb_e),
+        static_cast<std::uint64_t>(a_cb_lh),
+        static_cast<std::uint64_t>(a_corner_rd),
+        static_cast<std::uint64_t>(a_corner_wr),
+        static_cast<std::uint64_t>(a_lastcol),
+        static_cast<std::uint64_t>(a_lastrow),
+        static_cast<std::uint64_t>(row_base),
+        static_cast<std::uint64_t>(col_base),
+        static_cast<std::uint64_t>(rows),
+        static_cast<std::uint64_t>(rows + (kSwBsize - 1)),
+        static_cast<std::uint64_t>(has_up ? 1 : 0),
+        static_cast<std::uint64_t>(has_left ? 1 : 0),
+    };
+  };
+
   simt::ExecutionEngine& engine =
       options.engine != nullptr ? *options.engine : simt::shared_engine();
   LaunchAggregator agg{&out.run};
-  std::vector<simt::BlockLaunch> blocks;
+  std::vector<Tile> tiles;
+  std::vector<std::uint64_t> keys;
 
   for (std::size_t w = 0; w < max_waves; ++w) {
-    blocks.clear();
+    tiles.clear();
+    keys.clear();
     std::uint64_t wave_rep_iterations = 0;
     for (std::size_t t = 0; t < batch.size(); ++t) {
       const WfGeometry& g = geoms[t];
@@ -245,115 +351,33 @@ TileRunOutput run_tile_waves(bool is_sw, const simt::Kernel& kernel,
       const std::size_t tr_hi = std::min(g.tile_row_count - 1, w);
       for (std::size_t tr = tr_lo; tr <= tr_hi; ++tr) {
         const std::size_t tc = w - tr;
-        const std::size_t row_base = tr * trows;
-        const std::size_t col_base = tc * kSwBsize;
-        const std::size_t rows = std::min(trows, m - row_base);
-        const std::size_t cols_in = std::min<std::size_t>(kSwBsize, n - col_base);
-        const bool has_up = tr > 0;
-        const bool has_left = tc > 0;
-        const bool last_row_tile = tr + 1 == g.tile_row_count;
-        const bool last_col_tile = tc + 1 == g.tile_col_count;
-        const std::uint64_t key =
-            tile_shape_key(rows, cols_in, has_up, has_left, last_row_tile,
-                           last_col_tile, n, options.shape_granularity);
+        const std::size_t rows = std::min(trows, m - tr * trows);
+        const std::size_t cols_in = std::min<std::size_t>(kSwBsize, n - tc * kSwBsize);
         if (wave_rep_iterations == 0) {
           wave_rep_iterations = rows + (kSwBsize - 1);
         }
-
-        std::int64_t a_query = 0;
-        std::int64_t a_target = 0;
-        std::int64_t a_out = 0;
-        std::int64_t a_lastcol = 0;
-        std::int64_t a_lastrow = 0;
-        std::int64_t a_rb_h = 0;
-        std::int64_t a_rb_f = 0;
-        std::int64_t a_rb_kv = 0;
-        std::int64_t a_cb_h = 0;
-        std::int64_t a_cb_e = 0;
-        std::int64_t a_cb_lh = 0;
-        std::int64_t a_corner_rd = 0;
-        std::int64_t a_corner_wr = 0;
-        if (cached) {
-          // Rebase every buffer argument by this tile's own position: the
-          // kernel indexes with global (r, c), so subtracting the base
-          // puts all of this tile's accesses inside the shared slab.
-          const TileShapeSlab& s = slab_for(key);
-          const auto rb = static_cast<std::int64_t>(row_base);
-          const auto cb = static_cast<std::int64_t>(col_base);
-          const auto nn = static_cast<std::int64_t>(n);
-          a_query = s.query - rb;
-          a_target = s.target - cb;
-          a_out = is_sw ? s.out - (rb * nn + cb) * 4 : s.out;
-          a_lastcol = s.lastcol - rb * 4;
-          a_lastrow = s.lastrow - cb * 4;
-          a_rb_h = s.rb_h - cb * 4;
-          a_rb_f = s.rb_f - cb * 4;
-          a_rb_kv = s.rb_kv - cb * 4;
-          a_cb_h = s.cb_h - rb * 4;
-          a_cb_e = s.cb_e - rb * 4;
-          a_cb_lh = s.cb_lh - rb * 4;
-          a_corner_rd = s.corner_rd;
-          a_corner_wr = s.corner_wr;
-        } else {
-          const TileTaskBufs& b = out.bufs[t];
-          a_query = b.query;
-          a_target = b.target;
-          a_out = b.out;
-          a_lastcol = b.lastcol;
-          a_lastrow = b.lastrow;
-          a_rb_h = b.rb_h;
-          a_rb_f = b.rb_f;
-          a_rb_kv = b.rb_kv;
-          a_cb_h = b.cb_h;
-          a_cb_e = b.cb_e;
-          a_cb_lh = b.cb_lh;
-          // 3-slot parity rotation: the corner this tile reads was written
-          // by (tr-1, tc-1) two waves ago into slot (tr-1) mod 3; the tile
-          // publishes its own into slot tr mod 3 for (tr+1, tc+1). Three
-          // slots keep the intervening wave's writer off the slot still
-          // being read.
-          const std::size_t tcc = g.tile_col_count;
-          a_corner_rd =
-              has_up && has_left
-                  ? b.corner +
-                        static_cast<std::int64_t>((((tr + 2) % 3) * tcc + (tc - 1)) * 4)
-                  : b.corner;
-          a_corner_wr =
-              b.corner + static_cast<std::int64_t>(((tr % 3) * tcc + tc) * 4);
-        }
-
-        simt::BlockLaunch block;
-        block.args = {
-            static_cast<std::uint64_t>(a_query),
-            static_cast<std::uint64_t>(a_target),
-            static_cast<std::uint64_t>(m),
-            static_cast<std::uint64_t>(n),
-            static_cast<std::uint64_t>(a_out),
-            static_cast<std::uint64_t>(a_rb_h),
-            static_cast<std::uint64_t>(a_rb_f),
-            static_cast<std::uint64_t>(a_rb_kv),
-            static_cast<std::uint64_t>(a_cb_h),
-            static_cast<std::uint64_t>(a_cb_e),
-            static_cast<std::uint64_t>(a_cb_lh),
-            static_cast<std::uint64_t>(a_corner_rd),
-            static_cast<std::uint64_t>(a_corner_wr),
-            static_cast<std::uint64_t>(a_lastcol),
-            static_cast<std::uint64_t>(a_lastrow),
-            static_cast<std::uint64_t>(row_base),
-            static_cast<std::uint64_t>(col_base),
-            static_cast<std::uint64_t>(rows),
-            static_cast<std::uint64_t>(rows + (kSwBsize - 1)),
-            static_cast<std::uint64_t>(has_up ? 1 : 0),
-            static_cast<std::uint64_t>(has_left ? 1 : 0),
-        };
-        block.shape_key = key;
-        blocks.push_back(std::move(block));
+        tiles.push_back({t, tr, tc});
+        keys.push_back(tile_shape_key(rows, cols_in, tr > 0, tc > 0,
+                                      tr + 1 == g.tile_row_count,
+                                      tc + 1 == g.tile_col_count, n,
+                                      options.shape_granularity));
       }
     }
 
+    const auto bind = [&](std::span<const std::size_t> execute, simt::GlobalMemory&) {
+      if (!cached && out.bufs.empty()) {
+        lay_out_tasks();
+      }
+      std::vector<simt::BlockArgs> args;
+      args.reserve(execute.size());
+      for (const std::size_t i : execute) {
+        args.push_back(tile_args(tiles[i], keys[i]));
+      }
+      return args;
+    };
+
     simt::LaunchOptions launch_options;
     launch_options.mode = options.mode;
-    launch_options.use_engine_cache = options.use_engine_cache;
     launch_options.overlap_transfers = options.overlap_transfers;
     if (w == 0) {
       launch_options.transfer.h2d_bytes = h2d_bytes;
@@ -371,10 +395,10 @@ TileRunOutput run_tile_waves(bool is_sw, const simt::Kernel& kernel,
     launch_options.interp = options.interp;
 
     const simt::LaunchResult launch =
-        engine.launch(kernel, device, gmem, blocks, launch_options);
+        engine.launch(kernel, device, gmem, keys, bind, launch_options);
     out.launches += 1;
-    out.blocks += blocks.size();
-    agg.add(launch, blocks.size(), wave_rep_iterations,
+    out.blocks += keys.size();
+    agg.add(launch, keys.size(), wave_rep_iterations,
             &out.representative_iterations);
   }
   return out;
@@ -397,7 +421,7 @@ struct NaiveTaskBufs {
   std::int64_t lastrow = 0;
 };
 
-TileRunOutput run_naive_diagonals(bool is_sw, const simt::Kernel& kernel,
+TileRunOutput run_naive_diagonals(bool is_sw, const simt::PreparedKernel& kernel,
                                   const simt::DeviceSpec& device,
                                   const workload::SwBatch& batch,
                                   const WfRunOptions& options,
@@ -417,31 +441,36 @@ TileRunOutput run_naive_diagonals(bool is_sw, const simt::Kernel& kernel,
     cells += m * n;
   }
 
-  std::vector<NaiveTaskBufs> bufs(batch.size());
-  for (std::size_t t = 0; t < batch.size(); ++t) {
-    const workload::SwTask& task = batch[t];
-    const std::size_t m = task.query.size();
-    const std::size_t n = task.target.size();
-    NaiveTaskBufs& b = bufs[t];
-    b.query = gmem.alloc(m);
-    b.target = gmem.alloc(n);
-    gmem.write_u8(b.query,
-                  {reinterpret_cast<const std::uint8_t*>(task.query.data()), m});
-    gmem.write_u8(b.target,
-                  {reinterpret_cast<const std::uint8_t*>(task.target.data()), n});
-    b.h = gmem.alloc(m * n * 4);
-    b.e = gmem.alloc(m * n * 4);
-    b.f = gmem.alloc(m * n * 4);
-    if (is_sw) {
-      b.kv = gmem.alloc(m * n * 4);
-      b.lh = gmem.alloc(m * n * 4);
-      b.out = gmem.alloc(m * n * 4);
-      b.lastcol = gmem.alloc(m * 4);
-      b.lastrow = gmem.alloc(n * 4);
-    } else {
-      b.out = gmem.alloc(4);
+  // Every task's matrices, laid out by the first launch that executes a
+  // segment (in kFull that is diagonal 0's).
+  std::vector<NaiveTaskBufs> bufs;
+  const auto lay_out_tasks = [&] {
+    bufs.resize(batch.size());
+    for (std::size_t t = 0; t < batch.size(); ++t) {
+      const workload::SwTask& task = batch[t];
+      const std::size_t m = task.query.size();
+      const std::size_t n = task.target.size();
+      NaiveTaskBufs& b = bufs[t];
+      b.query = gmem.alloc(m);
+      b.target = gmem.alloc(n);
+      gmem.write_u8(b.query,
+                    {reinterpret_cast<const std::uint8_t*>(task.query.data()), m});
+      gmem.write_u8(b.target,
+                    {reinterpret_cast<const std::uint8_t*>(task.target.data()), n});
+      b.h = gmem.alloc(m * n * 4);
+      b.e = gmem.alloc(m * n * 4);
+      b.f = gmem.alloc(m * n * 4);
+      if (is_sw) {
+        b.kv = gmem.alloc(m * n * 4);
+        b.lh = gmem.alloc(m * n * 4);
+        b.out = gmem.alloc(m * n * 4);
+        b.lastcol = gmem.alloc(m * 4);
+        b.lastrow = gmem.alloc(n * 4);
+      } else {
+        b.out = gmem.alloc(4);
+      }
     }
-  }
+  };
 
   TileRunOutput out;
   out.run.cells = cells;
@@ -451,10 +480,16 @@ TileRunOutput run_naive_diagonals(bool is_sw, const simt::Kernel& kernel,
   simt::ExecutionEngine& engine =
       options.engine != nullptr ? *options.engine : simt::shared_engine();
   LaunchAggregator agg{&out.run};
-  std::vector<simt::BlockLaunch> blocks;
+  struct Segment {
+    std::size_t task = 0;
+    std::size_t seg = 0;  ///< first row of the 32-row segment
+  };
+  std::vector<Segment> segments;
+  std::vector<std::uint64_t> keys;
 
   for (std::size_t d = 0; d < max_diags; ++d) {
-    blocks.clear();
+    segments.clear();
+    keys.clear();
     for (std::size_t t = 0; t < batch.size(); ++t) {
       const workload::SwTask& task = batch[t];
       const std::size_t m = task.query.size();
@@ -464,7 +499,6 @@ TileRunOutput run_naive_diagonals(bool is_sw, const simt::Kernel& kernel,
       }
       const std::size_t r_lo = d >= n ? d - n + 1 : 0;
       const std::size_t r_hi = std::min(m - 1, d);
-      const NaiveTaskBufs& b = bufs[t];
       for (std::size_t seg = (r_lo / kSwBsize) * kSwBsize; seg <= r_hi;
            seg += kSwBsize) {
         const std::size_t lane_lo = std::max(seg, r_lo);
@@ -474,12 +508,26 @@ TileRunOutput run_naive_diagonals(bool is_sw, const simt::Kernel& kernel,
         const bool has_r0 = lane_lo == 0;
         const bool has_lastc = d - lane_lo >= n - 1 && d - lane_hi <= n - 1;
         const bool has_lastr = lane_hi == m - 1;
-        simt::BlockLaunch block;
-        block.args = {
+        segments.push_back({t, seg});
+        keys.push_back(naive_shape_key(active, has_c0, has_r0, has_lastc, has_lastr,
+                                       n, options.shape_granularity));
+      }
+    }
+
+    const auto bind = [&](std::span<const std::size_t> execute, simt::GlobalMemory&) {
+      if (bufs.empty()) {
+        lay_out_tasks();
+      }
+      std::vector<simt::BlockArgs> args;
+      args.reserve(execute.size());
+      for (const std::size_t i : execute) {
+        const Segment& segment = segments[i];
+        const NaiveTaskBufs& b = bufs[segment.task];
+        args.push_back({
             static_cast<std::uint64_t>(b.query),
             static_cast<std::uint64_t>(b.target),
-            static_cast<std::uint64_t>(m),
-            static_cast<std::uint64_t>(n),
+            static_cast<std::uint64_t>(batch[segment.task].query.size()),
+            static_cast<std::uint64_t>(batch[segment.task].target.size()),
             static_cast<std::uint64_t>(b.h),
             static_cast<std::uint64_t>(b.e),
             static_cast<std::uint64_t>(b.f),
@@ -489,17 +537,14 @@ TileRunOutput run_naive_diagonals(bool is_sw, const simt::Kernel& kernel,
             static_cast<std::uint64_t>(b.lastcol),
             static_cast<std::uint64_t>(b.lastrow),
             static_cast<std::uint64_t>(d),
-            static_cast<std::uint64_t>(seg),
-        };
-        block.shape_key = naive_shape_key(active, has_c0, has_r0, has_lastc,
-                                          has_lastr, n, options.shape_granularity);
-        blocks.push_back(std::move(block));
+            static_cast<std::uint64_t>(segment.seg),
+        });
       }
-    }
+      return args;
+    };
 
     simt::LaunchOptions launch_options;
     launch_options.mode = options.mode;
-    launch_options.use_engine_cache = options.use_engine_cache;
     launch_options.overlap_transfers = options.overlap_transfers;
     if (d == 0) {
       launch_options.transfer.h2d_bytes = h2d_bytes;
@@ -515,10 +560,10 @@ TileRunOutput run_naive_diagonals(bool is_sw, const simt::Kernel& kernel,
     launch_options.interp = options.interp;
 
     const simt::LaunchResult launch =
-        engine.launch(kernel, device, gmem, blocks, launch_options);
+        engine.launch(kernel, device, gmem, keys, bind, launch_options);
     out.launches += 1;
-    out.blocks += blocks.size();
-    agg.add(launch, blocks.size(), 1, &out.representative_iterations);
+    out.blocks += keys.size();
+    agg.add(launch, keys.size(), 1, &out.representative_iterations);
   }
   if (bufs_out != nullptr) {
     *bufs_out = std::move(bufs);
@@ -609,6 +654,7 @@ WfSwBatchResult WavefrontSwRunner::run_batch(const simt::DeviceSpec& device,
     std::vector<NaiveTaskBufs> bufs;
     TileRunOutput out = run_naive_diagonals(/*is_sw=*/true, kernel_, device, batch,
                                             options, gmem, &bufs);
+    count_arena_bytes(gmem);
     result.run = out.run;
     result.launches = out.launches;
     result.blocks = out.blocks;
@@ -625,6 +671,7 @@ WfSwBatchResult WavefrontSwRunner::run_batch(const simt::DeviceSpec& device,
 
   TileRunOutput out = run_tile_waves(/*is_sw=*/true, kernel_, device, batch,
                                      tile_rows_, options, gmem);
+  count_arena_bytes(gmem);
   result.run = out.run;
   result.launches = out.launches;
   result.blocks = out.blocks;
@@ -659,6 +706,7 @@ WfNwBatchResult WavefrontNwRunner::run_batch(const simt::DeviceSpec& device,
     std::vector<NaiveTaskBufs> bufs;
     TileRunOutput out = run_naive_diagonals(/*is_sw=*/false, kernel_, device, batch,
                                             options, gmem, &bufs);
+    count_arena_bytes(gmem);
     result.run = out.run;
     result.launches = out.launches;
     result.blocks = out.blocks;
@@ -674,6 +722,7 @@ WfNwBatchResult WavefrontNwRunner::run_batch(const simt::DeviceSpec& device,
 
   TileRunOutput out = run_tile_waves(/*is_sw=*/false, kernel_, device, batch,
                                      tile_rows_, options, gmem);
+  count_arena_bytes(gmem);
   result.run = out.run;
   result.launches = out.launches;
   result.blocks = out.blocks;

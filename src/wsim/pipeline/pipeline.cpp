@@ -63,8 +63,8 @@ PipelineReport run_pipeline(const workload::Dataset& dataset,
 
   PipelineReport report;
 
-  // One engine serves both stages, so its worker pool (and, with
-  // use_engine_cache, its cost cache) is shared across every batch. The
+  // One engine serves both stages, so its worker pool is shared across
+  // every batch. The
   // default thread count uses the process-wide engine — pipeline, serving
   // layer, and CLI then share one worker pool and one cost cache; an
   // explicit positive count builds a private engine for this run only.

@@ -300,9 +300,19 @@ void mark_vector_metadata(DecodedProgram& prog) {
   }
 }
 
-}  // namespace
+/// splitmix64 finalizer.
+std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
 
-std::uint64_t kernel_identity(const Kernel& kernel, const DeviceSpec& device) {
+/// FNV-1a over everything decode reads from the kernel: name, shape, and
+/// every instruction field.
+std::uint64_t kernel_hash(const Kernel& kernel) {
+  static obs::Counter c_hashes("simt.kernel_hashes");
+  c_hashes.add();
   std::uint64_t h = 0xCBF29CE484222325ULL;
   h = hash_bytes(h, kernel.name.data(), kernel.name.size());
   h = hash_value(h, static_cast<std::uint64_t>(kernel.threads_per_block));
@@ -323,22 +333,31 @@ std::uint64_t kernel_identity(const Kernel& kernel, const DeviceSpec& device) {
     h = hash_value(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(ins.pred)));
     h = hash_value(h, static_cast<std::uint64_t>(ins.pred_negate));
   }
-  h = hash_bytes(h, device.name.data(), device.name.size());
-  h = hash_value(h, static_cast<std::uint64_t>(device.arch));
-  h = hash_value(h, static_cast<std::uint64_t>(device.smem_banks));
+  return h;
+}
+
+/// The (kernel, device) identity from the kernel's content hash and the
+/// device's name, architecture, bank count, and every latency-table field:
+/// a fixed-size record, mixed word by word.
+std::uint64_t identity_on(std::uint64_t kernel_content, const DeviceSpec& device) noexcept {
+  std::uint64_t h = hash_bytes(0xCBF29CE484222325ULL, device.name.data(),
+                               device.name.size());
+  h = mix64(h ^ static_cast<std::uint64_t>(device.arch));
+  h = mix64(h ^ static_cast<std::uint64_t>(device.smem_banks));
   const LatencyTable& lat = device.lat;
   for (const int v : {lat.reg_access, lat.ialu, lat.imul, lat.falu, lat.shfl,
                       lat.shfl_up, lat.shfl_down, lat.shfl_xor, lat.smem_load,
                       lat.smem_store, lat.bank_conflict, lat.sync_barrier,
                       lat.gmem_load, lat.gmem_load_cached, lat.gmem_store,
                       lat.issue_interval, lat.issues_per_cycle}) {
-    h = hash_value(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+    h = mix64(h ^ static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
   }
-  return h;
+  return mix64(kernel_content ^ h);
 }
 
-std::shared_ptr<const DecodedProgram> decode_program(const Kernel& kernel,
-                                                     const DeviceSpec& device) {
+std::shared_ptr<const DecodedProgram> decode_with_identity(const Kernel& kernel,
+                                                           const DeviceSpec& device,
+                                                           std::uint64_t identity) {
   validate(kernel);
 
   auto prog = std::make_shared<DecodedProgram>();
@@ -348,7 +367,7 @@ std::shared_ptr<const DecodedProgram> decode_program(const Kernel& kernel,
   prog->vreg_count = std::max(kernel.vreg_count, 1);
   prog->sreg_count = std::max(kernel.sreg_count, 1);
   prog->smem_bytes = std::max(kernel.smem_bytes, 1);
-  prog->identity = kernel_identity(kernel, device);
+  prog->identity = identity;
 
   const std::size_t n = kernel.code.size();
   prog->code.resize(n);
@@ -413,6 +432,31 @@ std::shared_ptr<const DecodedProgram> decode_program(const Kernel& kernel,
   return prog;
 }
 
+}  // namespace
+
+std::uint64_t kernel_identity(const Kernel& kernel, const DeviceSpec& device) {
+  return identity_on(kernel_hash(kernel), device);
+}
+
+PreparedKernel::PreparedKernel(Kernel kernel)
+    : kernel_(std::make_shared<const Kernel>(std::move(kernel))),
+      hash_(kernel_hash(*kernel_)) {}
+
+std::uint64_t PreparedKernel::identity(const DeviceSpec& device) const noexcept {
+  return identity_on(hash_, device);
+}
+
+PreparedKernel PreparedKernel::borrow(const Kernel& kernel) {
+  // Aliasing constructor over an empty owner: a non-owning pointer.
+  return PreparedKernel(std::shared_ptr<const Kernel>(std::shared_ptr<const Kernel>(), &kernel),
+                        kernel_hash(kernel));
+}
+
+std::shared_ptr<const DecodedProgram> decode_program(const Kernel& kernel,
+                                                     const DeviceSpec& device) {
+  return decode_with_identity(kernel, device, kernel_identity(kernel, device));
+}
+
 namespace {
 
 // Decoded-cache instrumentation (visible in --metrics-out dumps). Hits and
@@ -439,31 +483,43 @@ obs::Gauge& cache_shards_occupied() {
 
 std::shared_ptr<const DecodedProgram> DecodedProgramCache::get(
     const Kernel& kernel, const DeviceSpec& device) {
-  const std::uint64_t key = kernel_identity(kernel, device);
+  return get(kernel_identity(kernel, device), kernel, device, nullptr);
+}
+
+std::shared_ptr<const DecodedProgram> DecodedProgramCache::get(
+    const PreparedKernel& kernel, const DeviceSpec& device, bool* hit) {
+  return get(kernel.identity(device), kernel.kernel(), device, hit);
+}
+
+std::shared_ptr<const DecodedProgram> DecodedProgramCache::get(
+    std::uint64_t key, const Kernel& kernel, const DeviceSpec& device, bool* hit) {
   Shard& shard = shards_[shard_of(key)];
   std::shared_ptr<const DecodedProgram> prog;
-  bool hit = false;
+  bool found = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-      hit = true;
+      found = true;
       prog = it->second;
     } else {
       // Decode under the shard lock: concurrent first uses of one identity
       // must produce exactly one decode (other shards stay available).
-      prog = decode_program(kernel, device);
+      prog = decode_with_identity(kernel, device, key);
       decodes_.fetch_add(1, std::memory_order_relaxed);
       shard.map.emplace(key, prog);
     }
   }
-  if (hit) {
+  if (found) {
     cache_hits().add();
   } else {
     cache_misses().add();
     if (obs::metrics_enabled()) {
       refresh_occupancy_metrics();
     }
+  }
+  if (hit != nullptr) {
+    *hit = found;
   }
   return prog;
 }

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "wsim/simt/device.hpp"
@@ -18,7 +19,36 @@ namespace wsim::simt {
 /// every instruction, the device name, and the device's latency table.
 /// Used to key both the engine's block-cost cache and the decoded-program
 /// cache, so neither can alias entries across kernels or architectures.
+/// Hashing walks the whole instruction stream (counted by the obs counter
+/// `simt.kernel_hashes`); launch paths use PreparedKernel::identity.
 std::uint64_t kernel_identity(const Kernel& kernel, const DeviceSpec& device);
+
+/// A kernel sealed for launching: the immutable kernel plus its content
+/// hash, computed once when the prepared kernel is built. Every runner
+/// prepares its kernels in its constructor, and the engine and the
+/// decoded-program cache key on the prepared kernel, so no launch re-hashes
+/// an instruction stream. Copies share the kernel.
+class PreparedKernel {
+ public:
+  explicit PreparedKernel(Kernel kernel);
+
+  const Kernel& kernel() const noexcept { return *kernel_; }
+
+  /// kernel_identity(kernel(), device), with only the device's fixed-size
+  /// latency record hashed per call.
+  std::uint64_t identity(const DeviceSpec& device) const noexcept;
+
+ private:
+  friend class ExecutionEngine;
+  PreparedKernel(std::shared_ptr<const Kernel> kernel, std::uint64_t hash)
+      : kernel_(std::move(kernel)), hash_(hash) {}
+  /// Non-owning view of a caller's kernel, hashed now, for the entry points
+  /// that take a bare Kernel; `kernel` must outlive the view unchanged.
+  static PreparedKernel borrow(const Kernel& kernel);
+
+  std::shared_ptr<const Kernel> kernel_;
+  std::uint64_t hash_ = 0;  ///< content hash of the kernel alone
+};
 
 /// Dispatch class of a decoded instruction: which fast-path handler
 /// executes it. Decoding collapses the ISA's per-opcode semantics into a
@@ -229,9 +259,17 @@ std::shared_ptr<const DecodedProgram> decode_program(const Kernel& kernel,
 /// under TSan).
 class DecodedProgramCache {
  public:
-  /// Returns the cached program, decoding on first use.
+  /// Returns the cached program, decoding on first use. Hashes the kernel
+  /// (kernel_identity); launch paths use the PreparedKernel overload.
   std::shared_ptr<const DecodedProgram> get(const Kernel& kernel,
                                             const DeviceSpec& device);
+
+  /// Same, keyed on the prepared kernel's identity without re-hashing it.
+  /// When `hit` is non-null it receives whether this lookup found the
+  /// program already decoded (false: this call decoded it).
+  std::shared_ptr<const DecodedProgram> get(const PreparedKernel& kernel,
+                                            const DeviceSpec& device,
+                                            bool* hit = nullptr);
 
   /// Distinct (kernel, device) programs currently cached.
   std::size_t size() const;
@@ -245,6 +283,9 @@ class DecodedProgramCache {
   void clear();
 
  private:
+  std::shared_ptr<const DecodedProgram> get(std::uint64_t key, const Kernel& kernel,
+                                            const DeviceSpec& device, bool* hit);
+
   /// Re-publishes the entry-count and shards-occupied obs gauges (called
   /// on miss and clear, the only occupancy-changing events).
   void refresh_occupancy_metrics() const;

@@ -78,55 +78,45 @@ LaunchResult ExecutionEngine::launch(const Kernel& kernel, const DeviceSpec& dev
                                      GlobalMemory& gmem,
                                      std::span<const BlockLaunch> blocks,
                                      const LaunchOptions& options) {
-  util::require(!blocks.empty(), "launch: grid must contain at least one block");
-  util::require(!(options.cost_cache != nullptr && options.use_engine_cache),
-                "launch: cost_cache and use_engine_cache are mutually exclusive");
+  std::vector<std::uint64_t> shape_keys(blocks.size());
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    shape_keys[i] = blocks[i].shape_key;
+  }
+  const auto copy_args = [&](std::span<const std::size_t> execute, GlobalMemory&) {
+    std::vector<BlockArgs> args;
+    args.reserve(execute.size());
+    for (const std::size_t i : execute) {
+      args.push_back(blocks[i].args);
+    }
+    return args;
+  };
+  return launch(PreparedKernel::borrow(kernel), device, gmem, shape_keys, copy_args,
+                options);
+}
+
+LaunchResult ExecutionEngine::launch(const PreparedKernel& prepared,
+                                     const DeviceSpec& device, GlobalMemory& gmem,
+                                     std::span<const std::uint64_t> shape_keys,
+                                     BindBlocks bind, const LaunchOptions& options) {
+  util::require(!shape_keys.empty(), "launch: grid must contain at least one block");
   util::require(!options.sdc.enabled() || options.mode == ExecMode::kFull,
                 "launch: SDC injection requires ExecMode::kFull — injecting into a "
                 "shape-cached launch would poison the shared cost cache");
 
+  const Kernel& kernel = prepared.kernel();
   LaunchResult result;
   result.occupancy = compute_occupancy(device, kernel);
-
-  // Resolve the interpreter path once per launch; on the predecoded paths
-  // (fast and vector) the (kernel, device) pair is predecoded here —
-  // through the process-wide cache — and every block below reuses the
-  // same DecodedProgram.
   const InterpPath path = resolve_interp_path(options.interp);
-  std::shared_ptr<const DecodedProgram> decoded;
-  if (path == InterpPath::kFast || path == InterpPath::kVector) {
-    static obs::Counter c_decode_misses("engine.decode_misses");
-    if (obs::tracing_enabled() || obs::metrics_enabled()) {
-      const std::size_t before = shared_decoded_cache().size();
-      decoded = shared_decoded_cache().get(kernel, device);
-      if (shared_decoded_cache().size() != before) {
-        c_decode_misses.add();
-        obs::instant(obs::sim_time(), obs::Layer::kEngine, "engine.decode_miss");
-      }
-    } else {
-      decoded = shared_decoded_cache().get(kernel, device);
-    }
-  }
 
-  const std::size_t n = blocks.size();
+  const std::size_t n = shape_keys.size();
   const bool cached_mode = options.mode == ExecMode::kCachedByShape;
-  BlockCostCache local_cache;
-  BlockCostCache* plain_cache = nullptr;
-  std::uint64_t identity = 0;
-  if (cached_mode) {
-    if (options.use_engine_cache) {
-      // The decoded program already carries the content hash; only the
-      // legacy path recomputes it. The interpreter path salts the key:
-      // the engines are bit-identical by contract, but letting a cached
-      // fast-path cost stand in for a vector-path execution would mask
-      // any divergence from differential A/B runs.
-      identity = decoded != nullptr ? decoded->identity
-                                    : kernel_identity(kernel, device);
-      identity = mix(identity ^ (static_cast<std::uint64_t>(path) + 1));
-    } else {
-      plain_cache = options.cost_cache != nullptr ? options.cost_cache : &local_cache;
-    }
-  }
+  // The interpreter path salts the key: the engines are bit-identical by
+  // contract, but letting a cached fast-path cost stand in for a
+  // vector-path execution would mask any divergence from differential A/B
+  // runs.
+  const std::uint64_t identity =
+      cached_mode ? mix(prepared.identity(device) ^ (static_cast<std::uint64_t>(path) + 1))
+                  : 0;
   const auto engine_key = [&](std::uint64_t shape) {
     return mix(identity ^ mix(shape));
   };
@@ -147,20 +137,11 @@ LaunchResult ExecutionEngine::launch(const Kernel& kernel, const DeviceSpec& dev
     }
   } else {
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t key = blocks[i].shape_key;
+      const std::uint64_t key = shape_keys[i];
       if (preseeded.count(key) != 0 || shape_executor.count(key) != 0) {
         continue;
       }
-      std::optional<BlockCost> hit;
-      if (plain_cache != nullptr) {
-        const auto it = plain_cache->find(key);
-        if (it != plain_cache->end()) {
-          hit = it->second;
-        }
-      } else {
-        hit = cost_cache_.find(engine_key(key));
-      }
-      if (hit.has_value()) {
+      if (const std::optional<BlockCost> hit = cost_cache_.find(engine_key(key))) {
         preseeded.emplace(key, *hit);
       } else {
         shape_executor.emplace(key, i);
@@ -168,6 +149,27 @@ LaunchResult ExecutionEngine::launch(const Kernel& kernel, const DeviceSpec& dev
         execute.push_back(i);
       }
     }
+  }
+
+  // --- bind (host thread): only a launch that executes a block pays for ---
+  // the decoded program, device memory, and argument vectors. On the
+  // predecoded paths (fast and vector) every block reuses one program from
+  // the process-wide cache.
+  std::shared_ptr<const DecodedProgram> decoded;
+  std::vector<BlockArgs> args;
+  if (!execute.empty()) {
+    if (path == InterpPath::kFast || path == InterpPath::kVector) {
+      static obs::Counter c_decode_misses("engine.decode_misses");
+      bool hit = true;
+      decoded = shared_decoded_cache().get(prepared, device, &hit);
+      if (!hit) {
+        c_decode_misses.add();
+        obs::instant(obs::sim_time(), obs::Layer::kEngine, "engine.decode_miss");
+      }
+    }
+    args = bind(execute, gmem);
+    util::ensure(args.size() == execute.size(),
+                 "launch: the binder must return one argument vector per executed block");
   }
 
   // --- execute (worker pool): blocks are independent, results land in ----
@@ -190,7 +192,7 @@ LaunchResult ExecutionEngine::launch(const Kernel& kernel, const DeviceSpec& dev
     run_options.max_cycles = options.max_block_cycles;
     run_options.interp = path;
     run_options.decoded = decoded.get();
-    executed[slot] = run_block(kernel, device, gmem, blocks[i].args, run_options);
+    executed[slot] = run_block(kernel, device, gmem, args[slot], run_options);
   });
 
   if (options_.check_write_overlap) {
@@ -216,7 +218,7 @@ LaunchResult ExecutionEngine::launch(const Kernel& kernel, const DeviceSpec& dev
     } else {
       // Reused shape: cost from a pre-launch cache hit or from this
       // launch's executor (always at a lower grid index).
-      const std::uint64_t key = blocks[i].shape_key;
+      const std::uint64_t key = shape_keys[i];
       const auto pre = preseeded.find(key);
       const BlockCost& cost =
           pre != preseeded.end() ? pre->second : costs[shape_executor.at(key)];
@@ -228,16 +230,9 @@ LaunchResult ExecutionEngine::launch(const Kernel& kernel, const DeviceSpec& dev
   }
 
   // --- commit fresh costs (host thread, grid order) ----------------------
-  for (const std::size_t i : execute) {
-    if (!cached_mode) {
-      break;
-    }
-    const std::uint64_t key = blocks[i].shape_key;
-    const BlockCost& cost = costs[i];
-    if (plain_cache != nullptr) {
-      plain_cache->emplace(key, cost);
-    } else {
-      cost_cache_.insert(engine_key(key), cost);
+  if (cached_mode) {
+    for (const std::size_t i : execute) {
+      cost_cache_.insert(engine_key(shape_keys[i]), costs[i]);
     }
   }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "wsim/simt/device.hpp"
@@ -26,37 +25,34 @@ struct TransferSpec {
 ///
 /// kFull executes every block functionally (results in GlobalMemory are
 /// valid for all blocks). kCachedByShape executes one representative block
-/// per distinct `shape_key` and reuses its measured cost for the others —
-/// valid because kernel control flow (and therefore timing) depends only
-/// on the scalar arguments that define the shape, not on sequence content.
-/// Use it for large timing sweeps; only representative blocks' outputs are
+/// per distinct `shape_key` whose cost the executing ExecutionEngine has
+/// not memoized yet, and reuses the measured cost for the others — valid
+/// because kernel control flow (and therefore timing) depends only on the
+/// scalar arguments that define the shape, not on sequence content. The
+/// engine's cost cache persists across launches (keyed by kernel, device,
+/// interpreter and shape), so a warm launch executes no block at all. Use
+/// it for large timing sweeps; only representative blocks' outputs are
 /// written.
 enum class ExecMode { kFull, kCachedByShape };
 
-/// One block of a launch: its scalar arguments (filling s0, s1, ... in
-/// KernelBuilder::param() order) and a shape key for timing deduplication.
+/// Scalar arguments of one block, filling s0, s1, ... in
+/// KernelBuilder::param() order.
+using BlockArgs = std::vector<std::uint64_t>;
+
+/// One block of a launch: its scalar arguments and a shape key for timing
+/// deduplication. The runners do not build these: they hand the engine
+/// shape keys and a binder (ExecutionEngine::launch), so blocks that never
+/// execute get no arguments.
 struct BlockLaunch {
-  std::vector<std::uint64_t> args;
+  BlockArgs args;
   std::uint64_t shape_key = 0;
 };
-
-/// Reusable block-cost memoization across launches of the same kernel on
-/// the same device (e.g. the Fig. 10 batch-size sweep relaunches identical
-/// task shapes many times).
-using BlockCostCache = std::unordered_map<std::uint64_t, BlockCost>;
 
 struct LaunchOptions {
   ExecMode mode = ExecMode::kFull;
   TransferSpec transfer;
-  /// Optional external cache for kCachedByShape; when null a per-launch
-  /// cache is used. Must only be shared between launches of the same
-  /// kernel on the same device.
-  BlockCostCache* cost_cache = nullptr;
-  /// kCachedByShape only: memoize block costs in the executing engine's
-  /// persistent sharded cache instead of `cost_cache`. The engine keys
-  /// entries by kernel identity and device as well as shape, so one cache
-  /// safely serves every kernel/device pair across launches. Mutually
-  /// exclusive with `cost_cache`.
+  /// Ignored: kCachedByShape always memoizes block costs in the executing
+  /// engine's cache. Kept so existing callers still compile.
   bool use_engine_cache = false;
   /// CUDA-streams-style pipelining: the h2d copy overlaps kernel
   /// execution (the d2h copy still drains after the kernel, as a real
@@ -117,8 +113,9 @@ struct LaunchResult {
 ///
 /// Thin wrapper over the process-wide ExecutionEngine (see
 /// simt/engine.hpp): blocks execute on its worker pool, bit-identical to
-/// sequential execution. Construct a dedicated ExecutionEngine to control
-/// the thread count per call site.
+/// sequential execution, and kCachedByShape memoizes into its cost cache
+/// for the rest of the process. Construct a dedicated ExecutionEngine to
+/// control the thread count or scope the cost cache per call site.
 LaunchResult launch(const Kernel& kernel, const DeviceSpec& device, GlobalMemory& gmem,
                     std::span<const BlockLaunch> blocks, const LaunchOptions& options = {});
 

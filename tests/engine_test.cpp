@@ -177,11 +177,14 @@ TEST(ExecutionEngine, PhRunnerDeterministicAcrossThreadCounts) {
     expect_identical(base.run.launch, result.run.launch);
     EXPECT_EQ(result.log10, base.log10);  // bit-identical likelihoods
 
+    // Cold cached runs on both sides: cost caches persist per engine, so
+    // the sequential reference gets a fresh engine every round.
     wsim::kernels::PhRunOptions cached;
     cached.mode = ExecMode::kCachedByShape;
     cached.engine = &engine;
+    ExecutionEngine cold_sequential(EngineOptions{.threads = 1});
     wsim::kernels::PhRunOptions cached_seq = cached;
-    cached_seq.engine = &sequential;
+    cached_seq.engine = &cold_sequential;
     expect_identical(runner.run_batch(kDev, batch, cached_seq).run.launch,
                      runner.run_batch(kDev, batch, cached).run.launch);
   }
@@ -246,7 +249,6 @@ TEST(ExecutionEngine, EngineCacheKeysByKernelAndShape) {
 
   LaunchOptions opt;
   opt.mode = ExecMode::kCachedByShape;
-  opt.use_engine_cache = true;
 
   GlobalMemory gmem;
   const auto blocks = make_blocks(gmem, 4, 30);  // shape keys {30, 31, 32}
@@ -266,27 +268,12 @@ TEST(ExecutionEngine, EngineCacheKeysByKernelAndShape) {
   const wsim::kernels::SwRunner runner(wsim::kernels::CommMode::kShuffle);
   wsim::kernels::SwRunOptions sw_opt;
   sw_opt.mode = ExecMode::kCachedByShape;
-  sw_opt.use_engine_cache = true;
   sw_opt.engine = &engine;
   runner.run_batch(kDev, batch, sw_opt);
   EXPECT_GT(engine.cost_cache_size(), after_writer);
 
   engine.clear_cost_cache();
   EXPECT_EQ(engine.cost_cache_size(), 0U);
-}
-
-TEST(ExecutionEngine, EngineCacheAndExternalCacheAreMutuallyExclusive) {
-  ExecutionEngine engine(EngineOptions{.threads = 1});
-  const Kernel kernel = make_writer_kernel();
-  GlobalMemory gmem;
-  const auto blocks = make_blocks(gmem, 2, 10);
-  wsim::simt::BlockCostCache cache;
-  LaunchOptions opt;
-  opt.mode = ExecMode::kCachedByShape;
-  opt.cost_cache = &cache;
-  opt.use_engine_cache = true;
-  EXPECT_THROW(engine.launch(kernel, kDev, gmem, blocks, opt),
-               wsim::util::CheckError);
 }
 
 TEST(ExecutionEngine, SharedEngineIsASingleton) {
@@ -306,7 +293,6 @@ TEST(ExecutionEngine, SharedEngineCacheIsReusedAcrossRunnerInstances) {
                                    {random_dna(rng, 59), random_dna(rng, 71)}};
   wsim::kernels::SwRunOptions opt;
   opt.mode = ExecMode::kCachedByShape;
-  opt.use_engine_cache = true;
   opt.engine = nullptr;  // explicit: fall back to shared_engine()
 
   auto& shared = wsim::simt::shared_engine();

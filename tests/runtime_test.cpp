@@ -5,15 +5,17 @@
 
 #include "wsim/simt/builder.hpp"
 #include "wsim/simt/device.hpp"
+#include "wsim/simt/engine.hpp"
 #include "wsim/simt/runtime.hpp"
 #include "wsim/util/check.hpp"
 
 namespace {
 
-using wsim::simt::BlockCostCache;
 using wsim::simt::BlockLaunch;
 using wsim::simt::DeviceSpec;
+using wsim::simt::EngineOptions;
 using wsim::simt::ExecMode;
+using wsim::simt::ExecutionEngine;
 using wsim::simt::GlobalMemory;
 using wsim::simt::imm_i64;
 using wsim::simt::Kernel;
@@ -106,17 +108,18 @@ TEST(Runtime, ExternalCachePersistsAcrossLaunches) {
   const Kernel kernel = make_writer_kernel();
   GlobalMemory gmem;
   const auto blocks = make_blocks(gmem, 4, 50);
-  BlockCostCache cache;
+  // A dedicated engine scopes the cost cache to this test.
+  ExecutionEngine engine(EngineOptions{.threads = 1});
   LaunchOptions opt;
   opt.mode = ExecMode::kCachedByShape;
-  opt.cost_cache = &cache;
-  wsim::simt::launch(kernel, kDev, gmem, blocks, opt);
-  EXPECT_EQ(cache.size(), 1U);
-  const auto cached_cost = cache.begin()->second;
-  // Relaunch: cache hit, same timing.
-  const LaunchResult again = wsim::simt::launch(kernel, kDev, gmem, blocks, opt);
-  EXPECT_EQ(cache.size(), 1U);
-  EXPECT_EQ(cache.begin()->second.latency_cycles, cached_cost.latency_cycles);
+  const LaunchResult first = engine.launch(kernel, kDev, gmem, blocks, opt);
+  EXPECT_EQ(engine.cost_cache_size(), 1U);
+  EXPECT_EQ(first.blocks_executed, 1U);
+  // Relaunch: cache hit, nothing executes, same timing.
+  const LaunchResult again = engine.launch(kernel, kDev, gmem, blocks, opt);
+  EXPECT_EQ(engine.cost_cache_size(), 1U);
+  EXPECT_EQ(again.blocks_executed, 0U);
+  EXPECT_EQ(again.timing.cycles, first.timing.cycles);
   EXPECT_GT(again.timing.cycles, 0);
 }
 

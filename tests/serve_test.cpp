@@ -883,7 +883,6 @@ TEST(ServeStats, TimingOnlyServiceSharesTheProcessWideCostCache) {
   const wsim::kernels::SwRunner runner(executor.sw_design(0));
   wsim::kernels::SwRunOptions opt;
   opt.mode = wsim::simt::ExecMode::kCachedByShape;
-  opt.use_engine_cache = true;
   const auto warm = runner.run_batch(executor.device(0), sw_tasks, opt);
   EXPECT_EQ(shared.cost_cache_size(), after_service);
   EXPECT_EQ(warm.run.launch.blocks_executed, 0U);

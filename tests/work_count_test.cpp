@@ -1,0 +1,197 @@
+// Work counts of warm timing-only launches. The paper's cost model
+// (Eqs. 1-4: a block's cost is instruction count x latency, fixed by the
+// task shape) lets the engine memoize one cost per shape, so once a batch
+// has run, repeating it has nothing left to compute: the warm batch must
+// hash no kernel, allocate no device memory and look up no decoded
+// program, and must still report exactly the cold batch's timing. Host
+// time is too noisy to gate here; these counts are exact.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <sstream>
+#include <string>
+
+#include "wsim/fleet/fleet.hpp"
+#include "wsim/kernels/ph_kernels.hpp"
+#include "wsim/kernels/sw_kernels.hpp"
+#include "wsim/kernels/wavefront_kernels.hpp"
+#include "wsim/obs/metrics.hpp"
+#include "wsim/obs/obs.hpp"
+#include "wsim/simt/device.hpp"
+#include "wsim/simt/engine.hpp"
+#include "wsim/util/rng.hpp"
+
+namespace {
+
+using wsim::simt::EngineOptions;
+using wsim::simt::ExecMode;
+using wsim::simt::ExecutionEngine;
+using wsim::simt::LaunchResult;
+
+const wsim::simt::DeviceSpec kDev = wsim::simt::make_k1200();
+
+struct WorkCounts {
+  std::uint64_t kernel_hashes = 0;
+  std::uint64_t arena_bytes = 0;
+  std::uint64_t decode_lookups = 0;
+};
+
+std::uint64_t counter(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\": ";
+  const std::size_t at = json.find(key);
+  return at == std::string::npos ? 0 : std::stoull(json.substr(at + key.size()));
+}
+
+/// The work `body` does, from the obs counters at kMetrics.
+template <typename Body>
+WorkCounts count_work(Body&& body) {
+  wsim::obs::set_level(wsim::obs::Level::kMetrics);
+  wsim::obs::reset_metrics();
+  body();
+  std::ostringstream os;
+  wsim::obs::write_metrics_json(os);
+  wsim::obs::set_level(wsim::obs::Level::kOff);
+  const std::string json = os.str();
+  return {counter(json, "simt.kernel_hashes"), counter(json, "kernels.arena_bytes"),
+          counter(json, "simt.decode_cache.hits") +
+              counter(json, "simt.decode_cache.misses")};
+}
+
+/// Runs a timing-only batch cold, then again warm: the cold pass does the
+/// work (so the counters are known to see it), the warm pass none, and
+/// both report the same timing.
+template <typename Run>
+void expect_warm_batch_does_no_work(Run&& run) {
+  LaunchResult cold;
+  LaunchResult warm;
+  const WorkCounts cold_work = count_work([&] { cold = run(); });
+  EXPECT_GT(cold.blocks_executed, 0U);
+  EXPECT_GT(cold_work.arena_bytes, 0U);
+  EXPECT_GT(cold_work.decode_lookups, 0U);
+  EXPECT_EQ(cold_work.kernel_hashes, 0U);  // hashed when the runner was built
+
+  const WorkCounts warm_work = count_work([&] { warm = run(); });
+  EXPECT_EQ(warm_work.kernel_hashes, 0U);
+  EXPECT_EQ(warm_work.arena_bytes, 0U);
+  EXPECT_EQ(warm_work.decode_lookups, 0U);
+  EXPECT_EQ(warm.blocks_executed, 0U);
+  EXPECT_EQ(warm.kernel_seconds, cold.kernel_seconds);
+  EXPECT_EQ(warm.instructions, cold.instructions);
+  EXPECT_EQ(warm.smem_transactions, cold.smem_transactions);
+}
+
+std::string random_dna(wsim::util::Rng& rng, std::size_t len) {
+  std::string s(len, 'A');
+  for (char& c : s) {
+    c = "ACGT"[rng.uniform_int(0, 3)];
+  }
+  return s;
+}
+
+wsim::workload::SwBatch sw_batch(std::uint64_t seed, std::size_t m, std::size_t n) {
+  wsim::util::Rng rng(seed);
+  wsim::workload::SwBatch batch;
+  for (std::size_t t = 0; t < 4; ++t) {
+    batch.push_back({random_dna(rng, m + 24 * (t % 2)), random_dna(rng, n + 8 * t)});
+  }
+  return batch;
+}
+
+/// Reads spanning three of the four PairHMM length variants.
+wsim::workload::PhBatch ph_batch(std::uint64_t seed) {
+  wsim::util::Rng rng(seed);
+  wsim::workload::PhBatch batch;
+  for (const std::size_t read_len : {24, 40, 48, 100, 24}) {
+    wsim::align::PairHmmTask task;
+    task.read = random_dna(rng, read_len);
+    task.hap = random_dna(rng, 90);
+    task.base_quals.assign(read_len, 30);
+    task.ins_quals.assign(read_len, 45);
+    task.del_quals.assign(read_len, 45);
+    batch.push_back(std::move(task));
+  }
+  return batch;
+}
+
+TEST(WorkCount, RunnersHashTheirKernelsOnceWhenBuilt) {
+  EXPECT_EQ(count_work([] { wsim::kernels::SwRunner(wsim::kernels::CommMode::kShuffle); })
+                .kernel_hashes,
+            1U);
+  EXPECT_EQ(
+      count_work([] { wsim::kernels::PhRunner(wsim::kernels::PhDesign::kShuffle); })
+          .kernel_hashes,
+      static_cast<std::uint64_t>(wsim::kernels::kPhVariants));
+  EXPECT_EQ(count_work([] {
+              wsim::kernels::WavefrontSwRunner(wsim::kernels::WfVariant::kShuffle);
+            }).kernel_hashes,
+            1U);
+}
+
+TEST(WorkCount, WarmSwBatchDoesNoWork) {
+  const wsim::kernels::SwRunner runner(wsim::kernels::CommMode::kShuffle);
+  ExecutionEngine engine(EngineOptions{.threads = 2});
+  const auto batch = sw_batch(1, 40, 64);
+  wsim::kernels::SwRunOptions opt;
+  opt.mode = ExecMode::kCachedByShape;
+  opt.engine = &engine;
+  expect_warm_batch_does_no_work(
+      [&] { return runner.run_batch(kDev, batch, opt).run.launch; });
+}
+
+TEST(WorkCount, WarmPhBatchOverSeveralVariantsDoesNoWork) {
+  const wsim::kernels::PhRunner runner(wsim::kernels::PhDesign::kShuffle);
+  ExecutionEngine engine(EngineOptions{.threads = 2});
+  const auto batch = ph_batch(2);
+  wsim::kernels::PhRunOptions opt;
+  opt.mode = ExecMode::kCachedByShape;
+  opt.engine = &engine;
+  expect_warm_batch_does_no_work(
+      [&] { return runner.run_batch(kDev, batch, opt).run.launch; });
+}
+
+TEST(WorkCount, WarmWavefrontBatchDoesNoWork) {
+  const wsim::kernels::WavefrontSwRunner runner(wsim::kernels::WfVariant::kShuffle);
+  ExecutionEngine engine(EngineOptions{.threads = 2});
+  const auto batch = sw_batch(3, 300, 200);
+  wsim::kernels::WfRunOptions opt;
+  opt.mode = ExecMode::kCachedByShape;
+  opt.engine = &engine;
+  std::size_t launches = 0;
+  expect_warm_batch_does_no_work([&] {
+    auto result = runner.run_batch(kDev, batch, opt);
+    launches = result.launches;
+    return result.run.launch;
+  });
+  EXPECT_GT(launches, 1U);  // one launch per wave
+}
+
+TEST(WorkCount, WarmFleetBatchesDoNoWork) {
+  ExecutionEngine engine(EngineOptions{.threads = 2});
+  wsim::fleet::FleetConfig config;
+  wsim::fleet::WorkerConfig worker;
+  worker.device = kDev;
+  config.workers.push_back(worker);
+  config.engine = &engine;
+  wsim::fleet::FleetExecutor executor(config);
+  wsim::fleet::ExecOptions timing_only;
+  timing_only.collect_outputs = false;
+
+  double now = 0.0;
+  const auto short_reads = sw_batch(4, 40, 64);
+  expect_warm_batch_does_no_work([&] {
+    return executor.execute_sw(short_reads, now += 1.0, timing_only).result.run.launch;
+  });
+  // Long reads on the default (kAuto) policy take the wavefront path.
+  const auto long_reads = sw_batch(5, 1000, 1000);
+  expect_warm_batch_does_no_work([&] {
+    return executor.execute_sw(long_reads, now += 1.0, timing_only).result.run.launch;
+  });
+  EXPECT_EQ(executor.stats().devices.at(0).intra_batches, 2U);  // cold + warm
+  const auto ph = ph_batch(6);
+  expect_warm_batch_does_no_work([&] {
+    return executor.execute_ph(ph, now += 1.0, timing_only).result.run.launch;
+  });
+}
+
+}  // namespace

@@ -319,7 +319,6 @@ int cmd_sweep(const Args& args) {
     for (const auto& batch : sw_batches) {
       wsim::kernels::SwRunOptions opt;
       opt.mode = wsim::simt::ExecMode::kCachedByShape;
-      opt.use_engine_cache = true;
       opt.engine = &engine;
       total += runner.run_batch(dev, batch, opt).run.gcups_total();
     }
@@ -332,7 +331,6 @@ int cmd_sweep(const Args& args) {
     for (const auto& batch : ph_batches) {
       wsim::kernels::PhRunOptions opt;
       opt.mode = wsim::simt::ExecMode::kCachedByShape;
-      opt.use_engine_cache = true;
       opt.engine = &engine;
       total += runner.run_batch(dev, batch, opt).run.gcups_total();
     }
@@ -444,7 +442,6 @@ int cmd_sw_run(const Args& args) {
       opt.collect_outputs = true;
     } else {
       opt.mode = wsim::simt::ExecMode::kCachedByShape;
-      opt.use_engine_cache = true;
     }
     auto result = runner.run_batch(dev, batch, opt);
     run = std::move(result.run);
@@ -460,7 +457,6 @@ int cmd_sw_run(const Args& args) {
       opt.collect_outputs = true;
     } else {
       opt.mode = wsim::simt::ExecMode::kCachedByShape;
-      opt.use_engine_cache = true;
     }
     auto result = runner.run_batch(dev, batch, opt);
     run = std::move(result.run);
