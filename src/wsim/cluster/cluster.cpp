@@ -68,13 +68,10 @@ ClusterReport run_cluster(const workload::Dataset& dataset,
 
   // Eq. 7/8 capacity of one scale-unit device on the dominant kernel
   // (PairHMM carries ~98% of HaplotypeCaller's cells) converts queue
-  // depth into backlog seconds and sizes join steps.
-  const fleet::VariantChoice choice = fleet::pick_variants(config.worker.device);
+  // depth into backlog seconds and sizes join steps. Every member runs
+  // config.worker, so member 0's PairHMM design is the scale unit's.
   const double device_gcups =
-      config.worker.ph_design.has_value()
-          ? fleet::predicted_ph_gcups(config.worker.device,
-                                      *config.worker.ph_design)
-          : choice.ph_gcups;
+      fleet::predicted_ph_gcups(config.worker.device, fleet.ph_design(0));
   Autoscaler autoscaler(config.autoscaler, device_gcups);
 
   ClusterReport report;

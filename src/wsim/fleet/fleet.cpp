@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -110,10 +111,8 @@ FleetExecutor::FleetExecutor(FleetConfig config)
   }
 }
 
-DeviceId FleetExecutor::add_worker(const WorkerConfig& wc, SimTime now,
-                                   SimTime active_at) {
-  util::require(wc.max_pending_batches >= 1,
-                "FleetExecutor: max_pending_batches must be >= 1");
+std::shared_ptr<const FleetExecutor::WorkerModel> FleetExecutor::derive_model(
+    const WorkerConfig& wc) {
   const VariantChoice choice = pick_variants(wc.device);
   const kernels::CommMode sw = wc.sw_design.value_or(choice.sw_design);
   const kernels::PhDesign ph = wc.ph_design.value_or(choice.ph_design);
@@ -138,18 +137,30 @@ DeviceId FleetExecutor::add_worker(const WorkerConfig& wc, SimTime now,
     intra.wf_occupancy = simt::compute_occupancy(wc.device, wf_kernel);
     intra.wf_threads_per_block = wf_kernel.threads_per_block;
   }
+  return std::make_shared<const WorkerModel>(WorkerModel{
+      sw, ph, wf, predicted_sw_gcups(wc.device, sw), predicted_ph_gcups(wc.device, ph),
+      predicted_wf_gcups(wc.device, wf), intra, kernels::SwRunner(sw),
+      kernels::PhRunner(ph), kernels::WavefrontSwRunner(wf)});
+}
+
+DeviceId FleetExecutor::add_worker(const WorkerConfig& wc, SimTime now,
+                                   SimTime active_at) {
+  util::require(wc.max_pending_batches >= 1,
+                "FleetExecutor: max_pending_batches must be >= 1");
+  std::shared_ptr<const WorkerModel> model;
+  for (const DeviceWorker& w : workers_) {
+    if (w.cfg.device == wc.device && w.cfg.sw_design == wc.sw_design &&
+        w.cfg.ph_design == wc.ph_design && w.cfg.wf_variant == wc.wf_variant) {
+      model = w.model;
+      break;
+    }
+  }
+  if (model == nullptr) {
+    model = derive_model(wc);
+  }
   const DeviceId id = static_cast<DeviceId>(workers_.size());
   DeviceWorker worker{wc,
-                      sw,
-                      ph,
-                      wf,
-                      predicted_sw_gcups(wc.device, sw),
-                      predicted_ph_gcups(wc.device, ph),
-                      predicted_wf_gcups(wc.device, wf),
-                      intra,
-                      kernels::SwRunner(sw),
-                      kernels::PhRunner(ph),
-                      kernels::WavefrontSwRunner(wf),
+                      model,
                       now,
                       active_at,
                       /*draining=*/false,
@@ -164,9 +175,9 @@ DeviceId FleetExecutor::add_worker(const WorkerConfig& wc, SimTime now,
                       {},
                       0};
   worker.stats.name = wc.device.name;
-  worker.stats.sw_design = sw;
-  worker.stats.ph_design = ph;
-  worker.stats.wf_variant = wf;
+  worker.stats.sw_design = model->sw_design;
+  worker.stats.ph_design = model->ph_design;
+  worker.stats.wf_variant = model->wf_variant;
   worker.stats.id = id;
   worker.stats.joined_at = now;
   // The model-believed timeline starts where the oracle one does: at the
@@ -249,17 +260,17 @@ const simt::DeviceSpec& FleetExecutor::device(std::size_t index) const {
 
 kernels::CommMode FleetExecutor::sw_design(std::size_t index) const {
   util::require(index < workers_.size(), "FleetExecutor: device index out of range");
-  return workers_[index].sw_design;
+  return workers_[index].model->sw_design;
 }
 
 kernels::PhDesign FleetExecutor::ph_design(std::size_t index) const {
   util::require(index < workers_.size(), "FleetExecutor: device index out of range");
-  return workers_[index].ph_design;
+  return workers_[index].model->ph_design;
 }
 
 kernels::WfVariant FleetExecutor::wf_variant(std::size_t index) const {
   util::require(index < workers_.size(), "FleetExecutor: device index out of range");
-  return workers_[index].wf_variant;
+  return workers_[index].model->wf_variant;
 }
 
 SimTime FleetExecutor::all_free_at() const noexcept {
@@ -357,15 +368,15 @@ bool FleetExecutor::routes_intra(const DeviceWorker& w,
     const int dev = static_cast<int>(w.stats.id);
     const double inter =
         calibrator_.factor(dev, KernelClass::kSwInter) *
-        predicted_inter_batch_seconds(w.cfg.device, w.intra, shape.mean_m,
+        predicted_inter_batch_seconds(w.cfg.device, w.model->intra, shape.mean_m,
                                       shape.mean_n, shape.tasks);
     const double intra =
         calibrator_.factor(dev, KernelClass::kSwIntra) *
-        predicted_intra_batch_seconds(w.cfg.device, w.intra, shape.mean_m,
+        predicted_intra_batch_seconds(w.cfg.device, w.model->intra, shape.mean_m,
                                       shape.mean_n, shape.tasks);
     return intra < inter;
   }
-  return pick_parallelism(w.cfg.device, w.intra, shape.mean_m, shape.mean_n,
+  return pick_parallelism(w.cfg.device, w.model->intra, shape.mean_m, shape.mean_n,
                           shape.tasks) == ParallelMode::kIntraTask;
 }
 
@@ -382,14 +393,14 @@ double FleetExecutor::predicted_seconds_for(const DeviceWorker& w,
                                             const BatchShape& shape) const {
   switch (cls) {
     case KernelClass::kSwInter:
-      return predicted_batch_seconds(w.cfg.device, w.sw_gcups, shape.cells);
+      return predicted_batch_seconds(w.cfg.device, w.model->sw_gcups, shape.cells);
     case KernelClass::kSwIntra:
-      return predicted_intra_batch_seconds(w.cfg.device, w.intra, shape.mean_m,
+      return predicted_intra_batch_seconds(w.cfg.device, w.model->intra, shape.mean_m,
                                            shape.mean_n, shape.tasks);
     case KernelClass::kPairHmm:
-      return predicted_batch_seconds(w.cfg.device, w.ph_gcups, shape.cells);
+      return predicted_batch_seconds(w.cfg.device, w.model->ph_gcups, shape.cells);
   }
-  return predicted_batch_seconds(w.cfg.device, w.sw_gcups, shape.cells);
+  return predicted_batch_seconds(w.cfg.device, w.model->sw_gcups, shape.cells);
 }
 
 void FleetExecutor::handle_drift(
@@ -529,7 +540,7 @@ std::size_t FleetExecutor::place(const BatchShape& shape, SimTime t,
       double best_finish = std::numeric_limits<double>::infinity();
       for (const std::size_t i : eligible) {
         const DeviceWorker& w = workers_[i];
-        const double gcups = shape.is_sw ? w.sw_gcups : w.ph_gcups;
+        const double gcups = shape.is_sw ? w.model->sw_gcups : w.model->ph_gcups;
         const double finish =
             std::max(t, w.free_at) +
             predicted_batch_seconds(w.cfg.device, gcups, shape.cells);
@@ -605,7 +616,7 @@ double FleetExecutor::run_on(DeviceWorker& worker,
   };
   if constexpr (Kind::kIsSw) {
     if (routes_intra(worker, shape)) {
-      kernels::WfSwBatchResult wf = worker.wf_runner.run_batch(
+      kernels::WfSwBatchResult wf = worker.model->wf_runner.run_batch(
           worker.cfg.device, batch, with_options(kernels::WfRunOptions{}));
       result.run = std::move(wf.run);
       result.outputs = std::move(wf.outputs);
@@ -784,7 +795,7 @@ template <typename Kind, typename RunOnce>
 typename Kind::Execution FleetExecutor::guarded_execute(
     const typename Kind::Batch& batch, SimTime now, RunOnce&& run_once) {
   using Exec = typename Kind::Execution;
-  const align::SwParams& params = workers_.front().sw_runner.params();
+  const align::SwParams& params = workers_.front().model->sw_runner.params();
   const auto flips_of = [](const Exec& e) { return e.result.run.launch.sdc_flips; };
 
   Exec first = run_once(now, /*force=*/-1, /*excluded=*/-1);
@@ -933,7 +944,7 @@ typename Kind::Execution FleetExecutor::execute(const typename Kind::Batch& batc
     // dispatch; the values from the CPU reference (bit-identical for SW,
     // accurate though not bit-identical for PairHMM).
     out = run_once(now, -1, -1, /*collect=*/false);
-    Kind::cpu_substitute(batch, out.result, workers_.front().sw_runner.params());
+    Kind::cpu_substitute(batch, out.result, workers_.front().model->sw_runner.params());
     out.exec.cpu_fallback = true;
     ++guard_stats_.cpu_fallbacks;
     obs::instant(out.exec.completion_time, obs::Layer::kGuard,

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -274,7 +275,7 @@ struct SwKind {
   static BatchShape shape(const Batch& batch);
   template <typename Worker>
   static const kernels::SwRunner& runner(const Worker& worker) {
-    return worker.sw_runner;
+    return worker.model->sw_runner;
   }
   static std::optional<std::string> validate(const Batch& batch, const Result& result,
                                              const align::SwParams& params) {
@@ -312,7 +313,7 @@ struct PhKind {
   }
   template <typename Worker>
   static const kernels::PhRunner& runner(const Worker& worker) {
-    return worker.ph_runner;
+    return worker.model->ph_runner;
   }
   static std::optional<std::string> validate(const Batch& batch, const Result& result,
                                              const align::SwParams& /*params*/) {
@@ -425,11 +426,11 @@ class FleetExecutor {
   double calibrated_capacity_scale(SimTime now) const;
 
  private:
-  /// One registry entry: a simulated device plus its timeline, health,
-  /// lifecycle flags, and lifetime counters. Never erased — `retired`
-  /// freezes it in place so ids stay dense and stable.
-  struct DeviceWorker {
-    WorkerConfig cfg;
+  /// Everything a worker derives from its device and pinned designs.
+  /// Deriving one builds 21 kernels and hashes 6, so it is done once per
+  /// distinct configuration and shared, immutable, by every worker with
+  /// that configuration (runners are const once built).
+  struct WorkerModel {
     kernels::CommMode sw_design;
     kernels::PhDesign ph_design;
     kernels::WfVariant wf_variant;
@@ -442,6 +443,16 @@ class FleetExecutor {
     kernels::SwRunner sw_runner;
     kernels::PhRunner ph_runner;
     kernels::WavefrontSwRunner wf_runner;
+  };
+
+  static std::shared_ptr<const WorkerModel> derive_model(const WorkerConfig& wc);
+
+  /// One registry entry: a simulated device plus its timeline, health,
+  /// lifecycle flags, and lifetime counters. Never erased — `retired`
+  /// freezes it in place so ids stay dense and stable.
+  struct DeviceWorker {
+    WorkerConfig cfg;
+    std::shared_ptr<const WorkerModel> model;
     SimTime joined_at = 0.0;
     SimTime active_at = 0.0;  ///< warmup end; placeable from here
     bool draining = false;

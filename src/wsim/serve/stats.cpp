@@ -18,9 +18,11 @@ LatencySummary summarize_latency(std::vector<double> seconds) {
   summary.count = base.count;
   summary.mean = base.mean;
   summary.max = base.max;
-  summary.p50 = util::percentile(seconds, 50.0);
-  summary.p95 = util::percentile(seconds, 95.0);
-  summary.p99 = util::percentile(seconds, 99.0);
+  // Sorted once, after summarize, so the mean keeps its summation order.
+  std::sort(seconds.begin(), seconds.end());
+  summary.p50 = util::sorted_percentile(seconds, 50.0);
+  summary.p95 = util::sorted_percentile(seconds, 95.0);
+  summary.p99 = util::sorted_percentile(seconds, 99.0);
   return summary;
 }
 

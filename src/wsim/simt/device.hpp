@@ -44,6 +44,8 @@ struct LatencyTable {
   /// (Kepler/Maxwell schedulers dual-issue); dependent instructions still
   /// pay full latency.
   int issues_per_cycle = 2;
+
+  bool operator==(const LatencyTable&) const = default;
 };
 
 /// Static description of a simulated device: resource limits drive the
@@ -82,6 +84,9 @@ struct DeviceSpec {
 
   /// Latency for one shuffle variant; see isa.hpp for variant meaning.
   int shuffle_latency(int variant) const;
+
+  /// Field by field: two equal specs simulate identically.
+  bool operator==(const DeviceSpec&) const = default;
 };
 
 /// Nvidia Tesla K40 (Kepler GK110B) — used for Figure 3's architecture

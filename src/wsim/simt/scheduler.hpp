@@ -34,7 +34,8 @@ struct KernelTiming {
 /// transaction consumes the SM's single warp-wide smem port, so a fully
 /// occupied SM degenerates to the throughput bound. The makespan is the
 /// maximum over SMs of max(latency-schedule finish, throughput
-/// serialization).
+/// serialization). A grid that fits the resident slots costs O(blocks) host
+/// time; only a larger one pays for a heap over the slots.
 KernelTiming schedule_blocks(const DeviceSpec& device, const Occupancy& occupancy,
                              std::span<const BlockCost> blocks);
 

@@ -65,10 +65,14 @@ LinearFit linear_fit(std::span<const double> xs, std::span<const double> ys) {
 }
 
 double percentile(std::span<const double> values, double p) {
-  require(!values.empty(), "percentile: sample must be non-empty");
-  require(p >= 0.0 && p <= 100.0, "percentile: p must be in [0, 100]");
   std::vector<double> sorted(values.begin(), values.end());
   std::sort(sorted.begin(), sorted.end());
+  return sorted_percentile(sorted, p);
+}
+
+double sorted_percentile(std::span<const double> sorted, double p) {
+  require(!sorted.empty(), "percentile: sample must be non-empty");
+  require(p >= 0.0 && p <= 100.0, "percentile: p must be in [0, 100]");
   if (sorted.size() == 1) {
     return sorted.front();
   }

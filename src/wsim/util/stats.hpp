@@ -33,6 +33,10 @@ LinearFit linear_fit(std::span<const double> xs, std::span<const double> ys);
 /// order statistics. Requires a non-empty sample.
 double percentile(std::span<const double> values, double p);
 
+/// percentile() of a sample already sorted ascending, without copying or
+/// sorting it: read several percentiles of one sample through this.
+double sorted_percentile(std::span<const double> sorted, double p);
+
 /// Relative error (estimate - reference) / reference. Requires a non-zero
 /// reference.
 double relative_error(double estimate, double reference);

@@ -172,6 +172,18 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(wsim::util::percentile(values, 50.0), 2.5);
 }
 
+TEST(Stats, SortedPercentileMatchesPercentile) {
+  std::vector<double> values = {0.5, 9.0, 3.25, 3.25, 7.0, 1.0, 4.5};
+  const std::vector<double> unsorted = values;
+  std::sort(values.begin(), values.end());
+  for (const double p : {0.0, 12.5, 50.0, 95.0, 99.0, 100.0}) {
+    EXPECT_EQ(wsim::util::sorted_percentile(values, p),
+              wsim::util::percentile(unsorted, p));
+  }
+  EXPECT_THROW(wsim::util::sorted_percentile({}, 50.0), CheckError);
+  EXPECT_THROW(wsim::util::sorted_percentile(values, 101.0), CheckError);
+}
+
 TEST(Stats, RelativeError) {
   EXPECT_NEAR(wsim::util::relative_error(161.0, 189.0), -0.148, 0.001);
   EXPECT_THROW(wsim::util::relative_error(1.0, 0.0), CheckError);

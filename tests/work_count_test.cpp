@@ -194,4 +194,48 @@ TEST(WorkCount, WarmFleetBatchesDoNoWork) {
   });
 }
 
+TEST(WorkCount, JoinReusesTheWorkerModel) {
+  ExecutionEngine engine(EngineOptions{.threads = 2});
+  wsim::fleet::FleetConfig config;
+  wsim::fleet::WorkerConfig worker;
+  worker.device = kDev;
+  config.workers.push_back(worker);
+  config.engine = &engine;
+  wsim::fleet::FleetExecutor executor(config);
+
+  // An equal configuration shares the registered worker's model: no
+  // kernel is hashed (deriving one hashes SW 1, PairHMM 4, wavefront 1).
+  wsim::fleet::DeviceId joined = 0;
+  EXPECT_EQ(count_work([&] { joined = executor.join(worker, 0.0); }).kernel_hashes, 0U);
+
+  // The joined worker times a batch exactly as the original does.
+  wsim::fleet::ExecOptions timing_only;
+  timing_only.collect_outputs = false;
+  const auto batch = sw_batch(7, 40, 64);
+  const wsim::fleet::SwExecution original = executor.execute_sw(batch, 1.0, timing_only);
+  ASSERT_EQ(original.exec.device_index, 0);
+  executor.retire(0, 2.0);
+  const wsim::fleet::SwExecution shared = executor.execute_sw(batch, 3.0, timing_only);
+  ASSERT_EQ(shared.exec.device_index, static_cast<int>(joined));
+  const LaunchResult& before = original.result.run.launch;
+  const LaunchResult& after = shared.result.run.launch;
+  EXPECT_EQ(after.kernel_seconds, before.kernel_seconds);
+  EXPECT_EQ(after.instructions, before.instructions);
+  EXPECT_EQ(after.smem_transactions, before.smem_transactions);
+
+  // Another device, a pinned design, or one differing latency derives its
+  // own model.
+  wsim::fleet::WorkerConfig titan = worker;
+  titan.device = wsim::simt::make_titan_x();
+  wsim::fleet::WorkerConfig pinned = worker;
+  pinned.sw_design = wsim::kernels::CommMode::kSharedMemory;
+  wsim::fleet::WorkerConfig slower_smem = worker;
+  ++slower_smem.device.lat.smem_load;
+  for (const wsim::fleet::WorkerConfig& other : {titan, pinned, slower_smem}) {
+    EXPECT_EQ(count_work([&] { executor.join(other, 4.0); }).kernel_hashes, 6U);
+  }
+  EXPECT_EQ(executor.sw_design(executor.size() - 2),
+            wsim::kernels::CommMode::kSharedMemory);
+}
+
 }  // namespace
