@@ -31,17 +31,16 @@
 // devices requalify instead of dying in quarantine. Results land in
 // BENCH_calib.json.
 
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "wsim/fleet/fleet.hpp"
 #include "wsim/guard/guard.hpp"
+#include "wsim/obs/json.hpp"
 #include "wsim/util/table.hpp"
 #include "wsim/workload/batching.hpp"
 
@@ -68,14 +67,7 @@ struct CalibPoint {
   std::vector<std::size_t> batches;  ///< per-device dispatch counts
 };
 
-std::string json_number(double value) {
-  if (!std::isfinite(value)) {
-    return "0";
-  }
-  std::ostringstream os;
-  os << value;
-  return os.str();
-}
+using wsim::obs::json_number;
 
 void write_json(const std::string& path, const std::vector<CalibPoint>& points,
                 double recovery, std::size_t false_derates,

@@ -12,16 +12,15 @@
 // shrinks the grid and trace length for CI and still enforces the
 // headline contract.
 
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "wsim/cluster/cluster.hpp"
+#include "wsim/obs/json.hpp"
 #include "wsim/util/table.hpp"
 #include "wsim/workload/trace.hpp"
 
@@ -53,14 +52,7 @@ struct SweepPoint {
   double cost_per_million = 0.0;
 };
 
-std::string json_number(double value) {
-  if (!std::isfinite(value)) {
-    return "0";
-  }
-  std::ostringstream os;
-  os << value;
-  return os.str();
-}
+using wsim::obs::json_number;
 
 void write_json(const std::string& path, const std::vector<SweepPoint>& points) {
   std::ofstream out(path);

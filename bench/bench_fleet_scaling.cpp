@@ -15,17 +15,16 @@
 // written to BENCH_fleet.json in the working directory. `--smoke` shrinks
 // the dataset and fleet list for CI.
 
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "wsim/fleet/fleet.hpp"
+#include "wsim/obs/json.hpp"
 #include "wsim/util/table.hpp"
 #include "wsim/workload/batching.hpp"
 
@@ -55,15 +54,7 @@ struct SweepPoint {
   std::vector<std::pair<std::string, double>> utilization;  ///< name, fraction
 };
 
-std::string json_number(double value) {
-  // JSON has no NaN/Inf; the sweep never produces them, but guard anyway.
-  if (!std::isfinite(value)) {
-    return "0";
-  }
-  std::ostringstream os;
-  os << value;
-  return os.str();
-}
+using wsim::obs::json_number;
 
 void write_json(const std::string& path, const std::vector<SweepPoint>& points) {
   std::ofstream out(path);

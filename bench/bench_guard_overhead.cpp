@@ -16,17 +16,16 @@
 // the dataset for CI.
 
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "wsim/fleet/fleet.hpp"
 #include "wsim/guard/guard.hpp"
+#include "wsim/obs/json.hpp"
 #include "wsim/util/table.hpp"
 #include "wsim/workload/batching.hpp"
 
@@ -48,14 +47,7 @@ struct SweepPoint {
   guard::GuardStats stats;
 };
 
-std::string json_number(double value) {
-  if (!std::isfinite(value)) {
-    return "0";
-  }
-  std::ostringstream os;
-  os << value;
-  return os.str();
-}
+using wsim::obs::json_number;
 
 void write_json(const std::string& path, const std::vector<SweepPoint>& points) {
   std::ofstream out(path);

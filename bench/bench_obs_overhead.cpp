@@ -15,15 +15,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "wsim/fleet/fleet.hpp"
+#include "wsim/obs/json.hpp"
 #include "wsim/obs/metrics.hpp"
 #include "wsim/obs/obs.hpp"
 #include "wsim/util/table.hpp"
@@ -164,14 +163,7 @@ CaseResult run_case(const std::string& name, int trials, int reps, F&& pass) {
   return result;
 }
 
-std::string json_number(double value) {
-  if (!std::isfinite(value)) {
-    return "0";
-  }
-  std::ostringstream os;
-  os << value;
-  return os.str();
-}
+using wsim::obs::json_number;
 
 void write_json(const std::string& path, const std::vector<CaseResult>& results,
                 double disabled_gate_pct, bool smoke) {

@@ -25,7 +25,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,6 +32,7 @@
 #include "wsim/fleet/router.hpp"
 #include "wsim/kernels/sw_kernels.hpp"
 #include "wsim/kernels/wavefront_kernels.hpp"
+#include "wsim/obs/json.hpp"
 #include "wsim/util/table.hpp"
 #include "wsim/workload/batching.hpp"
 
@@ -120,11 +120,7 @@ kernels::WfSwBatchResult run_wf(const wsim::simt::DeviceSpec& device,
   return runner.run_batch(device, batch, opt);
 }
 
-std::string json_number(double value) {
-  std::ostringstream os;
-  os << value;
-  return os.str();
-}
+using wsim::obs::json_number;
 
 /// The scales calibrate_intra_model fitted for one device.
 struct FitRecord {

@@ -1,7 +1,10 @@
 // Host-side performance of the simulation infrastructure itself: the
 // committed interpreter-throughput trajectory of the predecoded engines.
 // Every case runs the SAME work through all three interpreters
-// (InterpPath::kLegacy vs kFast vs kVector) and reports the speedups:
+// (InterpPath::kLegacy vs kFast vs kVector) and reports the speedups.
+// kFast is the scalar predecoded engine — one handler call per decoded
+// instruction — and the reference the vector engine's bounds below are
+// measured against:
 //
 //   * micro — the paper's Listing-1 dependence-chain kernels executed as
 //     single blocks via run_block. Kernels are built once and predecoded
@@ -29,7 +32,6 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,7 @@
 #include "wsim/kernels/ph_kernels.hpp"
 #include "wsim/kernels/sw_kernels.hpp"
 #include "wsim/micro/microbench.hpp"
+#include "wsim/obs/json.hpp"
 #include "wsim/simt/decode.hpp"
 #include "wsim/simt/interpreter.hpp"
 #include "wsim/simt/memory.hpp"
@@ -199,14 +202,7 @@ double geomean(const std::vector<CaseResult>& results, const std::string& sectio
   return n == 0 ? 0.0 : std::exp(log_sum / static_cast<double>(n));
 }
 
-std::string json_number(double value) {
-  if (!std::isfinite(value)) {
-    return "0";
-  }
-  std::ostringstream os;
-  os << value;
-  return os.str();
-}
+using wsim::obs::json_number;
 
 void write_json(const std::string& path, const std::vector<CaseResult>& results,
                 double micro_geomean, double e2e_geomean,

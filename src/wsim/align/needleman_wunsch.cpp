@@ -18,7 +18,9 @@ std::int32_t gap_cost(const SwParams& params, std::size_t length) noexcept {
                            static_cast<std::int32_t>(length - 1) * params.gap_extend;
 }
 
-enum class HFrom : std::uint8_t { kDiag, kVertical, kHorizontal };
+/// Which neighbour H(i, j) came from, stored as a byte per cell like the
+/// gap-extension flags.
+enum HFrom : std::uint8_t { kDiag, kVertical, kHorizontal };
 
 }  // namespace
 
@@ -29,20 +31,20 @@ NwAlignment nw_align(std::string_view query, std::string_view target,
   Matrix<std::int32_t> h(m + 1, n + 1, 0);
   Matrix<std::int32_t> e(m + 1, n + 1, kNegInf);  // horizontal (consumes target)
   Matrix<std::int32_t> f(m + 1, n + 1, kNegInf);  // vertical (consumes query)
-  Matrix<HFrom> h_from(m + 1, n + 1, HFrom::kDiag);
+  Matrix<std::uint8_t> h_from(m + 1, n + 1, kDiag);
   Matrix<std::uint8_t> e_extends(m + 1, n + 1, 0);
   Matrix<std::uint8_t> f_extends(m + 1, n + 1, 0);
 
   for (std::size_t j = 1; j <= n; ++j) {
     h(0, j) = gap_cost(params, j);
     e(0, j) = h(0, j);
-    h_from(0, j) = HFrom::kHorizontal;
+    h_from(0, j) = kHorizontal;
     e_extends(0, j) = j > 1 ? 1 : 0;
   }
   for (std::size_t i = 1; i <= m; ++i) {
     h(i, 0) = gap_cost(params, i);
     f(i, 0) = h(i, 0);
-    h_from(i, 0) = HFrom::kVertical;
+    h_from(i, 0) = kVertical;
     f_extends(i, 0) = i > 1 ? 1 : 0;
   }
 
@@ -68,14 +70,14 @@ NwAlignment nw_align(std::string_view query, std::string_view target,
           h(i - 1, j - 1) + substitution_score(params, query[i - 1], target[j - 1]);
       // Precedence on ties: diagonal > vertical > horizontal.
       h(i, j) = diag;
-      h_from(i, j) = HFrom::kDiag;
+      h_from(i, j) = kDiag;
       if (f(i, j) > h(i, j)) {
         h(i, j) = f(i, j);
-        h_from(i, j) = HFrom::kVertical;
+        h_from(i, j) = kVertical;
       }
       if (e(i, j) > h(i, j)) {
         h(i, j) = e(i, j);
-        h_from(i, j) = HFrom::kHorizontal;
+        h_from(i, j) = kHorizontal;
       }
     }
   }
@@ -106,12 +108,12 @@ NwAlignment nw_align(std::string_view query, std::string_view target,
       continue;
     }
     switch (h_from(i, j)) {
-      case HFrom::kDiag:
+      case kDiag:
         push('M');
         --i;
         --j;
         break;
-      case HFrom::kVertical:
+      case kVertical:
         // Follow the F chain while it extends.
         while (f_extends(i, j) != 0 && i > 1) {
           push('I');
@@ -120,7 +122,7 @@ NwAlignment nw_align(std::string_view query, std::string_view target,
         push('I');
         --i;
         break;
-      case HFrom::kHorizontal:
+      case kHorizontal:
         while (e_extends(i, j) != 0 && j > 1) {
           push('D');
           --j;

@@ -141,75 +141,6 @@ std::int32_t baked_latency(Op op, const LatencyTable& lat) noexcept {
   }
 }
 
-bool unpredicated(const DecodedInstr& d) noexcept { return d.pred < 0; }
-
-/// Marks fused-group leaders. A group is legal only when control flow can
-/// never enter it mid-group (`target` marks loop-entry and loop-exit
-/// resume points) and when executing the constituents through one handler
-/// is provably order-equivalent to executing them back to back:
-///
-///  * kSimplePair / shuffle-led groups take unpredicated per-lane-pure
-///    constituents, so interleaving them lane by lane touches exactly the
-///    same (register, lane) cells in a compatible order — and the shuffle
-///    handler pre-reads its 32 source lanes like the legacy path does.
-///  * kSmemPair runs its two accesses back to back sharing one active
-///    mask, which requires the first access not to write the pair's
-///    predicate register.
-void mark_fusion(DecodedProgram& prog, const std::vector<bool>& target) {
-  auto& code = prog.code;
-  std::size_t i = 0;
-  while (i < code.size()) {
-    DecodedInstr& d = code[i];
-    if (d.cls == ExecClass::kShuffle && unpredicated(d) && i + 1 < code.size() &&
-        !target[i + 1]) {
-      const DecodedInstr& d2 = code[i + 1];
-      if (d2.cls == ExecClass::kSimple && unpredicated(d2) &&
-          fusible_shfl_consumer(d2.lane)) {
-        if (i + 2 < code.size() && !target[i + 2] &&
-            code[i + 2].cls == ExecClass::kSimple && unpredicated(code[i + 2]) &&
-            code[i + 2].lane == LaneOp::kMov) {
-          d.fused = FusedKind::kShflAluMov;
-          d.fuse_len = 3;
-        } else {
-          d.fused = FusedKind::kShflAlu;
-          d.fuse_len = 2;
-        }
-        prog.fused_groups += 1;
-        i += d.fuse_len;
-        continue;
-      }
-    }
-    if (d.cls == ExecClass::kSimple && unpredicated(d) && d.lane != LaneOp::kNop &&
-        i + 1 < code.size() && !target[i + 1]) {
-      const DecodedInstr& d2 = code[i + 1];
-      if (d2.cls == ExecClass::kSimple && unpredicated(d2) &&
-          fusible_simple_pair(d.lane, d2.lane)) {
-        d.fused = FusedKind::kSimplePair;
-        d.fuse_len = 2;
-        prog.fused_groups += 1;
-        i += 2;
-        continue;
-      }
-    }
-    if ((d.cls == ExecClass::kLds || d.cls == ExecClass::kSts) &&
-        i + 1 < code.size() && !target[i + 1]) {
-      const DecodedInstr& d2 = code[i + 1];
-      const bool same_mask = d2.pred == d.pred && d2.pred_negate == d.pred_negate;
-      const bool writes_mask =
-          d.cls == ExecClass::kLds && d.pred >= 0 && d.dst == d.pred;
-      if ((d2.cls == ExecClass::kLds || d2.cls == ExecClass::kSts) && same_mask &&
-          !writes_mask) {
-        d.fused = FusedKind::kSmemPair;
-        d.fuse_len = 2;
-        prog.fused_groups += 1;
-        i += 2;
-        continue;
-      }
-    }
-    ++i;
-  }
-}
-
 /// Bakes the lane-vector engine's dispatch metadata (see vectorpath.cpp):
 /// which instructions execute 32 lanes at a time (DecodedInstr::vec), and
 /// which loops qualify for the steady-state fast-forward. Both are pure
@@ -401,33 +332,20 @@ std::shared_ptr<const DecodedProgram> decode_with_identity(const Kernel& kernel,
   }
 
   // Structured-control-flow matching, identical to the legacy
-  // build_loop_matches, plus the set of pcs a jump can land on: the first
-  // body instruction of each loop and the instruction after each kEndLoop
-  // (the zero-trip skip's resume point). Fused groups must not straddle
-  // these.
-  std::vector<bool> target(n, false);
-  {
-    std::vector<std::size_t> stack;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (prog->code[i].cls == ExecClass::kLoop) {
-        stack.push_back(i);
-      } else if (prog->code[i].cls == ExecClass::kEndLoop) {
-        util::ensure(!stack.empty(), "decode: unbalanced loops");
-        const std::size_t begin = stack.back();
-        stack.pop_back();
-        prog->code[begin].match = static_cast<std::uint32_t>(i);
-        prog->code[i].match = static_cast<std::uint32_t>(begin);
-        if (begin + 1 < n) {
-          target[begin + 1] = true;
-        }
-        if (i + 1 < n) {
-          target[i + 1] = true;
-        }
-      }
+  // build_loop_matches.
+  std::vector<std::size_t> stack;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (prog->code[i].cls == ExecClass::kLoop) {
+      stack.push_back(i);
+    } else if (prog->code[i].cls == ExecClass::kEndLoop) {
+      util::ensure(!stack.empty(), "decode: unbalanced loops");
+      const std::size_t begin = stack.back();
+      stack.pop_back();
+      prog->code[begin].match = static_cast<std::uint32_t>(i);
+      prog->code[i].match = static_cast<std::uint32_t>(begin);
     }
   }
 
-  mark_fusion(*prog, target);
   mark_vector_metadata(*prog);
   return prog;
 }
@@ -460,8 +378,8 @@ std::shared_ptr<const DecodedProgram> decode_program(const Kernel& kernel,
 namespace {
 
 // Decoded-cache instrumentation (visible in --metrics-out dumps). Hits and
-// misses are counted per lookup; the occupancy gauges are refreshed on
-// every miss and clear — the only events that change them.
+// misses are counted per lookup; the entry gauge is set under the cache
+// lock on every miss and clear — the only events that change it.
 obs::Counter& cache_hits() {
   static obs::Counter c("simt.decode_cache.hits");
   return c;
@@ -472,10 +390,6 @@ obs::Counter& cache_misses() {
 }
 obs::Gauge& cache_entries() {
   static obs::Gauge g("simt.decode_cache.entries");
-  return g;
-}
-obs::Gauge& cache_shards_occupied() {
-  static obs::Gauge g("simt.decode_cache.shards_occupied");
   return g;
 }
 
@@ -493,30 +407,27 @@ std::shared_ptr<const DecodedProgram> DecodedProgramCache::get(
 
 std::shared_ptr<const DecodedProgram> DecodedProgramCache::get(
     std::uint64_t key, const Kernel& kernel, const DeviceSpec& device, bool* hit) {
-  Shard& shard = shards_[shard_of(key)];
   std::shared_ptr<const DecodedProgram> prog;
   bool found = false;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = map_.find(key);
+    if (it != map_.end()) {
       found = true;
       prog = it->second;
     } else {
-      // Decode under the shard lock: concurrent first uses of one identity
-      // must produce exactly one decode (other shards stay available).
+      // Decode under the lock: concurrent first uses of one identity must
+      // produce exactly one decode.
       prog = decode_with_identity(kernel, device, key);
-      decodes_.fetch_add(1, std::memory_order_relaxed);
-      shard.map.emplace(key, prog);
+      decodes_ += 1;
+      map_.emplace(key, prog);
+      cache_entries().set(static_cast<double>(map_.size()));
     }
   }
   if (found) {
     cache_hits().add();
   } else {
     cache_misses().add();
-    if (obs::metrics_enabled()) {
-      refresh_occupancy_metrics();
-    }
   }
   if (hit != nullptr) {
     *hit = found;
@@ -524,35 +435,20 @@ std::shared_ptr<const DecodedProgram> DecodedProgramCache::get(
   return prog;
 }
 
-void DecodedProgramCache::refresh_occupancy_metrics() const {
-  std::size_t entries = 0;
-  std::size_t occupied = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    entries += shard.map.size();
-    occupied += shard.map.empty() ? 0 : 1;
-  }
-  cache_entries().set(static_cast<double>(entries));
-  cache_shards_occupied().set(static_cast<double>(occupied));
+std::size_t DecodedProgramCache::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.size();
 }
 
-std::size_t DecodedProgramCache::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.map.size();
-  }
-  return total;
+std::uint64_t DecodedProgramCache::decode_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return decodes_;
 }
 
 void DecodedProgramCache::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-  }
-  if (obs::metrics_enabled()) {
-    refresh_occupancy_metrics();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  map_.clear();
+  cache_entries().set(0.0);
 }
 
 DecodedProgramCache& shared_decoded_cache() {

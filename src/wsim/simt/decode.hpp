@@ -1,7 +1,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -100,61 +99,6 @@ enum class LaneOp : std::uint8_t {
 
 constexpr std::size_t kNumLaneOps = static_cast<std::size_t>(LaneOp::kCount);
 
-/// Superinstruction kind of a fused group leader. A fused group is a run
-/// of `fuse_len` consecutive instructions executed by one handler call:
-/// the constituents keep their individual issue slots, latencies, counter
-/// increments, and register writes (the timing model and BlockResult are
-/// bit-identical), but share one dispatch, one active-mask computation,
-/// and one pass over the lanes.
-enum class FusedKind : std::uint8_t {
-  kNone,
-  kSimplePair,   ///< two kSimple ops, value-forwarded through one lane loop
-  kShflAlu,      ///< shuffle feeding a kSimple consumer (wavefront update)
-  kShflAluMov,   ///< shuffle + consumer + kMov (the builder's assign idiom)
-  kSmemPair,     ///< two shared-memory ops under one predicate mask
-};
-
-/// The simple-op pairs the fast path has a specialized fused handler for.
-/// Decode only marks FusedKind::kSimplePair when this holds, so the
-/// matcher and the handler table stay in sync. The set covers the idioms
-/// the SW/NW/PairHMM builders emit: fadd/fmul feeding fma-style chains,
-/// compare→select (kSetp→kSelp) wavefront updates, and op→kMov copies
-/// from KernelBuilder::assign.
-constexpr bool fusible_simple_pair(LaneOp a, LaneOp b) noexcept {
-  const bool a_alu = a == LaneOp::kFAdd || a == LaneOp::kFSub ||
-                     a == LaneOp::kFMul || a == LaneOp::kFFma ||
-                     a == LaneOp::kFMax || a == LaneOp::kFMin ||
-                     a == LaneOp::kIAdd || a == LaneOp::kISub ||
-                     a == LaneOp::kIMul || a == LaneOp::kIMax ||
-                     a == LaneOp::kIMin || a == LaneOp::kIAnd ||
-                     a == LaneOp::kIOr || a == LaneOp::kIXor ||
-                     a == LaneOp::kSelp;
-  if (b == LaneOp::kMov) {
-    return a_alu || a == LaneOp::kMov;
-  }
-  if (b == LaneOp::kSelp) {
-    return a == LaneOp::kSetpF32 || a == LaneOp::kSetpI64;
-  }
-  const bool b_f32 = b == LaneOp::kFAdd || b == LaneOp::kFMul ||
-                     b == LaneOp::kFFma || b == LaneOp::kFMax ||
-                     b == LaneOp::kFMin;
-  if (a == LaneOp::kFAdd || a == LaneOp::kFMul || a == LaneOp::kFFma) {
-    return b_f32;
-  }
-  if (a == LaneOp::kIAdd) {
-    return b == LaneOp::kIAdd || b == LaneOp::kIMax || b == LaneOp::kIMin;
-  }
-  return false;
-}
-
-/// Simple ops a fused shuffle group may feed (the shfl→max/min/mul/add
-/// wavefront updates of the SW/PairHMM register designs).
-constexpr bool fusible_shfl_consumer(LaneOp op) noexcept {
-  return op == LaneOp::kFMul || op == LaneOp::kFAdd || op == LaneOp::kFMax ||
-         op == LaneOp::kFMin || op == LaneOp::kIMax || op == LaneOp::kIMin ||
-         op == LaneOp::kIAdd;
-}
-
 /// One predecoded instruction: operand kinds resolved, scoreboard inputs
 /// (which vector/scalar ready cells gate issue) flattened, the dependent
 /// latency baked in from the device's latency table, and structured
@@ -170,8 +114,6 @@ struct DecodedInstr {
   bool scalar_dst = false;     ///< dst indexes the scalar register file
   std::int16_t pred = -1;
   bool pred_negate = false;
-  FusedKind fused = FusedKind::kNone;  ///< set on group leaders only
-  std::uint8_t fuse_len = 1;           ///< instructions in the fused group
   /// Lane-vectorizable: an unpredicated kSimple (lane != kNop) or
   /// unpredicated kShuffle, i.e. the vector engine computes all 32 lanes
   /// in SIMD form instead of a per-lane loop.
@@ -198,9 +140,9 @@ struct DecodedInstr {
 };
 
 /// A kernel compiled for one device architecture: validated once, operand
-/// and latency resolution done once, superinstructions fused once — then
-/// reused by every block, launch, engine worker, fleet worker, and serving
-/// loop that executes this (kernel, device) pair.
+/// and latency resolution done once — then reused by every block, launch,
+/// engine worker, fleet worker, and serving loop that executes this
+/// (kernel, device) pair.
 struct DecodedProgram {
   /// Register-usage summary of one loop whose body the vector engine may
   /// fast-forward (see DecodedInstr::accel and vectorpath.cpp). A loop is
@@ -238,7 +180,6 @@ struct DecodedProgram {
   int sreg_count = 1;
   int smem_bytes = 1;
   std::uint64_t identity = 0;   ///< kernel_identity(kernel, device)
-  std::size_t fused_groups = 0; ///< superinstructions formed (stats/tests)
   std::size_t vec_instrs = 0;   ///< instructions with vec or vec_masked set
   std::vector<AccelLoop> accel_loops;
   std::vector<DecodedInstr> code;
@@ -246,17 +187,17 @@ struct DecodedProgram {
 
 /// Predecodes `kernel` for `device`: runs validate() once, bakes latencies
 /// from the device's latency table, flattens operand/scoreboard metadata,
-/// and fuses superinstruction groups. Throws util::CheckError on malformed
-/// kernels (exactly the kernels the legacy interpreter rejects per block).
+/// and matches loops. Throws util::CheckError on malformed kernels (exactly
+/// the kernels the legacy interpreter rejects per block).
 std::shared_ptr<const DecodedProgram> decode_program(const Kernel& kernel,
                                                      const DeviceSpec& device);
 
-/// Thread-safe decoded-program store, sharded like ShardedBlockCostCache
-/// so concurrent engine workers, fleet workers, and serving threads do not
-/// serialize on one mutex. Decoding happens under the key's shard lock, so
-/// each (kernel, device) identity is decoded exactly once per process no
-/// matter how many threads race on first use (pinned by decode_cache_test
-/// under TSan).
+/// Thread-safe decoded-program store: one mutex over one map. Decoding
+/// happens under the lock, so each (kernel, device) identity is decoded
+/// exactly once per process no matter how many threads race on first use
+/// (pinned by decode_cache_test under TSan). Lookups come from the
+/// launching thread once per launch that executes a block, never from the
+/// engine's workers, so a single lock does not serialize block execution.
 class DecodedProgramCache {
  public:
   /// Returns the cached program, decoding on first use. Hashes the kernel
@@ -276,9 +217,7 @@ class DecodedProgramCache {
 
   /// Total decode_program invocations this cache performed (a cache that
   /// works never decodes one identity twice).
-  std::uint64_t decode_count() const noexcept {
-    return decodes_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t decode_count() const;
 
   void clear();
 
@@ -286,20 +225,9 @@ class DecodedProgramCache {
   std::shared_ptr<const DecodedProgram> get(std::uint64_t key, const Kernel& kernel,
                                             const DeviceSpec& device, bool* hit);
 
-  /// Re-publishes the entry-count and shards-occupied obs gauges (called
-  /// on miss and clear, the only occupancy-changing events).
-  void refresh_occupancy_metrics() const;
-
-  static constexpr std::size_t kShards = 16;
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, std::shared_ptr<const DecodedProgram>> map;
-  };
-  static std::size_t shard_of(std::uint64_t key) noexcept {
-    return static_cast<std::size_t>(key >> 59) % kShards;
-  }
-  std::array<Shard, kShards> shards_;
-  std::atomic<std::uint64_t> decodes_{0};
+  mutable std::mutex mu_;
+  std::unordered_map<std::uint64_t, std::shared_ptr<const DecodedProgram>> map_;
+  std::uint64_t decodes_ = 0;
 };
 
 /// The process-wide decoded-program cache used by the predecoded

@@ -17,8 +17,7 @@ namespace wsim::simt {
 
 namespace {
 
-/// splitmix64 finalizer: spreads composite cache keys across shards and
-/// hash buckets.
+/// splitmix64 finalizer: spreads composite cache keys across hash buckets.
 std::uint64_t mix(std::uint64_t x) noexcept {
   x += 0x9E3779B97F4A7C15ULL;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -39,36 +38,28 @@ int threads_from_env() {
 
 }  // namespace
 
-std::optional<BlockCost> ShardedBlockCostCache::find(std::uint64_t key) const {
-  const Shard& shard = shards_[shard_of(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
+std::optional<BlockCost> BlockCostCache::find(std::uint64_t key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = map_.find(key);
+  if (it == map_.end()) {
     return std::nullopt;
   }
   return it->second;
 }
 
-void ShardedBlockCostCache::insert(std::uint64_t key, const BlockCost& cost) {
-  Shard& shard = shards_[shard_of(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.map.emplace(key, cost);
+void BlockCostCache::insert(std::uint64_t key, const BlockCost& cost) {
+  std::lock_guard<std::mutex> lock(mu_);
+  map_.emplace(key, cost);
 }
 
-std::size_t ShardedBlockCostCache::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.map.size();
-  }
-  return total;
+std::size_t BlockCostCache::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.size();
 }
 
-void ShardedBlockCostCache::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-  }
+void BlockCostCache::clear() {
+  std::lock_guard<std::mutex> lock(mu_);
+  map_.clear();
 }
 
 ExecutionEngine::ExecutionEngine(EngineOptions options)

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -15,12 +14,13 @@
 
 namespace wsim::simt {
 
-/// Thread-safe block-cost memoization shared across launches: a fixed
-/// number of independently locked shards so concurrent lookups from the
-/// engine's workers do not serialize on one mutex. Keys are already
-/// composite hashes ((kernel, device) identity, interpreter, shape key),
-/// computed by the engine.
-class ShardedBlockCostCache {
+/// Thread-safe block-cost memoization shared across launches: one mutex
+/// over one map. The engine reads and writes it only on the launching
+/// thread, in the plan and commit phases, so the lock guards launches from
+/// different threads sharing one engine, not the engine's own workers.
+/// Keys are already composite hashes ((kernel, device) identity,
+/// interpreter, shape key), computed by the engine.
+class BlockCostCache {
  public:
   std::optional<BlockCost> find(std::uint64_t key) const;
   void insert(std::uint64_t key, const BlockCost& cost);
@@ -28,16 +28,8 @@ class ShardedBlockCostCache {
   void clear();
 
  private:
-  static constexpr std::size_t kShards = 16;
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, BlockCost> map;
-  };
-  static std::size_t shard_of(std::uint64_t key) noexcept {
-    // High bits: the low bits already pick the bucket inside the shard map.
-    return static_cast<std::size_t>(key >> 59) % kShards;
-  }
-  std::array<Shard, kShards> shards_;
+  mutable std::mutex mu_;
+  std::unordered_map<std::uint64_t, BlockCost> map_;
 };
 
 struct EngineOptions {
@@ -80,8 +72,8 @@ using BindBlocks = util::FunctionRef<std::vector<BlockArgs>(
 /// cost. Results are therefore bit-identical to sequential execution at
 /// any thread count.
 ///
-/// Ownership: the engine owns the thread pool and the sharded cross-launch
-/// cost cache, the one block-cost cache of the program; callers own
+/// Ownership: the engine owns the thread pool and the cross-launch cost
+/// cache, the one block-cost cache of the program; callers own
 /// kernels, devices, and memory arenas. One engine is meant to be shared
 /// by all runners of a program (see shared_engine()), so launches pay no
 /// per-launch thread setup; a caller that wants a cost cache of its own
@@ -125,7 +117,7 @@ class ExecutionEngine {
 
   EngineOptions options_;
   util::ThreadPool pool_;
-  ShardedBlockCostCache cost_cache_;
+  BlockCostCache cost_cache_;
 };
 
 /// The process-wide default engine used by the simt::launch wrapper.

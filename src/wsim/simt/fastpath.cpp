@@ -2,13 +2,12 @@
 // fastpath_engine.hpp, which holds the shared execution core). Executes
 // DecodedProgram instruction streams with per-opcode handler dispatch
 // (templated lane loops selected from a table instead of a switch inside
-// the lane loop), superinstruction handlers for the fused groups the
-// decoder marks, and a warp-uniform fast path: validate() guarantees
+// the lane loop) and a warp-uniform fast path: validate() guarantees
 // threads_per_block is a multiple of 32, so every warp is full and
 // unpredicated instructions skip per-lane activity bookkeeping entirely.
 //
 // This engine uses EngineBase's default dispatch loop unchanged; it exists
-// as the concrete instantiation the handler tables bind to, as the engine
+// as the concrete instantiation the handler table binds to, as the engine
 // SDC-injected blocks run on, and as the reference the lane-vector engine
 // (vectorpath.cpp, the default) is differentially tested against. It is
 // not user-selectable: WSIM_INTERP and --interp name only legacy|vector.

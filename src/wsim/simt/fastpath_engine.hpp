@@ -5,8 +5,8 @@
 // EngineBase is the CRTP base both engines in front of the DecodedProgram
 // stream derive from:
 //
-//   * FastEngine (fastpath.cpp) — per-opcode scalar handler dispatch with
-//     superinstruction fusion; the reference fast path.
+//   * FastEngine (fastpath.cpp) — per-opcode scalar handler dispatch; the
+//     reference fast path and the engine SDC-injected blocks run on.
 //   * VectorEngine (vectorpath.cpp) — lane-vector execution: all 32 lanes
 //     of an unpredicated instruction in a handful of SIMD ops, falling
 //     back to the scalar handlers here for divergent (predicated) work.
@@ -15,7 +15,7 @@
 // engines cannot drift: the warp state, the scoreboard bookkeeping
 // (issue_start/finish), the memory models (exec_smem/exec_gmem), the
 // barrier rendezvous in run(), SDC injection, and the scalar handler
-// tables. A derived engine customizes dispatch only, by shadowing
+// table. A derived engine customizes dispatch only, by shadowing
 // run_until_barrier; run() calls it through the CRTP downcast.
 //
 // The contract, enforced by interp_equivalence_test: functional outputs,
@@ -195,12 +195,7 @@ struct EngineBase {
         writes_(options.writes),
         sdc_(options.sdc != nullptr && options.sdc->enabled() ? options.sdc : nullptr),
         sdc_stream_(options.sdc_stream),
-        max_cycles_(options.max_cycles),
-        // Fused lane-interleaved loops reorder per-lane write events across
-        // the group's constituents; under SDC injection that would renumber
-        // events, so fused groups fall back to constituent-at-a-time
-        // execution (still on the decoded form).
-        use_fused_(sdc_ == nullptr) {
+        max_cycles_(options.max_cycles) {
     smem_.assign(static_cast<std::size_t>(prog.smem_bytes), 0);
     warps_.resize(static_cast<std::size_t>(prog.warps));
     for (int w = 0; w < prog.warps; ++w) {
@@ -426,94 +421,8 @@ struct EngineBase {
     }
   }
 
-  /// Fused superinstruction: two unpredicated per-lane-pure ops in one
-  /// lane loop. Values forward through the register file (dst1 is written
-  /// before the second op's operands are read in the same lane), which is
-  /// order-equivalent to back-to-back execution because each constituent
-  /// touches only its own lane.
-  template <LaneOp A, LaneOp B>
-  static void exec_fused_pair(EngineBase& e, Warp& warp, const DecodedInstr& d1,
-                              const DecodedInstr& d2) {
-    e.count_issue(d1);
-    const long long start1 = e.issue_start(warp, d1);
-    const Ref a1 = e.ref(warp, d1.a);
-    const Ref b1 = e.ref(warp, d1.b);
-    const Ref c1 = e.ref(warp, d1.c);
-    const Ref a2 = e.ref(warp, d2.a);
-    const Ref b2 = e.ref(warp, d2.b);
-    const Ref c2 = e.ref(warp, d2.c);
-    const int base_tid = warp.warp_index * kWarpSize;
-    std::uint64_t* dst1 = &warp.v[static_cast<std::size_t>(d1.dst) * kWarpSize];
-    std::uint64_t* dst2 = &warp.v[static_cast<std::size_t>(d2.dst) * kWarpSize];
-    for (int lane = 0; lane < kWarpSize; ++lane) {
-      dst1[static_cast<std::size_t>(lane)] =
-          lane_apply<A>(a1, b1, c1, d1.cmp, base_tid, warp.warp_index, lane);
-      dst2[static_cast<std::size_t>(lane)] =
-          lane_apply<B>(a2, b2, c2, d2.cmp, base_tid, warp.warp_index, lane);
-    }
-    e.finish(warp, d1, start1, d1.latency);
-    e.count_issue(d2);
-    const long long start2 = e.issue_start(warp, d2);
-    e.finish(warp, d2, start2, d2.latency);
-  }
-
-  /// Fused shuffle → consumer (→ mov) wavefront update. The shuffle's 32
-  /// source lanes are pre-read exactly like the legacy path, then the
-  /// whole group runs in one lane loop.
-  template <LaneOp B, bool HasMov>
-  static void exec_fused_shfl(EngineBase& e, Warp& warp, const DecodedInstr* g) {
-    const DecodedInstr& d1 = g[0];
-    const DecodedInstr& d2 = g[1];
-    e.count_issue(d1);
-    const long long start1 = e.issue_start(warp, d1);
-
-    const Ref a1 = e.ref(warp, d1.a);
-    const Ref b1 = e.ref(warp, d1.b);
-    const Ref c1 = e.ref(warp, d1.c);
-    const auto width = static_cast<int>(as_i64(c1.value(0)));
-    util::require(width > 0 && width <= kWarpSize && (width & (width - 1)) == 0,
-                  "shuffle width must be a power of two in [1, 32]");
-    std::array<std::uint64_t, kWarpSize> source{};
-    for (int lane = 0; lane < kWarpSize; ++lane) {
-      source[static_cast<std::size_t>(lane)] = a1.value(lane);
-    }
-
-    const Ref a2 = e.ref(warp, d2.a);
-    const Ref b2 = e.ref(warp, d2.b);
-    const Ref c2 = e.ref(warp, d2.c);
-    const int base_tid = warp.warp_index * kWarpSize;
-    std::uint64_t* dst1 = &warp.v[static_cast<std::size_t>(d1.dst) * kWarpSize];
-    std::uint64_t* dst2 = &warp.v[static_cast<std::size_t>(d2.dst) * kWarpSize];
-    [[maybe_unused]] Ref a3;
-    [[maybe_unused]] std::uint64_t* dst3 = nullptr;
-    if constexpr (HasMov) {
-      a3 = e.ref(warp, g[2].a);
-      dst3 = &warp.v[static_cast<std::size_t>(g[2].dst) * kWarpSize];
-    }
-    for (int lane = 0; lane < kWarpSize; ++lane) {
-      const int src = shuffle_source(d1.op, lane, width,
-                                     static_cast<int>(as_i64(b1.value(lane))));
-      dst1[static_cast<std::size_t>(lane)] = source[static_cast<std::size_t>(src)];
-      dst2[static_cast<std::size_t>(lane)] =
-          lane_apply<B>(a2, b2, c2, d2.cmp, base_tid, warp.warp_index, lane);
-      if constexpr (HasMov) {
-        dst3[static_cast<std::size_t>(lane)] = a3.value(lane);
-      }
-    }
-
-    e.finish(warp, d1, start1, d1.latency);
-    e.count_issue(d2);
-    const long long start2 = e.issue_start(warp, d2);
-    e.finish(warp, d2, start2, d2.latency);
-    if constexpr (HasMov) {
-      e.count_issue(g[2]);
-      const long long start3 = e.issue_start(warp, g[2]);
-      e.finish(warp, g[2], start3, g[2].latency);
-    }
-  }
-
-  /// Source-lane selection shared by the fused and generic shuffle
-  /// handlers; mirrors the legacy exec_shuffle case for each variant.
+  /// Source lane of `lane` for a shuffle variant; mirrors the legacy
+  /// exec_shuffle case for each variant.
   static int shuffle_source(Op op, int lane, int width, int arg) noexcept {
     const int base = lane & ~(width - 1);
     int src = lane;
@@ -721,26 +630,10 @@ struct EngineBase {
     return any_cold ? dev_.lat.gmem_load : dev_.lat.gmem_load_cached;
   }
 
-  /// Fused shared-memory pair: both accesses execute back to back under
-  /// one shared predicate mask (the decoder guarantees the first access
-  /// cannot rewrite the predicate register).
-  void exec_fused_smem(Warp& warp, const DecodedInstr* g) {
-    const std::uint64_t* pv = pred_lanes(warp, g[0]);
-    for (int k = 0; k < 2; ++k) {
-      const DecodedInstr& d = g[k];
-      count_issue(d);
-      const long long start = issue_start(warp, d);
-      const long long latency = d.latency + exec_smem(warp, d, pv);
-      finish(warp, d, start, latency);
-    }
-  }
-
   void step(Warp& warp, const DecodedInstr& d);
-  void exec_fused(Warp& warp, std::size_t pc);
 
-  /// Default dispatch loop: per-instruction scalar handlers plus the
-  /// superinstruction handlers. A derived engine may shadow this (run()
-  /// calls it through the CRTP downcast).
+  /// Default dispatch loop: one scalar handler per instruction. A derived
+  /// engine may shadow this (run() calls it through the CRTP downcast).
   void run_until_barrier(Warp& warp) {
     const auto* code = prog_.code.data();
     const std::size_t n = prog_.code.size();
@@ -750,11 +643,6 @@ struct EngineBase {
         if (handle_barrier(warp, d)) {
           return;
         }
-        continue;
-      }
-      if (use_fused_ && d.fused != FusedKind::kNone) {
-        exec_fused(warp, warp.pc);
-        warp.pc += d.fuse_len;
         continue;
       }
       step(warp, d);
@@ -800,11 +688,10 @@ struct EngineBase {
   std::uint64_t sdc_stream_ = 0;
   std::uint64_t sdc_events_ = 0;
   long long max_cycles_ = 0;
-  bool use_fused_ = true;
   BlockResult result_;
 };
 
-// --- handler tables ---------------------------------------------------------
+// --- handler table ----------------------------------------------------------
 //
 // Instantiated per engine type (the function pointers bind to
 // EngineBase<Derived> member specializations), so each derived engine gets
@@ -812,11 +699,6 @@ struct EngineBase {
 
 template <class E>
 using SimpleFn = void (*)(E&, typename E::Warp&, const DecodedInstr&);
-template <class E>
-using PairFn = void (*)(E&, typename E::Warp&, const DecodedInstr&,
-                        const DecodedInstr&);
-template <class E>
-using ShflFn = void (*)(E&, typename E::Warp&, const DecodedInstr*);
 
 template <class E, std::size_t... I>
 constexpr std::array<std::array<SimpleFn<E>, 2>, kNumLaneOps> make_simple_table(
@@ -830,55 +712,6 @@ constexpr std::array<std::array<SimpleFn<E>, 2>, kNumLaneOps> make_simple_table(
 template <class E>
 inline constexpr auto kSimpleTableFor =
     make_simple_table<E>(std::make_index_sequence<kNumLaneOps>{});
-
-template <class E, LaneOp A, LaneOp B>
-constexpr PairFn<E> pick_pair() {
-  // if constexpr keeps non-fusible combinations uninstantiated; the table
-  // therefore stays in lockstep with the decoder's fusibility predicate.
-  if constexpr (fusible_simple_pair(A, B)) {
-    return &E::template exec_fused_pair<A, B>;
-  } else {
-    return nullptr;
-  }
-}
-
-template <class E, std::size_t A, std::size_t... B>
-constexpr std::array<PairFn<E>, kNumLaneOps> make_pair_row(std::index_sequence<B...>) {
-  return {{pick_pair<E, static_cast<LaneOp>(A), static_cast<LaneOp>(B)>()...}};
-}
-
-template <class E, std::size_t... A>
-constexpr std::array<std::array<PairFn<E>, kNumLaneOps>, kNumLaneOps> make_pair_table(
-    std::index_sequence<A...>) {
-  return {{make_pair_row<E, A>(std::make_index_sequence<kNumLaneOps>{})...}};
-}
-
-/// Fused-pair dispatch: [leader LaneOp][second LaneOp]; null where the
-/// decoder never marks a pair.
-template <class E>
-inline constexpr auto kPairTableFor =
-    make_pair_table<E>(std::make_index_sequence<kNumLaneOps>{});
-
-template <class E, LaneOp B>
-constexpr std::array<ShflFn<E>, 2> pick_shfl() {
-  if constexpr (fusible_shfl_consumer(B)) {
-    return {{&E::template exec_fused_shfl<B, false>,
-             &E::template exec_fused_shfl<B, true>}};
-  } else {
-    return {{nullptr, nullptr}};
-  }
-}
-
-template <class E, std::size_t... B>
-constexpr std::array<std::array<ShflFn<E>, 2>, kNumLaneOps> make_shfl_table(
-    std::index_sequence<B...>) {
-  return {{pick_shfl<E, static_cast<LaneOp>(B)>()...}};
-}
-
-/// Fused shuffle-group dispatch: [consumer LaneOp][has trailing kMov].
-template <class E>
-inline constexpr auto kShflTableFor =
-    make_shfl_table<E>(std::make_index_sequence<kNumLaneOps>{});
 
 template <class Derived>
 void EngineBase<Derived>::step(Warp& warp, const DecodedInstr& d) {
@@ -931,28 +764,6 @@ void EngineBase<Derived>::step(Warp& warp, const DecodedInstr& d) {
       break;  // kBar/kLoop/kEndLoop never reach here
   }
   finish(warp, d, start, latency);
-}
-
-template <class Derived>
-void EngineBase<Derived>::exec_fused(Warp& warp, std::size_t pc) {
-  const DecodedInstr* g = &prog_.code[pc];
-  switch (g->fused) {
-    case FusedKind::kSimplePair:
-      kPairTableFor<EngineBase>[static_cast<std::size_t>(g[0].lane)][static_cast<std::size_t>(
-          g[1].lane)](*this, warp, g[0], g[1]);
-      break;
-    case FusedKind::kShflAlu:
-      kShflTableFor<EngineBase>[static_cast<std::size_t>(g[1].lane)][0](*this, warp, g);
-      break;
-    case FusedKind::kShflAluMov:
-      kShflTableFor<EngineBase>[static_cast<std::size_t>(g[1].lane)][1](*this, warp, g);
-      break;
-    case FusedKind::kSmemPair:
-      exec_fused_smem(warp, g);
-      break;
-    case FusedKind::kNone:
-      break;
-  }
 }
 
 }  // namespace wsim::simt::fastdetail

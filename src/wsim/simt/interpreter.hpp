@@ -98,11 +98,11 @@ struct DecodedProgram;  // simt/decode.hpp
 /// WSIM_VECTOR_ISA), a masked per-lane fallback for divergent warps, and
 /// the steady-state loop fast-forward. It is bit-identical to kLegacy in
 /// functional outputs, BlockResult counters, and the error surface.
-/// kFast runs the scalar predecoded path (handler dispatch,
-/// superinstruction fusion), also bit-identical including SDC write-event
-/// numbering; it is internal — the engine SDC-injected blocks run on, and
-/// the baseline bench_simulator_perf and the equivalence tests request
-/// explicitly — and no environment value selects it. kLegacy runs the
+/// kFast runs the scalar predecoded path (one handler per instruction),
+/// also bit-identical including SDC write-event numbering; it is
+/// internal — the engine SDC-injected blocks run on, and the baseline
+/// bench_simulator_perf and the equivalence tests request explicitly —
+/// and no environment value selects it. kLegacy runs the
 /// original switch interpreter: the differential-testing oracle that
 /// shares no timing code with the other two. kDefault defers to the
 /// WSIM_INTERP environment variable ("legacy" selects kLegacy; unset or

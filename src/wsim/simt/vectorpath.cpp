@@ -541,10 +541,7 @@ struct VectorEngine final : fastdetail::EngineBase<VectorEngine> {
   /// Shadows EngineBase's dispatch loop (run() calls it via CRTP):
   /// vectorized handlers for DecodedInstr::vec, the steady-state
   /// fast-forward for accel loops, and the inherited scalar step() for
-  /// everything else. Fused groups execute constituent-at-a-time — fusion
-  /// is a scalar-path dispatch optimization, and constituent order is
-  /// exactly what the handlers replicate, so skipping it changes nothing
-  /// observable.
+  /// everything else.
   void run_until_barrier(Warp& warp) {
     const DecodedInstr* code = prog_.code.data();
     const std::size_t n = prog_.code.size();

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -142,6 +143,13 @@ TEST(CliFlags, ParseNumberRejectsJunkNonFiniteAndOutOfRange) {
       "--seed '99999999999999999999' must be >= 0");
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
 /// Runs the wsim driver with `args`; returns its exit status and its
 /// combined stdout/stderr.
 std::pair<int, std::string> run_wsim(const std::string& args) {
@@ -153,10 +161,7 @@ std::pair<int, std::string> run_wsim(const std::string& args) {
   const std::string command =
       std::string("\"") + WSIM_CLI + "\" " + args + " > \"" + out_path + "\" 2>&1";
   const int status = std::system(command.c_str());
-  std::ifstream in(out_path);
-  std::stringstream text;
-  text << in.rdbuf();
-  return {status, text.str()};
+  return {status, read_file(out_path)};
 }
 
 TEST(CliFlags, DriverExitsNonZeroNamingTheBadFlag) {
@@ -173,6 +178,25 @@ TEST(CliFlags, DriverExitsNonZeroNamingTheBadFlag) {
     EXPECT_NE(output.find(std::string("error: ") + flag), std::string::npos)
         << args << "\n" << output;
   }
+}
+
+// A flag never takes the next "--flag" as its value: a boolean flag
+// placed before a valued one must not swallow it. Both orders run the
+// same command and write the same JSON bytes.
+TEST(CliFlags, BooleanFlagDoesNotSwallowTheNextFlag) {
+  const std::string before = ::testing::TempDir() + "cli_usage_test_bool_before.json";
+  const std::string after = ::testing::TempDir() + "cli_usage_test_bool_after.json";
+  std::remove(before.c_str());
+  std::remove(after.c_str());
+  const auto [status_before, output_before] =
+      run_wsim("serve-sim --regions 1 --outputs --json \"" + before + "\"");
+  const auto [status_after, output_after] =
+      run_wsim("serve-sim --regions 1 --json \"" + after + "\" --outputs");
+  EXPECT_EQ(status_before, 0) << output_before;
+  EXPECT_EQ(status_after, 0) << output_after;
+  const std::string json_before = read_file(before);
+  EXPECT_FALSE(json_before.empty()) << "--outputs swallowed --json";
+  EXPECT_EQ(json_before, read_file(after));
 }
 
 // The driver validates the interpreter name from the flag and from an

@@ -9,9 +9,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "wsim/obs/metrics.hpp"
+#include "wsim/obs/obs.hpp"
 #include "wsim/simt/builder.hpp"
 #include "wsim/simt/decode.hpp"
 #include "wsim/simt/device.hpp"
@@ -103,6 +107,31 @@ TEST(DecodeCache, DistinctKernelsAndDevicesDecodeSeparately) {
   EXPECT_NE(k40.get(), titan.get());
   EXPECT_NE(k40->identity, titan->identity);
   EXPECT_EQ(cache.decode_count(), expected);  // hits, not re-decodes
+}
+
+/// The value of gauge `name` in the metrics dump (-1 when absent).
+double gauge(const std::string& name) {
+  std::ostringstream os;
+  wsim::obs::write_metrics_json(os);
+  const std::string json = os.str();
+  const std::string key = "\"" + name + "\": ";
+  const std::size_t at = json.find(key);
+  return at == std::string::npos ? -1.0 : std::stod(json.substr(at + key.size()));
+}
+
+TEST(DecodeCache, EntriesGaugeFollowsTheCache) {
+  wsim::obs::set_level(wsim::obs::Level::kMetrics);
+  wsim::obs::reset_metrics();
+  DecodedProgramCache cache;
+  const DeviceSpec device = wsim::simt::make_k1200();
+  for (int k = 0; k < 3; ++k) {
+    cache.get(build_store_kernel("gauge_" + std::to_string(k), k + 1), device);
+    EXPECT_EQ(gauge("simt.decode_cache.entries"), static_cast<double>(cache.size()));
+  }
+  EXPECT_EQ(cache.size(), 3U);
+  cache.clear();
+  EXPECT_EQ(gauge("simt.decode_cache.entries"), 0.0);
+  wsim::obs::set_level(wsim::obs::Level::kOff);
 }
 
 TEST(DecodeCache, ConcurrentEngineLaunchesShareTheProcessCache) {

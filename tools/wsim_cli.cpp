@@ -40,6 +40,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "wsim/cli/commands.hpp"
@@ -102,13 +103,18 @@ struct Args {
   }
 };
 
+bool is_flag(std::string_view token) { return token.rfind("--", 0) == 0; }
+
+/// A flag takes the next token as its value unless that token is itself a
+/// flag: no valid value starts with "--" (negative numbers use one dash),
+/// so a boolean flag never swallows the flag after it.
 Args parse(int argc, char** argv) {
   Args args;
   for (int i = 2; i < argc; ++i) {
     const std::string token = argv[i];
-    if (token.rfind("--", 0) == 0) {
+    if (is_flag(token)) {
       const std::string key = token.substr(2);
-      if (i + 1 < argc) {
+      if (i + 1 < argc && !is_flag(argv[i + 1])) {
         args.options[key] = argv[++i];
       } else {
         args.options[key] = "";
