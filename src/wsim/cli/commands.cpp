@@ -64,8 +64,9 @@ const std::vector<CommandInfo>& commands() {
        "           --parallelism auto lets the Eq. 7/8 regime model route each\n"
        "           SW batch inter- vs intra-task per device; --kernel pins one\n"
        "           subsystem fleet-wide (wf-* names force the wavefront path).\n"
-       "           --degrade silently slows a device (no fault counters) in\n"
-       "           per-device dispatch-sequence space; --calibrate (default on\n"
+       "           --degrade silently slows device DEV (its 0-based position\n"
+       "           in --fleet; no fault counters) in per-device\n"
+       "           dispatch-sequence space; --calibrate (default on\n"
        "           for --policy calibrated) runs the online model calibration\n"
        "           and drift ladder that detects and derates such devices\n"},
       {"cluster-sim",

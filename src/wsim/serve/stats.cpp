@@ -1,6 +1,7 @@
 #include "wsim/serve/stats.hpp"
 
 #include <algorithm>
+#include <array>
 #include <ostream>
 
 #include "wsim/fleet/fleet.hpp"
@@ -18,11 +19,13 @@ LatencySummary summarize_latency(std::vector<double> seconds) {
   summary.count = base.count;
   summary.mean = base.mean;
   summary.max = base.max;
-  // Sorted once, after summarize, so the mean keeps its summation order.
-  std::sort(seconds.begin(), seconds.end());
-  summary.p50 = util::sorted_percentile(seconds, 50.0);
-  summary.p95 = util::sorted_percentile(seconds, 95.0);
-  summary.p99 = util::sorted_percentile(seconds, 99.0);
+  // Selected after summarize, which must see the samples in their original
+  // order for the mean to keep its summation order.
+  constexpr std::array<double, 3> kPercents = {50.0, 95.0, 99.0};
+  const std::vector<double> q = util::select_percentiles(seconds, kPercents);
+  summary.p50 = q[0];
+  summary.p95 = q[1];
+  summary.p99 = q[2];
   return summary;
 }
 

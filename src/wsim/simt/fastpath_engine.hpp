@@ -18,6 +18,12 @@
 // table. A derived engine customizes dispatch only, by shadowing
 // run_until_barrier; run() calls it through the CRTP downcast.
 //
+// Global memory differs from the legacy path in mechanism only: exec_gmem
+// checks bounds once per warp access (on a fault it runs the lanes below
+// the first faulting one, then throws), keeps the block's warm set as a
+// bitmap over the arena's 128 B segments instead of a hash set, and
+// accesses the arena with relaxed atomics (gmem_load/gmem_store).
+//
 // The contract, enforced by interp_equivalence_test: functional outputs,
 // every BlockResult counter, SDC write-event numbering, trace contents,
 // and the error surface (messages included) are bit-identical to the
@@ -27,10 +33,12 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -73,6 +81,72 @@ inline std::uint64_t load_bits(const std::uint8_t* src, MemWidth width) noexcept
   return from_i64(word);
 }
 
+// One lane's global-memory load or store. Global memory is one arena
+// shared by concurrently running blocks, and a racy kernel (or an SDC flip
+// in an address register) makes two blocks touch the same bytes, as on a
+// GPU. The engines access the arena with relaxed atomics, plain moves on
+// x86, so such a race is defined on the host; the engine's write-overlap
+// checker is what reports racy grids. A B4 access at an address that is
+// not 4-aligned goes byte by byte.
+
+inline std::uint8_t relaxed_load_u8(const std::uint8_t* p) noexcept {
+  return std::atomic_ref<std::uint8_t>(*const_cast<std::uint8_t*>(p))
+      .load(std::memory_order_relaxed);
+}
+
+inline void relaxed_store_u8(std::uint8_t* p, std::uint8_t value) noexcept {
+  std::atomic_ref<std::uint8_t>(*p).store(value, std::memory_order_relaxed);
+}
+
+inline bool word_aligned(const std::uint8_t* p) noexcept {
+  return reinterpret_cast<std::uintptr_t>(p) % alignof(std::uint32_t) == 0;
+}
+
+/// load_bits over the shared arena: B1 zero-extends, B4 sign-extends.
+template <std::size_t Bytes>
+std::uint64_t gmem_load(const std::uint8_t* p) noexcept {
+  if constexpr (Bytes == 1) {
+    return relaxed_load_u8(p);
+  } else {
+    std::uint32_t word = 0;
+    if (word_aligned(p)) [[likely]] {
+      word = std::atomic_ref<std::uint32_t>(
+                 *reinterpret_cast<std::uint32_t*>(const_cast<std::uint8_t*>(p)))
+                 .load(std::memory_order_relaxed);
+    } else {
+      std::array<std::uint8_t, 4> bytes{};
+      for (std::size_t i = 0; i < bytes.size(); ++i) {
+        bytes[i] = relaxed_load_u8(p + i);
+      }
+      std::memcpy(&word, bytes.data(), sizeof(word));
+    }
+    return from_i64(static_cast<std::int32_t>(word));
+  }
+}
+
+/// Stores the first `Bytes` bytes of `value`, as memcpy(p, &value, Bytes).
+template <std::size_t Bytes>
+void gmem_store(std::uint8_t* p, std::uint64_t value) noexcept {
+  if constexpr (Bytes == 1) {
+    std::uint8_t byte = 0;
+    std::memcpy(&byte, &value, 1);
+    relaxed_store_u8(p, byte);
+  } else {
+    std::uint32_t word = 0;
+    std::memcpy(&word, &value, sizeof(word));
+    if (word_aligned(p)) [[likely]] {
+      std::atomic_ref<std::uint32_t>(*reinterpret_cast<std::uint32_t*>(p))
+          .store(word, std::memory_order_relaxed);
+    } else {
+      std::array<std::uint8_t, 4> bytes{};
+      std::memcpy(bytes.data(), &word, sizeof(word));
+      for (std::size_t i = 0; i < bytes.size(); ++i) {
+        relaxed_store_u8(p + i, bytes[i]);
+      }
+    }
+  }
+}
+
 template <typename T>
 bool compare(Cmp cmp, T x, T y) noexcept {
   switch (cmp) {
@@ -85,6 +159,24 @@ bool compare(Cmp cmp, T x, T y) noexcept {
   }
   return false;
 }
+
+/// Bit i set when predicate lane pv[i] is non-zero, built without a branch
+/// per lane.
+inline std::uint32_t nonzero_lanes(const std::uint64_t* pv) noexcept {
+  std::uint32_t mask = 0;
+  for (int lane = 0; lane < kWarpSize; ++lane) {
+    mask |= static_cast<std::uint32_t>(pv[static_cast<std::size_t>(lane)] != 0) << lane;
+  }
+  return mask;
+}
+
+using LaneMaskFn = std::uint32_t (*)(const std::uint64_t* pv) noexcept;
+
+/// nonzero_lanes compiled for the vector engine's SIMD tier (vectorpath.cpp
+/// picks the tier): the AVX2 and AVX-512 builds compare a vector of lanes
+/// at a time, where the baseline build costs a compare, a shift and an or
+/// per lane on every predicated memory access and barrier.
+LaneMaskFn tier_nonzero_lanes() noexcept;
 
 /// Resolved operand: per-lane pointer for vector registers, broadcast
 /// value for scalars/immediates — replaces the legacy per-lane kind
@@ -321,6 +413,15 @@ struct EngineBase {
     return negate ? !p : p;
   }
 
+  /// The active lanes of `d` as a mask (bit i = lane i).
+  std::uint32_t lane_mask(const Warp& warp, const DecodedInstr& d) const noexcept {
+    if (d.pred < 0) {
+      return 0xFFFFFFFFu;
+    }
+    const std::uint32_t mask = nonzero_lanes_(pred_lanes(warp, d));
+    return d.pred_negate ? ~mask : mask;
+  }
+
   // --- timing (identical to the legacy step()'s bookkeeping) ---------------
   long long issue_start(const Warp& warp, const DecodedInstr& d) const noexcept {
     long long start = warp.cursor;
@@ -512,11 +613,12 @@ struct EngineBase {
     }
   }
 
-  /// Shared-memory access; returns bank-conflict replay cycles. The
-  /// distinct-word collection is allocation-free (a 4-byte word determines
-  /// its bank, so global dedup plus a per-word bank count is equivalent to
-  /// the legacy per-bank vectors).
-  long long exec_smem(Warp& warp, const DecodedInstr& d, const std::uint64_t* pv) {
+  /// Shared-memory access over the active lanes in `mask`; returns
+  /// bank-conflict replay cycles. The distinct-word collection is
+  /// allocation-free (a 4-byte word determines its bank, so global dedup
+  /// plus a per-word bank count is equivalent to the legacy per-bank
+  /// vectors).
+  long long exec_smem(Warp& warp, const DecodedInstr& d, std::uint32_t mask) {
     const Ref a = ref(warp, d.a);
     const Ref b = ref(warp, d.b);
     const std::int64_t offset = as_i64(b.value(0));
@@ -527,12 +629,8 @@ struct EngineBase {
                              : nullptr;
     std::array<std::int64_t, kWarpSize> words;  // only [0, n_words) is read
     int n_words = 0;
-    bool any_active = false;
-    for (int lane = 0; lane < kWarpSize; ++lane) {
-      if (!lane_active(pv, d.pred_negate, lane)) {
-        continue;
-      }
-      any_active = true;
+    for (std::uint32_t m = mask; m != 0; m &= m - 1) {
+      const int lane = std::countr_zero(m);
       const std::int64_t addr = as_i64(a.value(lane)) + offset;
       // Message built only on failure: the concatenation must stay out of
       // the per-lane hot path.
@@ -563,7 +661,7 @@ struct EngineBase {
     // transactions = max distinct words mapped to one bank. i = 0 always
     // yields 1 (no earlier words), so the division-heavy scan starts at 1
     // and a single-word access skips it entirely.
-    std::size_t transactions = any_active ? 1 : 0;
+    std::size_t transactions = mask != 0 ? 1 : 0;
     for (int i = 1; i < n_words; ++i) {
       std::size_t same_bank = 1;
       const std::int64_t bank = words[static_cast<std::size_t>(i)] % dev_.smem_banks;
@@ -580,54 +678,119 @@ struct EngineBase {
                : 0;
   }
 
-  /// Global-memory access; returns the dependent load latency (cold vs
-  /// cached 128 B segments, same one-bit warm-set model as the legacy path).
-  long long exec_gmem(Warp& warp, const DecodedInstr& d, const std::uint64_t* pv) {
+  /// Global-memory access over the active lanes in `mask`; returns the
+  /// dependent load latency (cold vs cached 128 B segments, same one-bit
+  /// warm-set model as the legacy path: a load is cold when any segment it
+  /// touches is new to the block).
+  ///
+  /// One walk over the active lanes computes every address, the lowest and
+  /// highest one, and the distinct segments, so bounds are checked once per
+  /// warp access. An access with a lane out of bounds runs only the lanes
+  /// below the first such lane and then throws (fault_gmem), which leaves
+  /// memory, the write set, and the message exactly as the legacy per-lane
+  /// loop does.
+  long long exec_gmem(Warp& warp, const DecodedInstr& d, std::uint32_t mask) {
+    if (mask == 0) {
+      return d.cls == ExecClass::kLdg ? dev_.lat.gmem_load_cached : 0;
+    }
     const Ref a = ref(warp, d.a);
-    const Ref b = ref(warp, d.b);
-    const std::int64_t offset = as_i64(b.value(0));
+    const std::uint64_t offset = ref(warp, d.b).value(0);
     const std::size_t bytes = d.width == MemWidth::kB1 ? 1 : 4;
-    const Ref c = d.cls == ExecClass::kStg ? ref(warp, d.c) : Ref{};
-    std::uint64_t* dst = d.cls == ExecClass::kLdg
-                             ? &warp.v[static_cast<std::size_t>(d.dst) * kWarpSize]
-                             : nullptr;
+    std::array<std::int64_t, kWarpSize> addr;      // only active lanes are read
     std::array<std::int64_t, kWarpSize> segments;  // only [0, n_segments) is read
     int n_segments = 0;
-    bool any_cold = false;
-    for (int lane = 0; lane < kWarpSize; ++lane) {
-      if (!lane_active(pv, d.pred_negate, lane)) {
-        continue;
-      }
-      const std::int64_t addr = as_i64(a.value(lane)) + offset;
-      const std::int64_t segment = addr / 128;
-      bool seen = false;
-      for (int k = 0; k < n_segments; ++k) {
-        if (segments[static_cast<std::size_t>(k)] == segment) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) {
+    std::int64_t lo = std::numeric_limits<std::int64_t>::max();
+    std::int64_t hi = std::numeric_limits<std::int64_t>::min();
+    for (std::uint32_t m = mask; m != 0; m &= m - 1) {
+      const int lane = std::countr_zero(m);
+      const std::int64_t x = as_i64(a.value(lane) + offset);
+      addr[static_cast<std::size_t>(lane)] = x;
+      lo = std::min(lo, x);
+      hi = std::max(hi, x);
+      const std::int64_t segment = x >> 7;
+      const auto end = segments.begin() + n_segments;
+      if (std::find(segments.begin(), end, segment) == end) {
         segments[static_cast<std::size_t>(n_segments++)] = segment;
       }
-      if (warm_segments_.insert(segment).second) {
-        any_cold = true;
-      }
-      if (d.cls == ExecClass::kLdg) {
-        dst[static_cast<std::size_t>(lane)] = load_bits(gmem_.at(addr, bytes), d.width);
-      } else {
-        const std::uint64_t value = c.value(lane);
-        std::memcpy(gmem_.at(addr, bytes), &value, bytes);
-        if (writes_ != nullptr) {
-          writes_->add(addr, static_cast<std::size_t>(bytes));
-        }
-      }
+    }
+    if (lo < 0 || static_cast<std::uint64_t>(hi) + bytes > gmem_.size()) [[unlikely]] {
+      fault_gmem(warp, d, mask, addr, bytes);  // throws at the first such lane
+    }
+
+    if (warm_.empty()) {
+      warm_.assign((gmem_.size() + 128 * 64 - 1) / (128 * 64), 0);
+    }
+    bool any_cold = false;
+    for (int k = 0; k < n_segments; ++k) {
+      any_cold |= warm_up(segments[static_cast<std::size_t>(k)]);
     }
     result_.gmem_transactions += static_cast<std::uint64_t>(n_segments);
+
+    if (d.width == MemWidth::kB1) {
+      transfer_lanes<1>(warp, d, mask, addr);
+    } else {
+      transfer_lanes<4>(warp, d, mask, addr);
+    }
     if (d.cls != ExecClass::kLdg) {
       return 0;  // store latency is charged via the baked base latency
     }
     return any_cold ? dev_.lat.gmem_load : dev_.lat.gmem_load_cached;
+  }
+
+  /// Marks a 128 B segment warm; returns true when it was cold.
+  bool warm_up(std::int64_t segment) noexcept {
+    std::uint64_t& word = warm_[static_cast<std::size_t>(segment) >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (segment & 63);
+    const bool cold = (word & bit) == 0;
+    word |= bit;
+    return cold;
+  }
+
+  /// The in-bounds loads or stores of one access width, in ascending lane
+  /// order (of several lanes storing to one address, the highest wins).
+  template <std::size_t Bytes>
+  void transfer_lanes(Warp& warp, const DecodedInstr& d, std::uint32_t mask,
+                      const std::array<std::int64_t, kWarpSize>& addr) {
+    std::uint8_t* const mem = gmem_.data();
+    if (d.cls == ExecClass::kLdg) {
+      std::uint64_t* dst = &warp.v[static_cast<std::size_t>(d.dst) * kWarpSize];
+      for (std::uint32_t m = mask; m != 0; m &= m - 1) {
+        const auto lane = static_cast<std::size_t>(std::countr_zero(m));
+        dst[lane] = gmem_load<Bytes>(mem + addr[lane]);
+      }
+      return;
+    }
+    const Ref c = ref(warp, d.c);
+    GmemWriteSet* const writes = writes_;  // the stores below may alias *this
+    for (std::uint32_t m = mask; m != 0; m &= m - 1) {
+      const int lane = std::countr_zero(m);
+      gmem_store<Bytes>(mem + addr[static_cast<std::size_t>(lane)], c.value(lane));
+      if (writes != nullptr) {
+        writes->add(addr[static_cast<std::size_t>(lane)], Bytes);
+      }
+    }
+  }
+
+  /// An access with some lane out of bounds, as the legacy per-lane loop
+  /// runs it: the lanes below the first faulting one load and store, then
+  /// GlobalMemory::at throws its own message for that lane.
+  void fault_gmem(Warp& warp, const DecodedInstr& d, std::uint32_t mask,
+                  const std::array<std::int64_t, kWarpSize>& addr, std::size_t bytes) {
+    int bad = 0;
+    for (std::uint32_t m = mask; m != 0; m &= m - 1) {
+      bad = std::countr_zero(m);
+      const std::int64_t x = addr[static_cast<std::size_t>(bad)];
+      if (x < 0 || static_cast<std::uint64_t>(x) + bytes > gmem_.size()) {
+        break;
+      }
+    }
+    const std::uint32_t below = mask & ((std::uint32_t{1} << bad) - 1);
+    if (bytes == 1) {
+      transfer_lanes<1>(warp, d, below, addr);
+    } else {
+      transfer_lanes<4>(warp, d, below, addr);
+    }
+    gmem_.at(addr[static_cast<std::size_t>(bad)], bytes);
   }
 
   void step(Warp& warp, const DecodedInstr& d);
@@ -655,19 +818,9 @@ struct EngineBase {
   /// barrier (returns true) or skips an all-inactive predicated barrier
   /// (returns false, pc already advanced).
   bool handle_barrier(Warp& warp, const DecodedInstr& d) {
-    if (d.pred >= 0) {
-      const std::uint64_t* pv = pred_lanes(warp, d);
-      bool any = false;
-      for (int lane = 0; lane < kWarpSize; ++lane) {
-        if (lane_active(pv, d.pred_negate, lane)) {
-          any = true;
-          break;
-        }
-      }
-      if (!any) {
-        ++warp.pc;
-        return false;
-      }
+    if (lane_mask(warp, d) == 0) {
+      ++warp.pc;
+      return false;
     }
     warp.at_barrier = true;
     warp.barrier_pc = warp.pc;
@@ -681,7 +834,10 @@ struct EngineBase {
   GlobalMemory& gmem_;
   std::vector<std::uint8_t> smem_;
   std::vector<Warp> warps_;
-  std::unordered_set<std::int64_t> warm_segments_;
+  /// One bit per 128 B segment of the arena: set once the block touched
+  /// it. Sized and zeroed on the block's first global access.
+  std::vector<std::uint64_t> warm_;
+  const LaneMaskFn nonzero_lanes_ = tier_nonzero_lanes();
   Trace* trace_ = nullptr;
   GmemWriteSet* writes_ = nullptr;
   const SdcPlan* sdc_ = nullptr;
@@ -754,11 +910,11 @@ void EngineBase<Derived>::step(Warp& warp, const DecodedInstr& d) {
       break;
     case ExecClass::kLds:
     case ExecClass::kSts:
-      latency += exec_smem(warp, d, pred_lanes(warp, d));
+      latency += exec_smem(warp, d, lane_mask(warp, d));
       break;
     case ExecClass::kLdg:
     case ExecClass::kStg:
-      latency += exec_gmem(warp, d, pred_lanes(warp, d));
+      latency += exec_gmem(warp, d, lane_mask(warp, d));
       break;
     default:
       break;  // kBar/kLoop/kEndLoop never reach here

@@ -28,6 +28,10 @@ class GlobalMemory {
 
   std::size_t size() const noexcept { return data_.size(); }
 
+  /// The arena's first byte, unchecked: for callers that bounds-check a
+  /// whole access themselves (the interpreters' warp-wide accesses).
+  std::uint8_t* data() noexcept { return data_.data(); }
+
   /// Raw access with bounds checking; `bytes` may be zero.
   std::uint8_t* at(std::int64_t addr, std::size_t bytes) {
     util::require(addr >= 0 && static_cast<std::size_t>(addr) + bytes <= data_.size(),

@@ -13,9 +13,14 @@
 //     is picked once per process (__builtin_cpu_supports), clamped
 //     downgrade-only by WSIM_VECTOR_ISA, and reported by
 //     vector_isa_name().
-//   * Predicated (divergent) instructions fall back to the masked
-//     per-lane scalar handlers inherited from EngineBase — the same code
-//     the fast path runs, so the divergence semantics cannot drift.
+//     At the AVX-512 tier, f32 multiplies run as exact f64 products
+//     rounded once to f32: the same bits, without the microcode assist an
+//     f32 multiply takes on a subnormal operand or product (PairHMM's
+//     recurrence makes many; see fmul_avx512).
+//   * Predicated simple instructions compute full-width and blend under
+//     the predicate; other predicated (divergent) instructions fall back
+//     to the per-lane scalar handlers inherited from EngineBase — the same
+//     code the fast path runs, so the divergence semantics cannot drift.
 //   * Loops the decoder marked accel-eligible (DecodedInstr::accel) run a
 //     steady-state fast-forward: iterations execute exactly while the
 //     warp's relative timing signature is recorded; once two consecutive
@@ -48,6 +53,10 @@
 
 #include "wsim/obs/metrics.hpp"
 #include "wsim/simt/fastpath_engine.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace wsim::simt {
 namespace {
@@ -135,7 +144,14 @@ struct VecTraits<8> {
   typedef float f32 __attribute__((vector_size(64)));
   static constexpr int kLanes = 8;
   WSIM_VEC_INLINE static u64 splat(std::uint64_t x) noexcept {
-    return u64{x, x, x, x, x, x, x, x};
+    // GCC 12 builds the braced form {x, x, ...} of a scalar it must reload
+    // (a Ref's broadcast) from eight merge-masked vpbroadcastq, one per
+    // lane; a filled array copied into the vector compiles to one.
+    std::uint64_t lanes[kLanes];
+    std::fill_n(lanes, kLanes, x);
+    u64 v;
+    std::memcpy(&v, lanes, sizeof(v));
+    return v;
   }
   WSIM_VEC_INLINE static i64 iota(std::int64_t b) noexcept {
     return i64{b, b + 1, b + 2, b + 3, b + 4, b + 5, b + 6, b + 7};
@@ -216,6 +232,45 @@ struct VecArgs {
   std::int64_t warp_index = 0;
 };
 
+#if defined(__x86_64__)
+// kFMul at the AVX-512 tier multiplies in f64: the product of two f32
+// values is exact there (24 + 24 significant bits fit in 53, and no
+// product leaves f64's normal range), so rounding it once to f32 gives the
+// f32 multiply's bits, NaN payloads and signed zeros included. An f32
+// multiply with a subnormal operand or product takes a microcode assist on
+// Intel cores, and PairHMM's recurrence makes many; this route takes none.
+//
+// The conversions are spelled as intrinsics because GCC 12 lowers the
+// generic-vector f32 <-> f64 conversions of a 64-byte chunk as two halves
+// plus shuffles, three times the instructions. They are the zero-masking
+// forms with a full mask: GCC emits the unmasked instructions for them,
+// while its unmasked forms pass an undefined vector that
+// -Wmaybe-uninitialized flags. The AVX2 and generic tiers keep the f32
+// multiply: with GCC's split conversions the f64 route lost to it there
+// on the latency-bound multiply chains (bench_simulator_perf's micro
+// section fell below the fast engine at the generic tier).
+#define WSIM_AVX512_TARGET __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl")))
+
+/// Chunk `c` of an operand's f32 payloads (the low 32 bits of each lane),
+/// converted exactly to f64.
+WSIM_AVX512_TARGET WSIM_VEC_INLINE __m512d widen_f32_avx512(const Ref& r, int c) noexcept {
+  if (r.lanes == nullptr) {
+    return _mm512_set1_pd(static_cast<double>(fastdetail::as_f32(r.broadcast)));
+  }
+  const __m512i v = _mm512_loadu_si512(r.lanes + static_cast<std::size_t>(c) * 8);
+  return _mm512_maskz_cvtps_pd(0xFF, _mm256_castsi256_ps(_mm512_maskz_cvtepi64_epi32(0xFF, v)));
+}
+
+WSIM_AVX512_TARGET void fmul_avx512(const VecArgs& x) noexcept {
+  for (int c = 0; c < kWarpSize / 8; ++c) {
+    const __m512d p = _mm512_mul_pd(widen_f32_avx512(x.a, c), widen_f32_avx512(x.b, c));
+    _mm512_storeu_si512(x.dst + static_cast<std::size_t>(c) * 8,
+                        _mm512_maskz_cvtepu32_epi64(
+                            0xFF, _mm256_castps_si256(_mm512_maskz_cvtpd_ps(0xFF, p))));
+  }
+}
+#endif
+
 /// All 32 lanes of one LaneOp, semantically identical to lane_apply() per
 /// lane. f32 payloads live in the low 32 bits of each 64-bit lane: the
 /// chunk is reinterpreted as 16 floats, the op computed elementwise (odd
@@ -230,6 +285,10 @@ template <LaneOp L, class T>
 WSIM_VEC_INLINE void vec_exec(const VecArgs& x) noexcept {
   if constexpr (L == LaneOp::kNop) {
     (void)x;  // never dispatched: decode only marks vec on lane != kNop
+#if defined(__x86_64__)
+  } else if constexpr (L == LaneOp::kFMul && T::kLanes == 8) {
+    fmul_avx512(x);
+#endif
   } else {
     using U64 = typename T::u64;
     using I64 = typename T::i64;
@@ -406,14 +465,13 @@ __attribute__((target("avx2"))) void vec_op_masked_avx2(const VecArgs& x,
 }
 
 template <LaneOp L>
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) void vec_op_avx512(
-    const VecArgs& x) {
+WSIM_AVX512_TARGET void vec_op_avx512(const VecArgs& x) {
   vec_exec<L, VecTraits<8>>(x);
 }
 
 template <LaneOp L>
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) void vec_op_masked_avx512(
-    const VecArgs& x, const std::uint64_t* pv, bool negate) {
+WSIM_AVX512_TARGET void vec_op_masked_avx512(const VecArgs& x, const std::uint64_t* pv,
+                                             bool negate) {
   vec_exec_masked<L, VecTraits<8>>(x, pv, negate);
 }
 #endif
@@ -465,6 +523,22 @@ inline constexpr auto kMaskedTableAvx2 =
     make_masked_avx2_table(std::make_index_sequence<kNumLaneOps>{});
 inline constexpr auto kMaskedTableAvx512 =
     make_masked_avx512_table(std::make_index_sequence<kNumLaneOps>{});
+#endif
+
+// --- active-lane masks -------------------------------------------------------
+//
+// fastdetail::nonzero_lanes compiled per tier; fastdetail::tier_nonzero_lanes
+// (below) hands the active tier's build to every engine.
+
+#if defined(__x86_64__)
+__attribute__((target("avx2"))) std::uint32_t nonzero_lanes_avx2(
+    const std::uint64_t* pv) noexcept {
+  return fastdetail::nonzero_lanes(pv);
+}
+
+WSIM_AVX512_TARGET std::uint32_t nonzero_lanes_avx512(const std::uint64_t* pv) noexcept {
+  return fastdetail::nonzero_lanes(pv);
+}
 #endif
 
 // --- tier selection ---------------------------------------------------------
@@ -724,16 +798,7 @@ struct VectorEngine final : fastdetail::EngineBase<VectorEngine> {
   // --- single-warp barrier --------------------------------------------------
 
   bool bar_taken(const Warp& warp, const DecodedInstr& d) const noexcept {
-    if (d.pred < 0) {
-      return true;
-    }
-    const std::uint64_t* pv = pred_lanes(warp, d);
-    for (int lane = 0; lane < kWarpSize; ++lane) {
-      if (lane_active(pv, d.pred_negate, lane)) {
-        return true;
-      }
-    }
-    return false;
+    return lane_mask(warp, d) != 0;
   }
 
   /// Counters, trace entry, and clock updates of a taken single-warp
@@ -901,10 +966,10 @@ struct VectorEngine final : fastdetail::EngineBase<VectorEngine> {
   /// latency on top of the baked one (the dynamic input the fast-forward
   /// records and checks).
   long long exec_mem(Warp& warp, const DecodedInstr& d) {
-    const std::uint64_t* pv = pred_lanes(warp, d);
+    const std::uint32_t mask = lane_mask(warp, d);
     return d.cls == ExecClass::kLds || d.cls == ExecClass::kSts
-               ? exec_smem(warp, d, pv)
-               : exec_gmem(warp, d, pv);
+               ? exec_smem(warp, d, mask)
+               : exec_gmem(warp, d, mask);
   }
 
   void record_signature(const Warp& warp) {
@@ -966,7 +1031,7 @@ struct VectorEngine final : fastdetail::EngineBase<VectorEngine> {
     const std::uint64_t* pv = nullptr;  ///< masked-blend predicate lanes
     const std::uint64_t* src = nullptr; ///< kShufflePerm source register
     std::uint64_t* dst = nullptr;       ///< kShufflePerm destination
-    std::uint64_t lane_mask = 0;        ///< kSmemMask active lanes (bit i = lane i)
+    std::uint32_t lane_mask = 0;        ///< kSmemMask active lanes (bit i = lane i)
     VecArgs args;                       ///< kVec* pre-resolved inputs
     std::array<std::uint8_t, kWarpSize> perm{};  ///< kShufflePerm lane sources
   };
@@ -997,20 +1062,6 @@ struct VectorEngine final : fastdetail::EngineBase<VectorEngine> {
         break;
     }
     return true;
-  }
-
-  std::uint64_t active_mask(const Warp& warp, const DecodedInstr& d) const noexcept {
-    if (d.pred < 0) {
-      return 0xFFFFFFFFull;
-    }
-    const std::uint64_t* pv = pred_lanes(warp, d);
-    std::uint64_t mask = 0;
-    for (int lane = 0; lane < kWarpSize; ++lane) {
-      if (lane_active(pv, d.pred_negate, lane)) {
-        mask |= 1ULL << lane;
-      }
-    }
-    return mask;
   }
 
   void build_value_plan(Warp& warp, std::size_t begin, std::size_t end) {
@@ -1069,7 +1120,7 @@ struct VectorEngine final : fastdetail::EngineBase<VectorEngine> {
         case ExecClass::kLds:
         case ExecClass::kSts:
           if (d.pred < 0 || al_->pred_stable[pc - begin - 1] != 0) {
-            p.lane_mask = active_mask(warp, d);
+            p.lane_mask = lane_mask(warp, d);
             p.kind = PlanOp::Kind::kSmemMask;
           } else {
             p.kind = PlanOp::Kind::kMem;
@@ -1088,67 +1139,6 @@ struct VectorEngine final : fastdetail::EngineBase<VectorEngine> {
       }
       plan_.push_back(p);
     }
-  }
-
-  /// exec_smem with the active-lane set precomputed: identical walk order
-  /// (ascending lanes), word dedup, bounds check, transaction math, and
-  /// counter updates — only the per-lane predicate test is gone, which is
-  /// the bulk of the cost when few lanes are active.
-  long long exec_smem_mask(Warp& warp, const DecodedInstr& d, std::uint64_t mask) {
-    const Ref a = ref(warp, d.a);
-    const Ref b = ref(warp, d.b);
-    const std::int64_t offset = as_i64(b.value(0));
-    const std::size_t bytes = d.width == MemWidth::kB1 ? 1 : 4;
-    const Ref c = d.cls == ExecClass::kSts ? ref(warp, d.c) : Ref{};
-    std::uint64_t* dst = d.cls == ExecClass::kLds
-                             ? &warp.v[static_cast<std::size_t>(d.dst) * kWarpSize]
-                             : nullptr;
-    std::array<std::int64_t, kWarpSize> words;  // only [0, n_words) is read
-    int n_words = 0;
-    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-      const int lane = __builtin_ctzll(m);
-      const std::int64_t addr = as_i64(a.value(lane)) + offset;
-      // Message built only on failure, as in exec_smem.
-      if (addr < 0 ||
-          static_cast<std::size_t>(addr) + bytes > smem_.size()) [[unlikely]] {
-        util::require(false,
-                      "shared memory access out of bounds in kernel " + prog_.name);
-      }
-      const std::int64_t word = addr / 4;
-      bool seen = false;
-      for (int k = 0; k < n_words; ++k) {
-        if (words[static_cast<std::size_t>(k)] == word) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) {
-        words[static_cast<std::size_t>(n_words++)] = word;
-      }
-      if (d.cls == ExecClass::kLds) {
-        dst[static_cast<std::size_t>(lane)] =
-            fastdetail::load_bits(smem_.data() + addr, d.width);
-      } else {
-        const std::uint64_t value =
-            maybe_corrupt(c.value(lane), SdcSite::kSmemStore);
-        std::memcpy(smem_.data() + addr, &value, bytes);
-      }
-    }
-    std::size_t transactions = mask != 0 ? 1 : 0;
-    for (int i = 1; i < n_words; ++i) {
-      std::size_t same_bank = 1;
-      const std::int64_t bank = words[static_cast<std::size_t>(i)] % dev_.smem_banks;
-      for (int j = 0; j < i; ++j) {
-        if (words[static_cast<std::size_t>(j)] % dev_.smem_banks == bank) {
-          ++same_bank;
-        }
-      }
-      transactions = std::max(transactions, same_bank);
-    }
-    result_.smem_transactions += transactions;
-    return transactions > 1
-               ? static_cast<long long>(transactions - 1) * dev_.lat.bank_conflict
-               : 0;
   }
 
   /// Runs up to `target` value-only iterations; returns how many
@@ -1260,7 +1250,7 @@ struct VectorEngine final : fastdetail::EngineBase<VectorEngine> {
           break;
         case PlanOp::Kind::kSmemMask: {
           count_issue(d);
-          const long long replay = exec_smem_mask(warp, d, p.lane_mask);
+          const long long replay = exec_smem(warp, d, p.lane_mask);
           if (replay != dyn_prev_[dyn]) {
             finish_deviated_iteration(warp, begin, end, de, p.pc, replay);
             return false;
@@ -1385,6 +1375,17 @@ struct VectorEngine final : fastdetail::EngineBase<VectorEngine> {
 };
 
 }  // namespace
+
+fastdetail::LaneMaskFn fastdetail::tier_nonzero_lanes() noexcept {
+#if defined(__x86_64__)
+  switch (active_vec_isa()) {
+    case VecIsa::kAvx512: return &nonzero_lanes_avx512;
+    case VecIsa::kAvx2: return &nonzero_lanes_avx2;
+    case VecIsa::kGeneric: break;
+  }
+#endif
+  return &fastdetail::nonzero_lanes;
+}
 
 const char* vector_isa_name() noexcept {
   switch (active_vec_isa()) {

@@ -70,17 +70,76 @@ double percentile(std::span<const double> values, double p) {
   return sorted_percentile(sorted, p);
 }
 
+namespace {
+
+/// Where the p-th percentile of n > 1 values falls: between order
+/// statistics lo and hi = min(lo + 1, n - 1), `frac` of the way up.
+struct Rank {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  double frac = 0.0;
+
+  Rank(double p, std::size_t n) {
+    const double rank = p / 100.0 * static_cast<double>(n - 1);
+    lo = static_cast<std::size_t>(rank);
+    hi = std::min(lo + 1, n - 1);
+    frac = rank - static_cast<double>(lo);
+  }
+
+  double interpolate(double at_lo, double at_hi) const noexcept {
+    return at_lo + frac * (at_hi - at_lo);
+  }
+};
+
+void require_percent(double p) {
+  require(p >= 0.0 && p <= 100.0, "percentile: p must be in [0, 100]");
+}
+
+}  // namespace
+
 double sorted_percentile(std::span<const double> sorted, double p) {
   require(!sorted.empty(), "percentile: sample must be non-empty");
-  require(p >= 0.0 && p <= 100.0, "percentile: p must be in [0, 100]");
+  require_percent(p);
   if (sorted.size() == 1) {
     return sorted.front();
   }
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  const Rank r(p, sorted.size());
+  return r.interpolate(sorted[r.lo], sorted[r.hi]);
+}
+
+std::vector<double> select_percentiles(std::span<double> values,
+                                       std::span<const double> ps) {
+  require(!values.empty(), "percentile: sample must be non-empty");
+  require(std::is_sorted(ps.begin(), ps.end()),
+          "select_percentiles: percentiles must be non-decreasing");
+  std::vector<double> out;
+  out.reserve(ps.size());
+  const std::size_t n = values.size();
+  // values[0, unsorted) are at most the last order statistic selected,
+  // values[unsorted - 1]; each later selection works above it.
+  std::size_t unsorted = 0;
+  for (const double p : ps) {
+    require_percent(p);
+    if (n == 1) {
+      out.push_back(values.front());
+      continue;
+    }
+    const Rank r(p, n);
+    if (r.lo >= unsorted) {
+      std::nth_element(values.begin() + static_cast<std::ptrdiff_t>(unsorted),
+                       values.begin() + static_cast<std::ptrdiff_t>(r.lo), values.end());
+      unsorted = r.lo + 1;
+    }
+    // Everything above position lo is at least values[lo], so order
+    // statistic lo + 1 is the smallest of them.
+    const double at_hi =
+        r.hi == r.lo
+            ? values[r.lo]
+            : *std::min_element(values.begin() + static_cast<std::ptrdiff_t>(r.hi),
+                                values.end());
+    out.push_back(r.interpolate(values[r.lo], at_hi));
+  }
+  return out;
 }
 
 double relative_error(double estimate, double reference) {

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 namespace wsim::util {
 
@@ -36,6 +37,12 @@ double percentile(std::span<const double> values, double p);
 /// percentile() of a sample already sorted ascending, without copying or
 /// sorting it: read several percentiles of one sample through this.
 double sorted_percentile(std::span<const double> sorted, double p);
+
+/// percentile() of `values` at each of `ps` (non-decreasing), by selection
+/// in O(n) per percentile instead of a full sort; bit-identical to
+/// sorted_percentile() on the sorted sample. Reorders `values`.
+std::vector<double> select_percentiles(std::span<double> values,
+                                       std::span<const double> ps);
 
 /// Relative error (estimate - reference) / reference. Requires a non-zero
 /// reference.

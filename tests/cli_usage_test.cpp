@@ -225,6 +225,29 @@ TEST(CliFlags, DriverRejectsUnknownInterpreterFromFlagOrEnvironment) {
   EXPECT_EQ(ok_status, 0) << ok_output;
 }
 
+// fleet-sim's DEV is a position in --fleet, so an index past its end is a
+// typo that would otherwise degrade nothing. cluster-sim's device ids grow
+// as workers join, so it takes any index.
+TEST(CliFlags, DegradeIndexOutsideTheFleetIsRejected) {
+  const auto [status, output] = run_wsim("fleet-sim --regions 1 --degrade \"9@2\"");
+  EXPECT_NE(status, 0);
+  EXPECT_NE(output.find("error: --degrade device 9 is outside the fleet of 3 devices"),
+            std::string::npos)
+      << output;
+  const auto [last_status, last_output] =
+      run_wsim("fleet-sim --regions 1 --fleet \"K40,K1200\" --degrade \"1@2,2@2\"");
+  EXPECT_NE(last_status, 0);
+  EXPECT_NE(last_output.find("--degrade device 2 is outside the fleet of 2 devices"),
+            std::string::npos)
+      << last_output;
+  const auto [ok_status, ok_output] =
+      run_wsim("fleet-sim --regions 1 --fleet \"K40,K1200\" --degrade \"1@2\"");
+  EXPECT_EQ(ok_status, 0) << ok_output;
+  const auto [cluster_status, cluster_output] =
+      run_wsim("cluster-sim --regions 1 --duration 0.01 --degrade \"9@2\"");
+  EXPECT_EQ(cluster_status, 0) << cluster_output;
+}
+
 TEST(CliUsage, ResilienceCommandsAreDocumented) {
   EXPECT_TRUE(cli::has_command("guard-sim"));
   EXPECT_TRUE(cli::has_command("fleet-sim"));

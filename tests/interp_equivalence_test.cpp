@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -966,6 +969,361 @@ TEST(InterpEquivalence, PairHmmShuffleLoopRunsMostlyValueOnly) {
   ASSERT_GT(total, 0U) << "the PairHMM shuffle loop is not fast-forward eligible";
   EXPECT_GE(iters.value * 10, total * 9)
       << iters.value << " of " << total << " accel iterations ran value-only";
+}
+
+/// Runs one block of `kernel` on an arena that `layout` allocates and
+/// fills (it returns the kernel's scalar arguments), with the write set
+/// recorded and, when `traced`, the instruction trace too. Tracing also
+/// turns the vector engine's loop fast-forward off, so the two settings
+/// reach the same instructions through both of its dispatch routes.
+template <typename Layout>
+RunOutcome run_on_arena(const Kernel& kernel, const DeviceSpec& device, InterpPath path,
+                        bool traced, Layout layout) {
+  GlobalMemory gmem;
+  const std::vector<std::uint64_t> args = layout(gmem);
+  RunOutcome outcome;
+  Trace trace;
+  GmemWriteSet writes;
+  BlockRunOptions options;
+  options.interp = path;
+  options.trace = traced ? &trace : nullptr;
+  options.writes = &writes;
+  try {
+    outcome.result = run_block(kernel, device, gmem, args, options);
+  } catch (const CheckError& e) {
+    outcome.threw = true;
+    outcome.error = e.what();
+  }
+  outcome.memory = gmem.read_u8(0, gmem.size());
+  outcome.trace = trace.events();
+  outcome.writes = writes.spans();
+  return outcome;
+}
+
+/// Runs `layout` on all three engines, traced and untraced, and expects
+/// the vector and fast engines to match the legacy one exactly; returns
+/// the untraced legacy outcome.
+template <typename Layout>
+RunOutcome expect_engines_agree(const Kernel& kernel, const DeviceSpec& device,
+                                const std::string& label, Layout layout) {
+  RunOutcome reference;
+  for (const bool traced : {false, true}) {
+    const std::string where = label + (traced ? " traced" : "");
+    const RunOutcome legacy =
+        run_on_arena(kernel, device, InterpPath::kLegacy, traced, layout);
+    expect_equal_outcomes(legacy,
+                          run_on_arena(kernel, device, InterpPath::kFast, traced, layout),
+                          where + " fast");
+    expect_equal_outcomes(legacy,
+                          run_on_arena(kernel, device, InterpPath::kVector, traced, layout),
+                          where + " vector");
+    if (!traced) {
+      reference = legacy;
+    }
+  }
+  return reference;
+}
+
+std::uint32_t f32_bits(float value) { return std::bit_cast<std::uint32_t>(value); }
+
+constexpr std::uint32_t kFmulMarker = 0x5A5A5A5Au;
+constexpr float kFmulImm = 0x1p-64F;
+
+/// One warp multiplying `trips` rows of 32 f32 operand pairs loaded from
+/// global memory, three ways, into three result arrays `stride` bytes
+/// apart: unpredicated (the 32-lane vector route), predicated on the even
+/// lanes (the masked blend; odd lanes keep kFmulMarker), and by the
+/// immediate kFmulImm (a broadcast operand).
+Kernel build_fmul_rows() {
+  KernelBuilder kb("fmul_rows", 32);
+  const SReg a = kb.param();       // s0: left operands
+  const SReg b = kb.param();       // s1: right operands
+  const SReg out = kb.param();     // s2: the three result arrays
+  const SReg trips = kb.param();   // s3: rows
+  const SReg stride = kb.param();  // s4: bytes per result array
+  const SReg stride2 = kb.sadd(stride, stride);
+  const VReg lane = kb.laneid();
+  const VReg even =
+      kb.setp(Cmp::kEq, DType::kI64, kb.iand(lane, imm_i64(1)), imm_i64(0));
+  const VReg off = kb.imul(lane, imm_i64(4));
+  kb.loop(trips);
+  const VReg x = kb.ldg(kb.iadd(a, off));
+  const VReg y = kb.ldg(kb.iadd(b, off));
+  const VReg slot = kb.iadd(out, off);
+  kb.stg(slot, kb.fmul(x, y));
+  const VReg masked = kb.mov(imm_i64(kFmulMarker));
+  kb.begin_pred(even);
+  kb.emit_to(masked, wsim::simt::Op::kFMul, x, y);
+  kb.end_pred();
+  kb.stg(kb.iadd(slot, stride), masked);
+  kb.stg(kb.iadd(slot, stride2), kb.fmul(x, imm_f32(kFmulImm)));
+  kb.assign(off, kb.iadd(off, imm_i64(32 * 4)));
+  kb.endloop();
+  return kb.build();
+}
+
+bool is_nan_bits(std::uint32_t bits) { return (bits & 0x7FFFFFFFu) > 0x7F800000u; }
+
+// At the AVX-512 tier the vector engine multiplies f32 lanes through an
+// exact f64 product rounded once to f32 (the other tiers and the scalar
+// engines multiply in f32). Every pair of edge values must give the bits
+// of the f32 multiply on every engine: signed zeros, the smallest and largest
+// subnormals, products that round into the subnormal range or to zero,
+// overflow past FLT_MAX, infinities, inf x 0, and quiet and signalling NaN
+// payloads. (Two NaN operands are left out: which payload wins then
+// depends on the operand order the compiler picks.)
+TEST(InterpEquivalence, FloatMultiplyEdgeValuesMatchBitForBit) {
+  SCOPED_TRACE(std::string("vector tier ") + wsim::simt::vector_isa_name());
+  const std::vector<std::uint32_t> edges = {
+      0x00000000u, 0x80000000u,                // +0, -0
+      0x00000001u, 0x80000001u, 0x00000003u,   // smallest subnormals
+      0x007FFFFFu, 0x807FFFFFu,                // largest subnormals
+      0x00800000u,                             // FLT_MIN
+      f32_bits(0.5F), f32_bits(1.0F), f32_bits(-1.5F), f32_bits(2.0F),
+      0x3F000001u, 0x3F7FFFFFu,                // rounding just off 0.5 and 1
+      f32_bits(0x1p-63F), f32_bits(0x1p-65F),  // products in the subnormal range
+      0x1E800001u, 0x20400001u, 0x1F3FFFFFu,   // ... that round
+      f32_bits(0x1p-103F),                     // products that round to zero
+      0x7F7FFFFFu, 0xFF7FFFFFu,                // +-FLT_MAX
+      0x7F800000u, 0xFF800000u,                // +-inf
+      0x7FC12345u, 0xFFC00001u,                // quiet NaNs with payloads
+      0x7F812345u, 0xFF800001u,                // signalling NaNs with payloads
+  };
+  std::vector<std::uint32_t> lhs;
+  std::vector<std::uint32_t> rhs;
+  for (const std::uint32_t x : edges) {
+    for (const std::uint32_t y : edges) {
+      if (!(is_nan_bits(x) && is_nan_bits(y))) {
+        lhs.push_back(x);
+        rhs.push_back(y);
+      }
+    }
+  }
+  while (lhs.size() % 32 != 0) {
+    lhs.push_back(f32_bits(1.0F));
+    rhs.push_back(f32_bits(1.0F));
+  }
+  const std::size_t n = lhs.size();
+  const std::size_t bytes = n * 4;
+  const auto layout = [&](GlobalMemory& gmem) {
+    const std::int64_t a = gmem.alloc(bytes);
+    const std::int64_t b = gmem.alloc(bytes);
+    const std::int64_t out = gmem.alloc(3 * bytes);
+    std::memcpy(gmem.at(a, bytes), lhs.data(), bytes);
+    std::memcpy(gmem.at(b, bytes), rhs.data(), bytes);
+    return std::vector<std::uint64_t>{static_cast<std::uint64_t>(a),
+                                      static_cast<std::uint64_t>(b),
+                                      static_cast<std::uint64_t>(out), n / 32, bytes};
+  };
+  const Kernel kernel = build_fmul_rows();
+  for (const DeviceSpec& device : {wsim::simt::make_k1200(), wsim::simt::make_titan_x()}) {
+    const RunOutcome legacy = expect_engines_agree(kernel, device, device.name, layout);
+    ASSERT_FALSE(legacy.threw) << legacy.error;
+    const std::size_t out = 2 * bytes;  // the arena offset of the results
+    const auto result = [&](std::size_t array, std::size_t i) {
+      std::uint32_t bits = 0;
+      std::memcpy(&bits, legacy.memory.data() + out + array * bytes + i * 4, 4);
+      return bits;
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      const float x = std::bit_cast<float>(lhs[i]);
+      const float y = std::bit_cast<float>(rhs[i]);
+      const std::string pair = device.name + " " + std::to_string(i);
+      EXPECT_EQ(result(0, i), f32_bits(x * y)) << pair;
+      EXPECT_EQ(result(1, i), i % 2 == 0 ? f32_bits(x * y) : kFmulMarker) << pair;
+      EXPECT_EQ(result(2, i), f32_bits(x * kFmulImm)) << pair;
+    }
+  }
+}
+
+/// One warp that loads its per-lane addresses from four 32-entry i32
+/// tables at `tables` (a B4 load address, a B1 load address, a B4 store
+/// address, and an active flag), then `trips` times loads B4 and B1 from
+/// those addresses and stores their sum, all under the flag when
+/// `predicated`. The loaded values land in two result rows after the
+/// tables, so every engine's register contents are compared too.
+Kernel build_gmem_table(bool predicated) {
+  KernelBuilder kb(predicated ? "gmem_table_pred" : "gmem_table", 32);
+  const SReg tables = kb.param();  // s0
+  const SReg trips = kb.param();   // s1
+  const VReg row = kb.iadd(tables, kb.imul(kb.tid(), imm_i64(4)));
+  const VReg load4 = kb.ldg(row);
+  const VReg load1 = kb.ldg(row, 128);
+  const VReg store = kb.ldg(row, 256);
+  const VReg active = kb.ldg(row, 384);
+  const VReg word = kb.mov(imm_i64(-1));
+  const VReg byte = kb.mov(imm_i64(-2));
+  kb.loop(trips);
+  if (predicated) {
+    kb.begin_pred(active);
+  }
+  kb.ldg_to(word, load4);
+  kb.ldg_to(byte, load1, 0, MemWidth::kB1);
+  kb.stg(store, kb.iadd(word, byte));
+  if (predicated) {
+    kb.end_pred();
+  }
+  kb.endloop();
+  kb.stg(row, word, 512);
+  kb.stg(row, byte, 640);
+  return kb.build();
+}
+
+/// Per-lane addresses and flags of one gmem_table run. Addresses are
+/// relative to the data region, which starts kGmemTableData bytes into the
+/// arena (after the tables and result rows) and ends it, kGmemDataBytes on.
+struct GmemTable {
+  std::array<std::int32_t, 32> load4{};
+  std::array<std::int32_t, 32> load1{};
+  std::array<std::int32_t, 32> store{};
+  std::array<std::int32_t, 32> active{};
+};
+
+constexpr std::int64_t kGmemPage = 4096;
+constexpr std::int64_t kGmemTableData = 1024;
+constexpr std::int64_t kGmemDataBytes = 32 * kGmemPage + 128;
+
+// Accesses the other cases never make: lanes scattered across more than 64
+// segments, faults in the middle of the active lanes (the lanes below the
+// fault must already have stored), negative addresses, loads that end at
+// the arena's last byte, words off 4-byte alignment, and accesses with no
+// active lane.
+TEST(InterpEquivalence, GlobalMemoryWideScatterAndMidMaskFaults) {
+  SCOPED_TRACE(std::string("vector tier ") + wsim::simt::vector_isa_name());
+  const auto device = wsim::simt::make_k1200();
+  constexpr std::int64_t kPage = kGmemPage;
+  constexpr std::int64_t kEnd = kGmemDataBytes;
+  const auto scatter = [] {
+    GmemTable t;  // lanes one page apart: 32 segments over a 993-segment span
+    for (int lane = 0; lane < 32; ++lane) {
+      t.load4[lane] = lane * kPage;
+      t.load1[lane] = lane * kPage + 4 + lane;
+      t.store[lane] = lane * kPage + 64;
+      t.active[lane] = 1;
+    }
+    return t;
+  };
+  std::vector<std::pair<std::string, GmemTable>> cases;
+  cases.emplace_back("scatter", scatter());
+  {
+    GmemTable t = scatter();  // descending addresses, every third lane active
+    for (int lane = 0; lane < 32; ++lane) {
+      t.load4[lane] = (31 - lane) * kPage + 8;
+      t.store[lane] = (31 - lane) * kPage + 96;
+      t.active[lane] = lane % 3 == 0 ? 1 : 0;
+    }
+    cases.emplace_back("descending scatter", t);
+  }
+  {
+    GmemTable t = scatter();  // two clusters 40 segments apart
+    for (int lane = 0; lane < 32; ++lane) {
+      const std::int64_t base = lane < 16 ? 40 * 128 : 0;
+      t.load4[lane] = static_cast<std::int32_t>(base + lane * 4);
+      t.load1[lane] = static_cast<std::int32_t>(base + 128 + lane);
+      t.store[lane] = static_cast<std::int32_t>(base + 256 + lane * 4);
+    }
+    cases.emplace_back("two clusters", t);
+  }
+  {
+    GmemTable t = scatter();  // three segments over a 120-segment span
+    for (int lane = 0; lane < 32; ++lane) {
+      const std::int64_t segment = lane == 0 ? 60 : lane < 16 ? 0 : 120;
+      t.load4[lane] = static_cast<std::int32_t>(segment * 128 + lane * 4);
+    }
+    cases.emplace_back("three segments", t);
+  }
+  {
+    GmemTable t = scatter();  // B4 loads and stores off 4-byte alignment
+    for (int lane = 0; lane < 32; ++lane) {
+      t.load4[lane] = lane * kPage + 1 + lane % 3;
+      t.store[lane] = lane * kPage + 65 + lane % 3;
+    }
+    cases.emplace_back("unaligned words", t);
+  }
+  {
+    GmemTable t = scatter();  // odd lanes only; lane 17's store is past the end
+    for (int lane = 0; lane < 32; ++lane) {
+      t.store[lane] = lane * 4 + 8;
+      t.active[lane] = lane % 2;
+    }
+    t.store[17] = kEnd + 100;
+    cases.emplace_back("store fault mid-mask", t);
+  }
+  {
+    GmemTable t = scatter();  // a B4 load that overhangs the last byte
+    t.load4[13] = kEnd - 3;
+    cases.emplace_back("load overhangs the end", t);
+  }
+  {
+    GmemTable t = scatter();  // stores before the fault, wide span
+    t.store[9] = -kGmemTableData - 8;
+    cases.emplace_back("negative store address", t);
+  }
+  {
+    GmemTable t = scatter();
+    t.load1[3] = -kGmemTableData - 1;
+    cases.emplace_back("negative load address", t);
+  }
+  {
+    GmemTable t = scatter();  // loads ending exactly at the arena's end
+    t.load1[31] = kEnd - 1;
+    t.load4[30] = kEnd - 4;
+    cases.emplace_back("loads at the last bytes", t);
+  }
+  {
+    GmemTable t = scatter();
+    t.active.fill(0);
+    cases.emplace_back("no active lane", t);
+  }
+
+  for (const bool predicated : {false, true}) {
+    const Kernel kernel = build_gmem_table(predicated);
+    for (const std::int64_t trips : {1, 6}) {
+      for (const auto& [what, t] : cases) {
+        const std::string label = what + (predicated ? " predicated" : "") +
+                                  " trips=" + std::to_string(trips);
+        const auto layout = [&](GlobalMemory& gmem) {
+          const std::int64_t tables = gmem.alloc(kGmemTableData, 128);
+          const std::int64_t data = gmem.alloc(kGmemDataBytes, 128);
+          std::vector<std::int32_t> rows;
+          for (const auto* table : {&t.load4, &t.load1, &t.store}) {
+            for (const std::int32_t rel : *table) {
+              rows.push_back(static_cast<std::int32_t>(data + rel));
+            }
+          }
+          rows.insert(rows.end(), t.active.begin(), t.active.end());
+          gmem.write_i32(tables, rows);
+          std::vector<std::uint8_t> fill(kGmemDataBytes);
+          for (std::size_t i = 0; i < fill.size(); ++i) {
+            fill[i] = static_cast<std::uint8_t>((i * 131 + 7) & 0xFF);
+          }
+          gmem.write_u8(data, fill);
+          return std::vector<std::uint64_t>{static_cast<std::uint64_t>(tables),
+                                            static_cast<std::uint64_t>(trips)};
+        };
+        const RunOutcome legacy = expect_engines_agree(kernel, device, label, layout);
+        const bool faults = what.find("fault") != std::string::npos ||
+                            what.find("overhangs") != std::string::npos ||
+                            what.find("negative") != std::string::npos;
+        EXPECT_EQ(legacy.threw, faults) << label << ": " << legacy.error;
+        if (legacy.threw) {
+          EXPECT_NE(legacy.error.find("global memory access out of bounds"),
+                    std::string::npos)
+              << label << ": " << legacy.error;
+        }
+        if (what == "store fault mid-mask") {
+          // Exactly the active lanes below the faulting one stored.
+          GmemWriteSet stored;
+          for (int lane = 0; lane < 17; ++lane) {
+            if (!predicated || t.active[static_cast<std::size_t>(lane)] != 0) {
+              stored.add(kGmemTableData + t.store[static_cast<std::size_t>(lane)], 4);
+            }
+          }
+          EXPECT_EQ(legacy.writes, stored.spans()) << label;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -184,6 +184,38 @@ TEST(Stats, SortedPercentileMatchesPercentile) {
   EXPECT_THROW(wsim::util::sorted_percentile(values, 101.0), CheckError);
 }
 
+// Selection must reproduce the sort-based percentiles exactly (golden JSON
+// pins them byte for byte), duplicates and tiny samples included.
+TEST(Stats, SelectedPercentilesMatchSortedPercentiles) {
+  const std::vector<double> ps = {0.0, 50.0, 50.0, 95.0, 99.0, 100.0};
+  Rng rng(7);
+  for (const std::size_t n : {1U, 2U, 3U, 100U, 100000U}) {
+    std::vector<double> values(n);
+    for (double& v : values) {
+      // Few distinct values, so most order statistics repeat.
+      v = static_cast<double>(rng.uniform_int(0, 40)) / 8.0 + 0.001;
+    }
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    const std::vector<double> selected = wsim::util::select_percentiles(values, ps);
+    ASSERT_EQ(selected.size(), ps.size());
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+      EXPECT_EQ(selected[i], wsim::util::sorted_percentile(sorted, ps[i]))
+          << "n=" << n << " p=" << ps[i];
+    }
+    std::sort(values.begin(), values.end());
+    EXPECT_EQ(values, sorted) << "selection must only reorder the sample";
+  }
+  std::vector<double> one = {1.0};
+  EXPECT_THROW(wsim::util::select_percentiles(one, std::vector<double>{99.0, 50.0}),
+               CheckError);
+  EXPECT_THROW(wsim::util::select_percentiles(one, std::vector<double>{101.0}),
+               CheckError);
+  std::vector<double> none;
+  EXPECT_THROW(wsim::util::select_percentiles(none, std::vector<double>{50.0}),
+               CheckError);
+}
+
 TEST(Stats, RelativeError) {
   EXPECT_NEAR(wsim::util::relative_error(161.0, 189.0), -0.148, 0.001);
   EXPECT_THROW(wsim::util::relative_error(1.0, 0.0), CheckError);

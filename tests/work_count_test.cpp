@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <sstream>
 #include <string>
 
@@ -18,9 +21,35 @@
 #include "wsim/kernels/wavefront_kernels.hpp"
 #include "wsim/obs/metrics.hpp"
 #include "wsim/obs/obs.hpp"
+#include "wsim/simt/builder.hpp"
 #include "wsim/simt/device.hpp"
 #include "wsim/simt/engine.hpp"
+#include "wsim/simt/interpreter.hpp"
+#include "wsim/simt/memory.hpp"
 #include "wsim/util/rng.hpp"
+
+namespace {
+
+/// Heap allocations made through the replaced global operator new below.
+std::atomic<std::uint64_t> g_allocations{0};
+
+}  // namespace
+
+// A counting global allocator for this test binary only: allocation counts
+// are exact where host time is not. GCC cannot see that this operator new
+// returns malloc memory, so it would flag the matching free() calls.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace {
 
@@ -192,6 +221,63 @@ TEST(WorkCount, WarmFleetBatchesDoNoWork) {
   expect_warm_batch_does_no_work([&] {
     return executor.execute_ph(ph, now += 1.0, timing_only).result.run.launch;
   });
+}
+
+/// One warp summing a B4 global load per iteration; every lane's address
+/// advances by the scalar `stride` each iteration.
+wsim::simt::Kernel build_strided_loads() {
+  using wsim::simt::imm_i64;
+  wsim::simt::KernelBuilder kb("strided_loads", 32);
+  const wsim::simt::SReg in = kb.param();      // s0
+  const wsim::simt::SReg stride = kb.param();  // s1: bytes per iteration
+  const wsim::simt::SReg trips = kb.param();   // s2
+  const wsim::simt::VReg lane_at = kb.iadd(in, kb.imul(kb.tid(), imm_i64(4)));
+  const wsim::simt::VReg addr = kb.mov(lane_at);
+  const wsim::simt::VReg acc = kb.mov(imm_i64(0));
+  kb.loop(trips);
+  kb.assign(acc, kb.iadd(acc, kb.ldg(addr)));
+  kb.assign(addr, kb.iadd(addr, stride));
+  kb.endloop();
+  kb.stg(lane_at, acc);
+  return kb.build();
+}
+
+// The block's warm set (which 128 B segments it has touched) costs the same
+// however many segments a kernel touches: a block that streams through 512
+// segments allocates exactly as often as one that stays in one.
+TEST(WorkCount, WarmSetAllocationsDoNotGrowWithSegments) {
+  const wsim::simt::Kernel kernel = build_strided_loads();
+  constexpr std::int64_t kTrips = 512;
+  const auto allocations = [&](wsim::simt::InterpPath path, std::int64_t stride) {
+    wsim::simt::GlobalMemory gmem;
+    const std::int64_t in = gmem.alloc(kTrips * 128, 128);
+    const std::vector<std::uint64_t> args = {static_cast<std::uint64_t>(in),
+                                             static_cast<std::uint64_t>(stride),
+                                             static_cast<std::uint64_t>(kTrips)};
+    wsim::simt::BlockRunOptions options;
+    options.interp = path;
+    const std::uint64_t before = g_allocations.load();
+    const wsim::simt::BlockResult result = run_block(kernel, kDev, gmem, args, options);
+    const std::uint64_t made = g_allocations.load() - before;
+    // Stride 0 keeps every load in one segment, stride 128 gives each
+    // iteration its own.
+    EXPECT_EQ(result.gmem_transactions, static_cast<std::uint64_t>(kTrips) + 1);
+    return made;
+  };
+  // The legacy interpreter keeps its hash set: it is the reference model.
+  for (const auto path : {wsim::simt::InterpPath::kFast, wsim::simt::InterpPath::kVector}) {
+    // Warm-up: the first runs also decode the kernel and set up lazily
+    // built process-wide state.
+    for (int i = 0; i < 2; ++i) {
+      allocations(path, 0);
+      allocations(path, 128);
+    }
+    const std::uint64_t one_segment = allocations(path, 0);
+    const std::uint64_t many_segments = allocations(path, 128);
+    EXPECT_GT(one_segment, 0U);
+    EXPECT_EQ(one_segment, many_segments)
+        << "interp path " << static_cast<int>(path);
+  }
 }
 
 TEST(WorkCount, JoinReusesTheWorkerModel) {

@@ -880,6 +880,17 @@ int cmd_fleet_sim(const Args& args) {
   fleet_cfg.faults.slowdown_prob = args.get_double("slow-prob", 0.0, 0.0, 1.0);
   fleet_cfg.faults.slowdown_factor = args.get_double("slow-factor", 4.0, 1.0);
   fleet_cfg.faults.degradations = degradations_from(args);
+  // DEV is a position in --fleet here; an index past its end would
+  // silently degrade nothing. (cluster-sim takes any index: its device ids
+  // grow as the autoscaler joins workers.)
+  for (const wsim::fleet::DegradeSpec& spec : fleet_cfg.faults.degradations) {
+    if (static_cast<std::size_t>(spec.device) >= fleet_cfg.workers.size()) {
+      throw wsim::util::CheckError(
+          "--degrade device " + std::to_string(spec.device) + " is outside the fleet of " +
+          std::to_string(fleet_cfg.workers.size()) +
+          " devices (DEV is the 0-based position in --fleet)");
+    }
+  }
   fleet_cfg.calibration.enabled = calibration_from(args, fleet_cfg.policy);
   wsim::simt::ExecutionEngine engine(engine_options_from(args));
   fleet_cfg.engine = &engine;
