@@ -2,14 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <functional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "wsim/kernels/nw_kernels.hpp"
 #include "wsim/kernels/ph_kernels.hpp"
 #include "wsim/kernels/sw_kernels.hpp"
+#include "wsim/kernels/wavefront_kernels.hpp"
 #include "wsim/simt/builder.hpp"
 #include "wsim/simt/device.hpp"
+#include "wsim/simt/watchdog.hpp"
 #include "wsim/util/check.hpp"
 #include "wsim/util/rng.hpp"
 
@@ -312,6 +319,252 @@ TEST(ExecutionEngine, SharedEngineCacheIsReusedAcrossRunnerInstances) {
   // block exists on a fully-warm launch, so compare the aggregate).
   EXPECT_EQ(warm.run.launch.total_seconds(), cold.run.launch.total_seconds());
 }
+
+// --- runner option forwarding -------------------------------------------------
+//
+// Every runner takes the same launch knobs and must hand each one to every
+// launch it issues. One table drives all runners through the same checks,
+// so a knob a runner drops fails here by name.
+
+/// The knobs under test, applied to whichever options type a runner takes.
+struct Knobs {
+  bool collect_outputs = true;
+  ExecMode mode = ExecMode::kFull;
+  bool overlap_transfers = false;
+  ExecutionEngine* engine = nullptr;
+  wsim::simt::SdcPlan sdc;
+  std::uint64_t sdc_launch_id = 0;
+  long long max_block_cycles = 0;
+  wsim::simt::InterpPath interp = wsim::simt::InterpPath::kDefault;
+};
+
+template <typename Options>
+Options options_from(const Knobs& k) {
+  Options o;
+  o.collect_outputs = k.collect_outputs;
+  o.mode = k.mode;
+  o.overlap_transfers = k.overlap_transfers;
+  o.engine = k.engine;
+  o.sdc = k.sdc;
+  o.sdc_launch_id = k.sdc_launch_id;
+  o.max_block_cycles = k.max_block_cycles;
+  o.interp = k.interp;
+  return o;
+}
+
+/// What forwarding can change in one batch: the aggregated launch record
+/// and a hash of the collected outputs.
+struct RunnerOutcome {
+  LaunchResult launch;
+  std::uint64_t outputs = 0;
+};
+
+/// FNV-1a over 64-bit words.
+std::uint64_t mix(std::uint64_t h, std::uint64_t word) {
+  for (int b = 0; b < 8; ++b) {
+    h = (h ^ ((word >> (8 * b)) & 0xFFU)) * 0x100000001B3ULL;
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
+
+std::uint64_t hash_sw(const std::vector<wsim::kernels::SwTaskOutput>& outputs) {
+  std::uint64_t h = kFnvBasis;
+  for (const auto& out : outputs) {
+    h = mix(h, static_cast<std::uint64_t>(out.best_score));
+    h = mix(h, out.best_i);
+    h = mix(h, out.best_j);
+    for (const char c : out.alignment.cigar) {
+      h = mix(h, static_cast<std::uint64_t>(c));
+    }
+  }
+  return h;
+}
+
+std::uint64_t hash_scores(const std::vector<std::int32_t>& scores) {
+  std::uint64_t h = kFnvBasis;
+  for (const std::int32_t s : scores) {
+    h = mix(h, static_cast<std::uint64_t>(s));
+  }
+  return h;
+}
+
+wsim::workload::SwBatch forwarding_sw_batch() {
+  wsim::util::Rng rng(131);
+  return {{random_dna(rng, 40), random_dna(rng, 70)},
+          {random_dna(rng, 75), random_dna(rng, 45)},
+          {random_dna(rng, 40), random_dna(rng, 70)}};
+}
+
+/// Reads of two length classes, so the PairHMM runner issues two launches.
+wsim::workload::PhBatch forwarding_ph_batch() {
+  wsim::util::Rng rng(137);
+  wsim::workload::PhBatch batch;
+  for (const int read_len : {24, 60, 28}) {
+    wsim::align::PairHmmTask task;
+    task.read = random_dna(rng, read_len);
+    task.hap = random_dna(rng, read_len + 20);
+    const auto len = static_cast<std::size_t>(read_len);
+    task.base_quals.assign(len, 30);
+    task.ins_quals.assign(len, 40);
+    task.del_quals.assign(len, 40);
+    batch.push_back(std::move(task));
+  }
+  return batch;
+}
+
+/// One runner under test: `run` executes the shared batch with the knobs.
+struct RunnerCase {
+  const char* runner;  ///< prefix of the runner's error messages
+  std::function<RunnerOutcome(const Knobs&)> run;
+};
+
+template <typename Options, typename Runner>
+RunnerCase sw_case(const char* prefix, Runner runner) {
+  return {prefix, [runner](const Knobs& k) {
+            const auto r = runner.run_batch(kDev, forwarding_sw_batch(),
+                                            options_from<Options>(k));
+            return RunnerOutcome{r.run.launch, hash_sw(r.outputs)};
+          }};
+}
+
+template <typename Options, typename Runner>
+RunnerCase nw_case(const char* prefix, Runner runner) {
+  return {prefix, [runner](const Knobs& k) {
+            const auto r = runner.run_batch(kDev, forwarding_sw_batch(),
+                                            options_from<Options>(k));
+            return RunnerOutcome{r.run.launch, hash_scores(r.scores)};
+          }};
+}
+
+/// Test names of the cases below, in the same order.
+constexpr const char* kRunnerCaseNames[] = {"Sw",        "Ph",        "Nw",
+                                            "WfSwTiled", "WfSwNaive", "WfNwTiled",
+                                            "WfNwNaive"};
+
+const std::vector<RunnerCase>& runner_cases() {
+  using namespace wsim::kernels;
+  static const std::vector<RunnerCase> cases = {
+      sw_case<SwRunOptions>("SwRunner", SwRunner(CommMode::kShuffle)),
+      {"PhRunner",
+       [runner = PhRunner(PhDesign::kShuffle)](const Knobs& k) {
+         const auto r = runner.run_batch(kDev, forwarding_ph_batch(),
+                                         options_from<PhRunOptions>(k));
+         std::uint64_t h = kFnvBasis;
+         for (const double v : r.log10) {
+           h = mix(h, std::bit_cast<std::uint64_t>(v));
+         }
+         return RunnerOutcome{r.run.launch, h};
+       }},
+      nw_case<NwRunOptions>("NwRunner", NwRunner(CommMode::kShuffle)),
+      sw_case<WfRunOptions>("WavefrontSwRunner",
+                            WavefrontSwRunner(WfVariant::kShuffle, {}, 32)),
+      sw_case<WfRunOptions>("WavefrontSwRunner",
+                            WavefrontSwRunner(WfVariant::kHostSyncNaive)),
+      nw_case<WfRunOptions>("WavefrontNwRunner",
+                            WavefrontNwRunner(WfVariant::kShuffle, {}, 32)),
+      nw_case<WfRunOptions>("WavefrontNwRunner",
+                            WavefrontNwRunner(WfVariant::kHostSyncNaive)),
+  };
+  return cases;
+}
+
+class RunnerForwarding : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  static const RunnerCase& runner() { return runner_cases().at(GetParam()); }
+};
+
+TEST_P(RunnerForwarding, MaxBlockCyclesArmsTheWatchdog) {
+  Knobs k;
+  k.max_block_cycles = 1;
+  EXPECT_THROW(runner().run(k), wsim::simt::LaunchTimeout);
+}
+
+TEST_P(RunnerForwarding, OverlapTransfersReachesTheResult) {
+  Knobs k;
+  EXPECT_FALSE(runner().run(k).launch.transfers_overlapped);
+  k.overlap_transfers = true;
+  EXPECT_TRUE(runner().run(k).launch.transfers_overlapped);
+}
+
+TEST_P(RunnerForwarding, LegacyInterpreterGivesTheSameOutputsAndInstructions) {
+  Knobs k;
+  const RunnerOutcome vector = runner().run(k);
+  k.interp = wsim::simt::InterpPath::kLegacy;
+  const RunnerOutcome legacy = runner().run(k);
+  EXPECT_EQ(legacy.outputs, vector.outputs);
+  EXPECT_EQ(legacy.launch.instructions, vector.launch.instructions);
+  EXPECT_GT(vector.launch.instructions, 0U);
+
+  // The engine keys cached costs by interpreter, so after a warm vector
+  // batch a legacy one executes blocks again only if `interp` arrived.
+  ExecutionEngine engine(EngineOptions{.threads = 1});
+  Knobs cached;
+  cached.collect_outputs = false;
+  cached.mode = ExecMode::kCachedByShape;
+  cached.engine = &engine;
+  cached.interp = wsim::simt::InterpPath::kVector;
+  runner().run(cached);
+  EXPECT_EQ(runner().run(cached).launch.blocks_executed, 0U);
+  cached.interp = wsim::simt::InterpPath::kLegacy;
+  EXPECT_GT(runner().run(cached).launch.blocks_executed, 0U);
+}
+
+TEST_P(RunnerForwarding, SdcPlanAndLaunchIdReachTheBlocks) {
+  Knobs k;
+  EXPECT_EQ(runner().run(k).launch.sdc_flips, 0U);
+  // A flip may land in an address register and crash the launch, so each
+  // launch id's outcome is either its flip count and outputs or the crash.
+  k.sdc.seed = 5;
+  k.sdc.flip_prob = 2e-5;
+  std::set<std::pair<std::uint64_t, std::uint64_t>> outcomes;
+  bool flipped = false;
+  for (std::uint64_t id = 1; id <= 8; ++id) {
+    k.sdc_launch_id = id;
+    try {
+      const RunnerOutcome run = runner().run(k);
+      flipped = flipped || run.launch.sdc_flips > 0;
+      outcomes.insert({run.launch.sdc_flips, run.outputs});
+    } catch (const wsim::util::CheckError&) {
+      outcomes.insert({~std::uint64_t{0}, 0});
+    }
+  }
+  EXPECT_TRUE(flipped);
+  EXPECT_GT(outcomes.size(), 1U) << "sdc_launch_id changes no outcome";
+}
+
+TEST_P(RunnerForwarding, CachedLaunchesFillThePrivateEngineCache) {
+  ExecutionEngine engine(EngineOptions{.threads = 1});
+  const std::size_t shared_before = wsim::simt::shared_engine().cost_cache_size();
+  Knobs k;
+  k.collect_outputs = false;
+  k.mode = ExecMode::kCachedByShape;
+  k.engine = &engine;
+  const RunnerOutcome cold = runner().run(k);
+  EXPECT_GT(cold.launch.blocks_executed, 0U);
+  EXPECT_GT(engine.cost_cache_size(), 0U);
+  EXPECT_EQ(wsim::simt::shared_engine().cost_cache_size(), shared_before);
+}
+
+TEST_P(RunnerForwarding, CollectOutputsWithCachedModeIsRejected) {
+  Knobs k;
+  k.mode = ExecMode::kCachedByShape;
+  const std::string expected =
+      std::string(runner().runner) + ": collect_outputs requires ExecMode::kFull";
+  try {
+    runner().run(k);
+    ADD_FAILURE() << "no error";
+  } catch (const wsim::util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryRunner, RunnerForwarding,
+                         ::testing::Range<std::size_t>(0, std::size(kRunnerCaseNames)),
+                         [](const ::testing::TestParamInfo<std::size_t>& info) {
+                           return std::string(kRunnerCaseNames[info.param]);
+                         });
 
 TEST(GmemWriteSet, CoalescesAndDetectsOverlap) {
   GmemWriteSet a;

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 
 #include "wsim/align/pairhmm.hpp"
 #include "wsim/align/smith_waterman.hpp"
 #include "wsim/pipeline/pipeline.hpp"
 #include "wsim/simt/engine.hpp"
+#include "wsim/util/check.hpp"
 #include "wsim/workload/generator.hpp"
 
 namespace {
@@ -167,5 +171,130 @@ TEST(Pipeline, DefaultThreadsRouteThroughSharedEngine) {
     EXPECT_EQ(shared_run.ph_log10[i], private_run.ph_log10[i]) << i;
   }
 }
+
+// --- pinned numbers ------------------------------------------------------------
+//
+// Every number run_pipeline reports, pinned bit for bit on the dataset
+// `wsim pipeline` generates (8 regions, seed 42, 24 PairHMM tasks per
+// region) on the K1200. A refactor of the stage plumbing must reproduce
+// them exactly; only a change meant to move simulated results may update
+// them.
+
+struct StagePin {
+  std::size_t tasks;
+  std::size_t cells;
+  std::size_t batches;
+  double seconds;
+  double joules;
+  double gcups;
+};
+
+struct PipelinePin {
+  const char* name;
+  void (*configure)(PipelineConfig&);
+  StagePin sw;
+  StagePin ph;
+  std::size_t validated;
+  std::size_t mismatches;
+  std::uint64_t outputs;  ///< outputs_hash() of the report
+};
+
+/// FNV-1a over every alignment's score and CIGAR and every log10 value's
+/// bit pattern, in dataset order.
+std::uint64_t outputs_hash(const PipelineReport& report) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h = (h ^ ((word >> (8 * b)) & 0xFFU)) * 0x100000001B3ULL;
+    }
+  };
+  for (const auto& alignment : report.sw_alignments) {
+    mix(static_cast<std::uint64_t>(alignment.score));
+    for (const char c : alignment.cigar) {
+      mix(static_cast<std::uint64_t>(c));
+    }
+  }
+  for (const double v : report.ph_log10) {
+    mix(std::bit_cast<std::uint64_t>(v));
+  }
+  return h;
+}
+
+std::string hex(double v) {
+  char text[64];
+  std::snprintf(text, sizeof text, "%a", v);
+  return text;
+}
+
+void expect_stage(const char* stage, const StagePin& pin,
+                  const wsim::pipeline::StageReport& r) {
+  SCOPED_TRACE(stage);
+  EXPECT_EQ(r.tasks, pin.tasks);
+  EXPECT_EQ(r.cells, pin.cells);
+  EXPECT_EQ(r.batches, pin.batches);
+  EXPECT_EQ(r.seconds, pin.seconds) << hex(r.seconds);
+  EXPECT_EQ(r.joules, pin.joules) << hex(r.joules);
+  EXPECT_EQ(r.gcups, pin.gcups) << hex(r.gcups);
+}
+
+const PipelinePin kPipelinePins[] = {
+    {"Default", [](PipelineConfig&) {},
+     {29, 3110085, 8, 0x1.749e3059d9c27p-8, 0x1.761e79a651c3p-6, 0x1.1810919e998f6p-1},
+     {197, 1926729, 8, 0x1.bff5de09a1c84p-10, 0x1.da51c2f18ab1ap-9, 0x1.20a495153561p+0},
+     0, 0, 0xfbb242432dcc7354ULL},
+    {"Rebatch64Lpt",
+     [](PipelineConfig& cfg) {
+       cfg.rebatch_size = 64;
+       cfg.lpt_order = true;
+     },
+     {29, 3110085, 1, 0x1.e047ac1374f5bp-11, 0x1.ef8816082ffbp-7, 0x1.b29163befe09dp+1},
+     {197, 1926729, 4, 0x1.c54a8a72bcc52p-11, 0x1.6d561c07591cdp-9, 0x1.1d3f98e0e7145p+1},
+     0, 0, 0xfbb242432dcc7354ULL},
+    {"Rebatch64Streams",
+     [](PipelineConfig& cfg) {
+       cfg.rebatch_size = 64;
+       cfg.overlap_transfers = true;
+     },
+     {29, 3110085, 1, 0x1.db31810499a8dp-11, 0x1.eaa0924d4753bp-7, 0x1.b7383b768087dp+1},
+     {197, 1926729, 4, 0x1.8d293e0256b36p-11, 0x1.5e29b15c3eceap-9, 0x1.458fe4720f7a9p+1},
+     0, 0, 0xfbb242432dcc7354ULL},
+    {"ValidateShared",
+     [](PipelineConfig& cfg) {
+       cfg.validate_sample = true;
+       cfg.sw_design = wsim::kernels::CommMode::kSharedMemory;
+       cfg.ph_design = wsim::kernels::PhDesign::kShared;
+     },
+     {29, 3110085, 8, 0x1.31ce1508352b1p-7, 0x1.0062b37c266abp-5, 0x1.5540fc22e6866p-2},
+     {197, 1926729, 8, 0x1.f974aaae99ac5p-10, 0x1.170774ccab08bp-8, 0x1.ff9eaf0f2e0f8p-1},
+     7, 0, 0xfbb242432dcc7354ULL},
+};
+
+class PipelinePinned : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PipelinePinned, ReportIsBitIdentical) {
+  const PipelinePin& pin = kPipelinePins[GetParam()];
+  static const wsim::workload::Dataset dataset = [] {
+    wsim::workload::GeneratorConfig gen;
+    gen.regions = 8;
+    gen.seed = 42;
+    gen.ph_tasks_per_region_mean = 24.0;
+    return wsim::workload::generate_dataset(gen);
+  }();
+  PipelineConfig cfg = base_config();
+  pin.configure(cfg);
+  const PipelineReport report = run_pipeline(dataset, cfg);
+  expect_stage("sw", pin.sw, report.sw);
+  expect_stage("ph", pin.ph, report.ph);
+  EXPECT_EQ(report.validated, pin.validated);
+  EXPECT_EQ(report.mismatches, pin.mismatches);
+  EXPECT_EQ(outputs_hash(report), pin.outputs)
+      << "0x" << std::hex << outputs_hash(report);
+}
+
+INSTANTIATE_TEST_SUITE_P(WsimPipelineDataset, PipelinePinned,
+                         ::testing::Range<std::size_t>(0, std::size(kPipelinePins)),
+                         [](const ::testing::TestParamInfo<std::size_t>& info) {
+                           return std::string(kPipelinePins[info.param].name);
+                         });
 
 }  // namespace
