@@ -9,14 +9,16 @@
 // Each case pushes the same SW and PairHMM batches through a single-device
 // FleetExecutor (dispatch, guard hooks, engine launch, readback) — the
 // instrumented end-to-end path a serving run exercises. Results land in
-// BENCH_obs.json. Exit status is non-zero when the disabled-mode delta
-// exceeds the noise gate: the whole design rests on kOff being a
-// branch-predictable no-op.
+// BENCH_obs.json. The whole design rests on kOff being a
+// branch-predictable no-op, so exit status is non-zero when a kOff pass
+// records an event or moves an instrument (checked exactly, per case) or
+// when the disabled-mode delta exceeds the noise gate.
 
 #include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -55,6 +57,9 @@ double median(std::vector<double> values) {
 
 struct CaseResult {
   std::string name;            ///< "sw" or "pairhmm"
+  /// Why a kOff pass was not inert (check_off_pass_inert); empty when it
+  /// was.
+  std::string off_pass_error;
   double off_seconds = 0.0;    ///< median over trials, level kOff (first)
   double off2_seconds = 0.0;   ///< median over trials, level kOff (second)
   double metrics_seconds = 0.0;
@@ -116,6 +121,39 @@ double run_ph_pass(const std::vector<wsim::workload::PhBatch>& batches) {
 
 volatile double g_sink = 0.0;  // defeats whole-pass elision
 
+std::string metrics_dump() {
+  std::ostringstream os;
+  obs::write_metrics_json(os);
+  return os.str();
+}
+
+/// Checks exactly what the timed gate stands for: a pass at kOff records
+/// no event and moves no instrument, while the same pass at kMetrics moves
+/// some, so the comparison could see an update. Call it after a warm-up
+/// pass, which registers every instrument the pass reaches. Returns why
+/// the check failed, or an empty string.
+template <typename F>
+std::string check_off_pass_inert(F&& pass) {
+  obs::reset();
+  const std::string before = metrics_dump();
+  obs::set_level(obs::Level::kOff);
+  g_sink = pass();
+  std::string error;
+  if (!obs::collect().empty()) {
+    error = "a kOff pass recorded events";
+  } else if (metrics_dump() != before) {
+    error = "a kOff pass moved an instrument";
+  }
+  obs::set_level(obs::Level::kMetrics);
+  g_sink = pass();
+  if (error.empty() && metrics_dump() == before) {
+    error = "a kMetrics pass moved no instrument, so the comparison sees nothing";
+  }
+  obs::set_level(obs::Level::kOff);
+  obs::reset();
+  return error;
+}
+
 template <typename F>
 CaseResult run_case(const std::string& name, int trials, int reps, F&& pass) {
   CaseResult result;
@@ -137,6 +175,7 @@ CaseResult run_case(const std::string& name, int trials, int reps, F&& pass) {
 
   obs::set_level(obs::Level::kOff);
   g_sink = pass();  // warm-up (arenas, decode cache, page-in)
+  result.off_pass_error = check_off_pass_inert(pass);
 
   std::vector<double> off_all;
   std::vector<double> off2_all;
@@ -178,8 +217,9 @@ void write_json(const std::string& path, const std::vector<CaseResult>& results,
       << ",\n  \"cases\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const CaseResult& r = results[i];
-    out << "    {\"case\": \"" << r.name
-        << "\", \"off_seconds\": " << json_number(r.off_seconds)
+    out << "    {\"case\": \"" << r.name << "\", \"off_pass_inert\": "
+        << (r.off_pass_error.empty() ? "true" : "false")
+        << ", \"off_seconds\": " << json_number(r.off_seconds)
         << ", \"off2_seconds\": " << json_number(r.off2_seconds)
         << ", \"metrics_seconds\": " << json_number(r.metrics_seconds)
         << ", \"trace_seconds\": " << json_number(r.trace_seconds)
@@ -251,6 +291,10 @@ int main(int argc, char** argv) {
 
   bool ok = true;
   for (const CaseResult& r : results) {
+    if (!r.off_pass_error.empty()) {
+      std::cerr << "FAIL: " << r.name << ": " << r.off_pass_error << '\n';
+      ok = false;
+    }
     if (r.disabled_overhead_pct() > gate_pct) {
       std::cerr << "FAIL: " << r.name << ": obs-disabled runs differ by "
                 << format_fixed(r.disabled_overhead_pct(), 2) << "% (gate "

@@ -18,7 +18,8 @@ const std::vector<CommandInfo>& commands() {
       {"micro",
        "  micro    [--device D]        Fig. 3 instruction-latency microbenchmarks\n"},
       {"sw",
-       "  sw       QUERY TARGET [--profile ''] Smith-Waterman alignment\n"},
+       "  sw       QUERY TARGET [--profile] Smith-Waterman alignment\n",
+       {"profile"}},
       {"nw",
        "  nw       QUERY TARGET        Needleman-Wunsch global score\n"},
       {"pairhmm",
@@ -26,28 +27,31 @@ const std::vector<CommandInfo>& commands() {
       {"sw-run",
        "  sw-run   [--kernel shared|shuffle|wf-shared|wf-shuffle|wf-naive]\n"
        "           [--profile short-read|long-read|contig] [--tasks N]\n"
-       "           [--verify ''] [--device D] [--seed S]\n"
+       "           [--verify] [--device D] [--seed S]\n"
        "           run one SW batch through a named kernel subsystem: plain\n"
        "           names pick the task-per-block (inter-task) designs, wf-*\n"
        "           the intra-task wavefront tiles (one warp per 256x32 tile,\n"
        "           one launch per tile wave; wf-naive is the host-synchronized\n"
        "           kernel-per-diagonal anti-pattern, kept to be measured);\n"
-       "           --verify re-scores every CIGAR against the scoring scheme\n"},
+       "           --verify re-scores every CIGAR against the scoring scheme\n",
+       {"verify"}},
       {"workload",
        "  workload [--regions N] [--in F] [--out F]  dataset stats / convert\n"},
       {"sweep",
        "  sweep    [--batch N] [--in F]    GCUPS of SW1/SW2/PH1/PH2\n"},
       {"pipeline",
-       "  pipeline [--in F] [--batch N] [--streams ''] [--lpt ''] [--validate '']\n"
-       "           run the two-stage HaplotypeCaller pipeline\n"},
+       "  pipeline [--in F] [--batch N] [--streams] [--lpt] [--validate]\n"
+       "           run the two-stage HaplotypeCaller pipeline\n",
+       {"streams", "lpt", "validate"}},
       {"serve-sim",
        "  serve-sim [--in F] [--rate R] [--delay US] [--deadline US] [--queue N]\n"
-       "            [--target-cells C] [--max-batch N] [--outputs ''] [--json F]\n"
+       "            [--target-cells C] [--max-batch N] [--outputs] [--json F]\n"
        "            [--trace-out F] [--metrics-out F]\n"
        "           replay a dataset as an open-loop arrival process (R requests\n"
        "           per simulated second) through the async alignment service on\n"
        "           one simulated device (a one-worker fleet; --device and --mode\n"
-       "           pick it and its kernel designs)\n"},
+       "           pick it and its kernel designs)\n",
+       {"outputs"}},
       {"fleet-sim",
        "  fleet-sim [--fleet \"K40,K1200,Titan X\"]\n"
        "            [--policy model|rr|least-cells|calibrated]\n"
@@ -68,7 +72,8 @@ const std::vector<CommandInfo>& commands() {
        "           in --fleet; no fault counters) in per-device\n"
        "           dispatch-sequence space; --calibrate (default on\n"
        "           for --policy calibrated) runs the online model calibration\n"
-       "           and drift ladder that detects and derates such devices\n"},
+       "           and drift ladder that detects and derates such devices\n",
+       {"outputs"}},
       {"cluster-sim",
        "  cluster-sim [--trace F | --shape steady|diurnal|bursty] [--save-trace F]\n"
        "            [--duration S] [--rate R] [--tenants N] [--slo MS]\n"
@@ -106,6 +111,16 @@ bool has_command(std::string_view name) {
   const auto& registry = commands();
   return std::any_of(registry.begin(), registry.end(),
                      [&](const CommandInfo& info) { return info.name == name; });
+}
+
+bool is_bool_flag(std::string_view command, std::string_view flag) {
+  for (const CommandInfo& info : commands()) {
+    if (info.name == command) {
+      return std::find(info.bool_flags.begin(), info.bool_flags.end(), flag) !=
+             info.bool_flags.end();
+    }
+  }
+  return false;
 }
 
 std::string usage_text() {

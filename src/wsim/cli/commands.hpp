@@ -6,12 +6,14 @@
 
 namespace wsim::cli {
 
-/// One registered subcommand of the `wsim` driver: the dispatch name and
-/// the preformatted help block (synopsis + description, two-space
-/// indented, newline-terminated) that usage_text() prints for it.
+/// One registered subcommand of the `wsim` driver: the dispatch name, the
+/// preformatted help block (synopsis + description, two-space indented,
+/// newline-terminated) that usage_text() prints for it, and the flags that
+/// take no value.
 struct CommandInfo {
   std::string_view name;
   std::string_view help;
+  std::vector<std::string_view> bool_flags = {};
 };
 
 /// Every subcommand the driver dispatches, in help order. `wsim` asserts
@@ -23,6 +25,10 @@ const std::vector<CommandInfo>& commands();
 
 /// True when `name` names a registered subcommand.
 bool has_command(std::string_view name);
+
+/// True when `flag` (without its dashes) is one of `command`'s boolean
+/// flags, which never take the next argument as their value.
+bool is_bool_flag(std::string_view command, std::string_view flag);
 
 /// The full `wsim help` text: header, every command's help block, and the
 /// common-options footer.

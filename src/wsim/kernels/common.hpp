@@ -2,11 +2,13 @@
 
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <string_view>
-#include <vector>
 
 #include "wsim/simt/runtime.hpp"
+
+namespace wsim::simt {
+class ExecutionEngine;
+}  // namespace wsim::simt
 
 namespace wsim::kernels {
 
@@ -41,22 +43,24 @@ struct KernelRunResult {
   double cycles_per_iteration(std::uint64_t iterations) const noexcept;
 };
 
+/// Options every runner takes: the launch knobs, forwarded unchanged to
+/// every launch the runner issues, plus what the runner does around its
+/// launches. SwRunOptions and PhRunOptions add their runner's extras.
+struct RunOptions : simt::LaunchKnobs {
+  /// Read device results back (SW runners also backtrace on the host).
+  /// Requires ExecMode::kFull.
+  bool collect_outputs = false;
+  /// Engine that executes the launches and whose cost cache
+  /// kCachedByShape uses; null means the process-wide
+  /// simt::shared_engine().
+  simt::ExecutionEngine* engine = nullptr;
+};
+
 /// Shape key for block-cost caching: quantizes (rows, cols) to
 /// `granularity` so the timing cache stays small while per-block cycles
 /// stay within a few percent of exact. Granularity 1 gives exact caching.
 std::uint64_t shape_key(std::size_t rows, std::size_t cols,
                         std::size_t granularity) noexcept;
-
-/// For a binder that lays out every block of a grid (so each executing
-/// block keeps the addresses it has with all blocks bound): moves the
-/// executing blocks' arguments out of `all`, in `execute` order.
-std::vector<simt::BlockArgs> take_executed(std::vector<simt::BlockArgs>& all,
-                                           std::span<const std::size_t> execute);
-
-/// Adds a finished batch's arena size to the obs counter
-/// `kernels.arena_bytes`: the device memory the batch allocated, zero
-/// when no block executed.
-void count_arena_bytes(const simt::GlobalMemory& gmem);
 
 /// Large negative sentinel for integer DP (matches the host reference).
 inline constexpr std::int64_t kNegInf = std::numeric_limits<std::int32_t>::min() / 4;

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <span>
-#include <unordered_set>
 
+#include "wsim/kernels/launch.hpp"
 #include "wsim/simt/builder.hpp"
-#include "wsim/simt/engine.hpp"
-#include "wsim/util/check.hpp"
 
 namespace wsim::kernels {
 
@@ -20,14 +18,6 @@ using simt::SReg;
 using simt::VReg;
 
 namespace {
-
-std::size_t bands_for(std::size_t m) noexcept {
-  return (m + kSwBsize - 1) / kSwBsize;
-}
-
-std::size_t tiles_for(std::size_t n) noexcept {
-  return (n + 2 * (kSwBsize - 1)) / kSwBsize;  // ceil((N + 31) / 32)
-}
 
 /// Emits gap_cost(len) = 0 when len == 0 else open + (len - 1) * extend.
 VReg emit_gap_cost(KernelBuilder& kb, simt::Operand len, const align::SwParams& p) {
@@ -258,27 +248,15 @@ NwRunner::NwRunner(CommMode mode, const align::SwParams& params)
 NwBatchResult NwRunner::run_batch(const simt::DeviceSpec& device,
                                   const workload::SwBatch& batch,
                                   const NwRunOptions& options) const {
-  util::require(!batch.empty(), "NwRunner: batch must be non-empty");
-  util::require(!options.collect_outputs || options.mode == simt::ExecMode::kFull,
-                "NwRunner: collect_outputs requires ExecMode::kFull");
-  std::size_t max_n = 0;
-  std::size_t h2d_bytes = 0;
-  std::size_t cells = 0;
+  const SwBatchExtent extent = check_sw_batch("NwRunner", batch, options);
+  const std::size_t max_n = extent.max_n;
   std::vector<std::uint64_t> shape_keys(batch.size());
   for (std::size_t t = 0; t < batch.size(); ++t) {
-    const workload::SwTask& task = batch[t];
-    util::require(!task.query.empty() && !task.target.empty(),
-                  "NwRunner: sequences must be non-empty");
-    const std::size_t m = task.query.size();
-    const std::size_t n = task.target.size();
-    max_n = std::max(max_n, n);
-    cells += m * n;
-    h2d_bytes += m + n;
-    shape_keys[t] = shape_key(m, n, options.shape_granularity);
+    shape_keys[t] = shape_key(batch[t].query.size(), batch[t].target.size(),
+                              SwRunOptions::shape_granularity);
   }
 
   std::vector<std::int64_t> result_addr(batch.size());
-  const bool cached_mode = options.mode == simt::ExecMode::kCachedByShape;
   // Lays out every task so each executing block keeps its addresses.
   const auto bind = [&](std::span<const std::size_t> execute, simt::GlobalMemory& gmem) {
     const auto bound_h = gmem.alloc(max_n * 4);
@@ -288,11 +266,8 @@ NwBatchResult NwRunner::run_batch(const simt::DeviceSpec& device,
       const workload::SwTask& task = batch[t];
       const std::size_t m = task.query.size();
       const std::size_t n = task.target.size();
-      const auto query = gmem.alloc(m);
-      const auto target = gmem.alloc(n);
-      gmem.write_u8(query, {reinterpret_cast<const std::uint8_t*>(task.query.data()), m});
-      gmem.write_u8(target,
-                    {reinterpret_cast<const std::uint8_t*>(task.target.data()), n});
+      const auto query = upload(gmem, task.query);
+      const auto target = upload(gmem, task.target);
       result_addr[t] = gmem.alloc(4);
       args[t] = {
           static_cast<std::uint64_t>(query),
@@ -302,49 +277,21 @@ NwBatchResult NwRunner::run_batch(const simt::DeviceSpec& device,
           static_cast<std::uint64_t>(result_addr[t]),
           static_cast<std::uint64_t>(bound_h),
           static_cast<std::uint64_t>(bound_f),
-          static_cast<std::uint64_t>(bands_for(m)),
-          static_cast<std::uint64_t>(tiles_for(n)),
+          static_cast<std::uint64_t>(sw_bands(m)),
+          static_cast<std::uint64_t>(sw_tiles(n)),
       };
     }
-
-    // Per-executor boundary-carry replicas (see SwRunner::run_batch): the
-    // first task or first distinct shape keeps the head bound_h/bound_f
-    // pair; every other potential executor gets a 128-byte-aligned tail
-    // replica so concurrent blocks never share carry buffers and each
-    // block's segment geometry matches sequential execution.
-    std::unordered_set<std::uint64_t> shapes_seen;
-    bool head_taken = false;
-    for (std::size_t t = 0; t < batch.size(); ++t) {
-      if (cached_mode && !shapes_seen.insert(shape_keys[t]).second) {
-        continue;  // never executed: the shape's first block is its executor
-      }
-      if (!head_taken) {
-        head_taken = true;
-        continue;
-      }
-      args[t][5] = static_cast<std::uint64_t>(gmem.alloc(max_n * 4, 128));
-      args[t][6] = static_cast<std::uint64_t>(gmem.alloc(max_n * 4));
-    }
+    const BlockBuffer carries[] = {{5, max_n * 4}, {6, max_n * 4}};
+    lay_out_replicas(args, shape_keys, options.mode, carries, gmem);
     return take_executed(args, execute);
   };
 
-  simt::LaunchOptions launch_options;
-  launch_options.mode = options.mode;
-  launch_options.overlap_transfers = options.overlap_transfers;
-  launch_options.transfer.h2d_bytes = h2d_bytes;
-  launch_options.transfer.d2h_bytes = batch.size() * 4;
-  launch_options.sdc = options.sdc;
-  launch_options.sdc_launch_id = options.sdc_launch_id;
-  launch_options.max_block_cycles = options.max_block_cycles;
-  launch_options.interp = options.interp;
-
-  simt::ExecutionEngine& engine =
-      options.engine != nullptr ? *options.engine : simt::shared_engine();
   simt::GlobalMemory gmem;
   NwBatchResult result;
-  result.run.launch =
-      engine.launch(kernel_, device, gmem, shape_keys, bind, launch_options);
-  result.run.cells = cells;
+  result.run.launch = launch_grid(kernel_, device, gmem, shape_keys, bind, options,
+                                  {extent.h2d_bytes, batch.size() * 4},
+                                  options.sdc_launch_id);
+  result.run.cells = extent.cells;
   count_arena_bytes(gmem);
   if (options.collect_outputs) {
     result.scores.reserve(batch.size());

@@ -28,23 +28,9 @@ struct NwBatchResult {
   std::vector<std::int32_t> scores;  ///< per task (collect_outputs)
 };
 
-struct NwRunOptions {
-  bool collect_outputs = false;
-  simt::ExecMode mode = simt::ExecMode::kFull;
-  std::size_t shape_granularity = kSwBsize;
-  /// Overlap PCIe copies with kernel execution (CUDA streams).
-  bool overlap_transfers = false;
-  /// Engine that executes the launch and whose cost cache kCachedByShape
-  /// uses; null means the process-wide simt::shared_engine().
-  simt::ExecutionEngine* engine = nullptr;
-  /// Deterministic SDC injection (requires kFull; see simt/sdc.hpp).
-  simt::SdcPlan sdc;
-  std::uint64_t sdc_launch_id = 0;
-  /// Watchdog cycle budget per block (simt::LaunchOptions::max_block_cycles).
-  long long max_block_cycles = 0;
-  /// Interpreter selection (simt::LaunchOptions::interp).
-  simt::InterpPath interp = simt::InterpPath::kDefault;
-};
+/// NW takes only the options every runner shares; its shape cache
+/// quantizes like SW's (SwRunOptions::shape_granularity).
+using NwRunOptions = RunOptions;
 
 class NwRunner {
  public:

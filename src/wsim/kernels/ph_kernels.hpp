@@ -10,10 +10,6 @@
 #include "wsim/simt/runtime.hpp"
 #include "wsim/workload/batching.hpp"
 
-namespace wsim::simt {
-class ExecutionEngine;
-}  // namespace wsim::simt
-
 namespace wsim::kernels {
 
 /// Maximum supported read length: the paper uses 128 threads/block for
@@ -58,30 +54,13 @@ inline std::size_t ph_iterations(std::size_t r, std::size_t h) noexcept {
   return r + h - 1;
 }
 
-struct PhRunOptions {
-  bool collect_outputs = false;  ///< read back per-task log10 likelihoods
-  simt::ExecMode mode = simt::ExecMode::kFull;
-  std::size_t shape_granularity = 16;
-  /// Ignored (see simt::LaunchOptions::use_engine_cache).
-  bool use_engine_cache = false;
-  /// Overlap PCIe copies with kernel execution (CUDA streams).
-  bool overlap_transfers = false;
+struct PhRunOptions : RunOptions {
+  /// Shape-cache quantization for kCachedByShape (see kernels::shape_key).
+  static constexpr std::size_t shape_granularity = 16;
   /// GATK semantics: when the device's f32 likelihood underflows to zero,
   /// recompute that task on the host in double precision instead of
   /// throwing (collect_outputs only).
   bool double_fallback = false;
-  /// Engine that executes the launches and whose cost cache
-  /// kCachedByShape uses (keyed by kernel variant); null means the
-  /// process-wide simt::shared_engine().
-  simt::ExecutionEngine* engine = nullptr;
-  /// Deterministic SDC injection (requires kFull; see simt/sdc.hpp). Each
-  /// per-variant launch derives its own sub-launch id from sdc_launch_id.
-  simt::SdcPlan sdc;
-  std::uint64_t sdc_launch_id = 0;
-  /// Watchdog cycle budget per block (simt::LaunchOptions::max_block_cycles).
-  long long max_block_cycles = 0;
-  /// Interpreter selection (simt::LaunchOptions::interp).
-  simt::InterpPath interp = simt::InterpPath::kDefault;
 };
 
 struct PhBatchResult {

@@ -3,8 +3,8 @@
 #include <cmath>
 #include <span>
 
+#include "wsim/kernels/launch.hpp"
 #include "wsim/kernels/ph_kernels.hpp"
-#include "wsim/simt/engine.hpp"
 #include "wsim/util/check.hpp"
 
 namespace wsim::kernels {
@@ -73,9 +73,7 @@ const simt::Kernel& PhRunner::kernel_for_read_len(std::size_t read_len) const {
 PhBatchResult PhRunner::run_batch(const simt::DeviceSpec& device,
                                   const workload::PhBatch& batch,
                                   const PhRunOptions& options) const {
-  util::require(!batch.empty(), "PhRunner: batch must be non-empty");
-  util::require(!options.collect_outputs || options.mode == simt::ExecMode::kFull,
-                "PhRunner: collect_outputs requires ExecMode::kFull");
+  check_batch("PhRunner", batch.size(), options);
 
   // Launch-time routing: bucket tasks by read length (the paper's
   // length-specialized kernel copies / subfunctions).
@@ -114,7 +112,6 @@ PhBatchResult PhRunner::run_batch(const simt::DeviceSpec& device,
       for (const std::size_t t : groups[static_cast<std::size_t>(bound_variants)]) {
         const align::PairHmmTask& task = batch[t];
         const std::size_t r = task.read.size();
-        const std::size_t h = task.hap.size();
         // Pack the raw quality bytes (4 B/row: base, ins, del, padding);
         // the kernel prologue derives priors and transitions through the
         // LUTs, so only quality bytes cross PCIe.
@@ -127,21 +124,15 @@ PhBatchResult PhRunner::run_batch(const simt::DeviceSpec& device,
         TaskBuffers& b = bufs[t];
         b.quals = gmem.alloc(quals.size());
         gmem.write_u8(b.quals, quals);
-        b.read = gmem.alloc(r);
-        gmem.write_u8(b.read, {reinterpret_cast<const std::uint8_t*>(task.read.data()), r});
-        b.hap = gmem.alloc(h);
-        gmem.write_u8(b.hap, {reinterpret_cast<const std::uint8_t*>(task.hap.data()), h});
+        b.read = upload(gmem, task.read);
+        b.hap = upload(gmem, task.hap);
         b.result = gmem.alloc(4);
       }
     }
   };
 
-  simt::ExecutionEngine& engine =
-      options.engine != nullptr ? *options.engine : simt::shared_engine();
   PhBatchResult result;
-  result.run.cells = 0;
-  result.run.launch.transfers_overlapped = options.overlap_transfers;
-  std::size_t primary_cells = 0;
+  LaunchSum variants(options);
   bool luts_counted = false;
   std::vector<std::uint64_t> shape_keys;
 
@@ -159,7 +150,7 @@ PhBatchResult PhRunner::run_batch(const simt::DeviceSpec& device,
       const std::size_t h = task.hap.size();
       group_cells += r * h;
       h2d_bytes += r * 4 + r + h;
-      shape_keys.push_back(shape_key(r, h, options.shape_granularity));
+      shape_keys.push_back(shape_key(r, h, PhRunOptions::shape_granularity));
     }
 
     const auto bind = [&](std::span<const std::size_t> execute, simt::GlobalMemory&) {
@@ -193,50 +184,26 @@ PhBatchResult PhRunner::run_batch(const simt::DeviceSpec& device,
       return args;
     };
 
-    simt::LaunchOptions launch_options;
-    launch_options.mode = options.mode;
-    launch_options.overlap_transfers = options.overlap_transfers;
     if (!luts_counted) {
       h2d_bytes += kLutBytes;
       luts_counted = true;
     }
-    launch_options.transfer.h2d_bytes = h2d_bytes;
-    launch_options.transfer.d2h_bytes = group.size() * 4;
-    launch_options.sdc = options.sdc;
     // Each variant launch gets its own sub-launch id so its blocks draw
     // from SDC streams disjoint from the other variants'.
-    launch_options.sdc_launch_id =
-        simt::sdc_sub_launch(options.sdc_launch_id, static_cast<std::uint64_t>(v));
-    launch_options.max_block_cycles = options.max_block_cycles;
-    launch_options.interp = options.interp;
-
-    const simt::LaunchResult launch =
-        engine.launch(kernels_[static_cast<std::size_t>(v)], device, gmem, shape_keys,
-                      bind, launch_options);
-
-    // Aggregate across variant launches.
+    const simt::LaunchResult launch = launch_grid(
+        kernels_[static_cast<std::size_t>(v)], device, gmem, shape_keys, bind, options,
+        {h2d_bytes, group.size() * 4},
+        simt::sdc_sub_launch(options.sdc_launch_id, static_cast<std::uint64_t>(v)));
     result.run.cells += group_cells;
-    result.run.launch.kernel_seconds += launch.kernel_seconds;
-    result.run.launch.h2d_seconds += launch.h2d_seconds;
-    result.run.launch.d2h_seconds += launch.d2h_seconds;
-    result.run.launch.transfer_seconds += launch.transfer_seconds;
-    result.run.launch.overhead_seconds += launch.overhead_seconds;
-    result.run.launch.instructions += launch.instructions;
-    result.run.launch.smem_transactions += launch.smem_transactions;
-    result.run.launch.blocks_executed += launch.blocks_executed;
-    result.run.launch.sdc_flips += launch.sdc_flips;
-    result.run.launch.timing.cycles += launch.timing.cycles;
-    result.run.launch.timing.seconds += launch.timing.seconds;
-    if (group_cells > primary_cells) {
-      primary_cells = group_cells;
+    if (variants.add(launch, group_cells)) {
       result.primary_variant = v;
-      result.run.launch.occupancy = launch.occupancy;
-      result.run.launch.representative = launch.representative;
       const align::PairHmmTask& first = batch[group.front()];
-      result.representative_iterations = ph_iterations(first.read.size(), first.hap.size());
+      result.representative_iterations =
+          ph_iterations(first.read.size(), first.hap.size());
       result.representative_cells = first.read.size() * first.hap.size();
     }
   }
+  result.run.launch = variants.result();
 
   count_arena_bytes(gmem);
 

@@ -10,10 +10,6 @@
 #include "wsim/simt/runtime.hpp"
 #include "wsim/workload/batching.hpp"
 
-namespace wsim::simt {
-class ExecutionEngine;
-}  // namespace wsim::simt
-
 namespace wsim::kernels {
 
 /// BSIZE of the paper's two-level tiling: rows per band, threads per
@@ -66,30 +62,11 @@ struct SwBatchResult {
   std::vector<SwTaskOutput> outputs;  ///< filled only when collect_outputs
 };
 
-struct SwRunOptions {
-  /// Read device results back and backtrace on the host. Requires
-  /// ExecMode::kFull.
-  bool collect_outputs = false;
-  simt::ExecMode mode = simt::ExecMode::kFull;
+struct SwRunOptions : RunOptions {
   /// Shape-cache quantization for kCachedByShape (see kernels::shape_key).
-  std::size_t shape_granularity = kSwBsize;
-  /// Ignored (see simt::LaunchOptions::use_engine_cache).
-  bool use_engine_cache = false;
-  /// Overlap PCIe copies with kernel execution (CUDA streams).
-  bool overlap_transfers = false;
+  static constexpr std::size_t shape_granularity = kSwBsize;
   /// Record the first block's instruction timeline (simt::Trace).
   simt::Trace* trace_representative = nullptr;
-  /// Engine that executes the launch and whose cost cache kCachedByShape
-  /// uses; null means the process-wide simt::shared_engine().
-  simt::ExecutionEngine* engine = nullptr;
-  /// Deterministic SDC injection (requires kFull; see simt/sdc.hpp).
-  simt::SdcPlan sdc;
-  /// Launch id for SDC stream derivation; re-executions pass a fresh id.
-  std::uint64_t sdc_launch_id = 0;
-  /// Watchdog cycle budget per block (simt::LaunchOptions::max_block_cycles).
-  long long max_block_cycles = 0;
-  /// Interpreter selection (simt::LaunchOptions::interp).
-  simt::InterpPath interp = simt::InterpPath::kDefault;
 };
 
 /// Host-side driver: launches a batch (one task per block), packing it

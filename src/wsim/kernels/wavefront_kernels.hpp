@@ -12,10 +12,6 @@
 #include "wsim/simt/runtime.hpp"
 #include "wsim/workload/batching.hpp"
 
-namespace wsim::simt {
-class ExecutionEngine;
-}  // namespace wsim::simt
-
 namespace wsim::kernels {
 
 /// Intra-task (wavefront) execution variants. The task-per-block kernels
@@ -84,28 +80,11 @@ simt::Kernel build_wf_nw_kernel(WfVariant variant, const align::SwParams& params
 simt::Kernel build_wf_naive_sw_kernel(const align::SwParams& params);
 simt::Kernel build_wf_naive_nw_kernel(const align::SwParams& params);
 
-struct WfRunOptions {
-  /// Read device results back and backtrace on the host. Requires
-  /// ExecMode::kFull.
-  bool collect_outputs = false;
-  simt::ExecMode mode = simt::ExecMode::kFull;
-  /// Quantization of the target length inside the tile shape key.
-  std::size_t shape_granularity = kSwBsize;
-  /// Ignored (see simt::LaunchOptions::use_engine_cache).
-  bool use_engine_cache = false;
-  bool overlap_transfers = false;
-  /// Engine that executes the wave launches and whose cost cache
-  /// kCachedByShape uses — tiles repeat the same few shapes across every
-  /// wave of every launch; null means the process-wide
-  /// simt::shared_engine().
-  simt::ExecutionEngine* engine = nullptr;
-  /// Deterministic SDC injection (requires kFull); every wave derives its
-  /// own sub-launch id from sdc_launch_id.
-  simt::SdcPlan sdc;
-  std::uint64_t sdc_launch_id = 0;
-  long long max_block_cycles = 0;
-  simt::InterpPath interp = simt::InterpPath::kDefault;
-};
+/// The wavefront runners take only the options every runner shares. Every
+/// wave launch derives its own SDC sub-launch id from sdc_launch_id, and
+/// tile shape keys quantize the target length like SW's
+/// (SwRunOptions::shape_granularity).
+using WfRunOptions = RunOptions;
 
 /// Result of one wavefront batch: aggregated timing over all wave
 /// launches plus the per-task outputs (kFull + collect_outputs only).

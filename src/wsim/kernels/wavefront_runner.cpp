@@ -1,21 +1,17 @@
 #include <algorithm>
-#include <cstring>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
+#include "wsim/kernels/launch.hpp"
 #include "wsim/kernels/wavefront_kernels.hpp"
-#include "wsim/simt/engine.hpp"
 #include "wsim/util/check.hpp"
 
 namespace wsim::kernels {
 
 namespace {
-
-/// Same device->host result record as the task-per-block runner: score +
-/// compact alignment per task; the btrack matrix stays on the device.
-constexpr std::size_t kSwResultBytesPerTask = 64;
 
 /// Naive-variant guard: the anti-pattern materializes six full M x N
 /// matrices per task, so keep it to measurement-sized tasks.
@@ -31,8 +27,8 @@ std::size_t ceil_div(std::size_t a, std::size_t b) noexcept {
 /// btrack row addressing.
 std::uint64_t tile_shape_key(std::size_t rows, std::size_t cols_in, bool has_up,
                              bool has_left, bool last_row_tile, bool last_col_tile,
-                             std::size_t n, std::size_t granularity) noexcept {
-  const std::uint64_t nq = granularity == 0 ? n : ceil_div(n, granularity);
+                             std::size_t n) noexcept {
+  const std::uint64_t nq = ceil_div(n, SwRunOptions::shape_granularity);
   std::uint64_t key = rows & 0x3FFFU;
   key |= (cols_in & 0x3FU) << 14;
   key |= static_cast<std::uint64_t>(has_up) << 20;
@@ -46,9 +42,8 @@ std::uint64_t tile_shape_key(std::size_t rows, std::size_t cols_in, bool has_up,
 /// Shape key of one naive-diagonal segment block (no loops in the kernel;
 /// only the lane-validity pattern and DP-border predicates vary).
 std::uint64_t naive_shape_key(std::size_t active, bool has_c0, bool has_r0,
-                              bool has_lastc, bool has_lastr, std::size_t n,
-                              std::size_t granularity) noexcept {
-  const std::uint64_t nq = granularity == 0 ? n : ceil_div(n, granularity);
+                              bool has_lastc, bool has_lastr, std::size_t n) noexcept {
+  const std::uint64_t nq = ceil_div(n, SwRunOptions::shape_granularity);
   std::uint64_t key = active & 0x3FU;
   key |= static_cast<std::uint64_t>(has_c0) << 6;
   key |= static_cast<std::uint64_t>(has_r0) << 7;
@@ -58,57 +53,20 @@ std::uint64_t naive_shape_key(std::size_t active, bool has_c0, bool has_r0,
   return key;
 }
 
-void validate_batch(const workload::SwBatch& batch, const WfRunOptions& options,
-                    const char* who) {
-  util::require(!batch.empty(), std::string(who) + ": batch must be non-empty");
-  util::require(!options.collect_outputs || options.mode == simt::ExecMode::kFull,
-                std::string(who) + ": collect_outputs requires ExecMode::kFull");
-  for (const workload::SwTask& task : batch) {
-    util::require(!task.query.empty() && !task.target.empty(),
-                  std::string(who) + ": sequences must be non-empty");
-  }
-}
-
-/// Aggregates one wave launch into the batch result (the PhRunner
-/// multi-launch convention: sums everywhere, occupancy + representative
-/// from the biggest launch).
-struct LaunchAggregator {
-  KernelRunResult* run;
-  std::size_t best_blocks = 0;
-
-  void add(const simt::LaunchResult& launch, std::size_t wave_blocks,
-           std::uint64_t wave_representative_iterations,
-           std::uint64_t* representative_iterations) {
-    run->launch.kernel_seconds += launch.kernel_seconds;
-    run->launch.h2d_seconds += launch.h2d_seconds;
-    run->launch.d2h_seconds += launch.d2h_seconds;
-    run->launch.transfer_seconds += launch.transfer_seconds;
-    run->launch.overhead_seconds += launch.overhead_seconds;
-    run->launch.instructions += launch.instructions;
-    run->launch.smem_transactions += launch.smem_transactions;
-    run->launch.blocks_executed += launch.blocks_executed;
-    run->launch.sdc_flips += launch.sdc_flips;
-    run->launch.timing.cycles += launch.timing.cycles;
-    run->launch.timing.seconds += launch.timing.seconds;
-    if (wave_blocks > best_blocks) {
-      best_blocks = wave_blocks;
-      run->launch.occupancy = launch.occupancy;
-      run->launch.representative = launch.representative;
-      *representative_iterations = wave_representative_iterations;
-    }
-  }
+/// What the launches of one wavefront batch leave for the runner: the
+/// summed launch record and, in kFull, where each task's results are.
+struct WaveRun {
+  KernelRunResult run;
+  std::size_t launches = 0;
+  std::size_t blocks = 0;
+  std::uint64_t representative_iterations = 0;
+  std::vector<TaskOutputs> outputs;
 };
 
-/// Per-task device buffers of the tile path. In kCachedByShape they are
-/// per-*shape* scratch slabs instead, with the block arguments rebased by
-/// the tile's own (row_base, col_base) so every generated address lands
-/// inside the slab — identical addressing arithmetic, bounded memory.
-struct TileTaskBufs {
+/// Per-task device buffers of the tile path in kFull.
+struct TileTaskBufs : TaskOutputs {
   std::int64_t query = 0;
   std::int64_t target = 0;
-  std::int64_t out = 0;  // SW: btrack matrix; NW: score cell
-  std::int64_t lastcol = 0;
-  std::int64_t lastrow = 0;
   std::int64_t rb_h = 0;
   std::int64_t rb_f = 0;
   std::int64_t rb_kv = 0;
@@ -118,7 +76,13 @@ struct TileTaskBufs {
   std::int64_t corner = 0;  // 3 x tile_col_count parity-rotated cells
 };
 
-struct TileShapeSlab {
+/// One tile's buffer arguments. In kCachedByShape each distinct tile
+/// shape that executes gets a scratch slab of this layout instead of the
+/// per-task buffers, and a tile's arguments are the slab's addresses
+/// rebased by the tile's own (row_base, col_base), so every generated
+/// address lands inside the slab: identical addressing arithmetic, bounded
+/// memory.
+struct TileAddrs {
   std::int64_t query = 0;
   std::int64_t target = 0;
   std::int64_t out = 0;
@@ -134,57 +98,37 @@ struct TileShapeSlab {
   std::int64_t corner_wr = 0;
 };
 
-struct TileRunOutput {
-  KernelRunResult run;
-  std::size_t launches = 0;
-  std::size_t blocks = 0;
-  std::uint64_t representative_iterations = 0;
-  std::vector<TileTaskBufs> bufs;  // kFull only
-};
-
-TileRunOutput run_tile_waves(bool is_sw, const simt::PreparedKernel& kernel,
-                             const simt::DeviceSpec& device,
-                             const workload::SwBatch& batch, int tile_rows,
-                             const WfRunOptions& options, simt::GlobalMemory& gmem) {
+WaveRun run_tile_waves(bool is_sw, const simt::PreparedKernel& kernel,
+                       const simt::DeviceSpec& device, const workload::SwBatch& batch,
+                       const SwBatchExtent& extent, int tile_rows,
+                       const RunOptions& options, simt::GlobalMemory& gmem) {
   const bool cached = options.mode == simt::ExecMode::kCachedByShape;
   const auto trows = static_cast<std::size_t>(tile_rows);
 
   std::vector<WfGeometry> geoms(batch.size());
   std::size_t max_waves = 0;
-  std::size_t max_n = 0;
-  std::size_t h2d_bytes = 0;
-  std::size_t cells = 0;
   for (std::size_t t = 0; t < batch.size(); ++t) {
-    const std::size_t m = batch[t].query.size();
-    const std::size_t n = batch[t].target.size();
-    geoms[t] = wf_geometry(m, n, tile_rows);
+    geoms[t] = wf_geometry(batch[t].query.size(), batch[t].target.size(), tile_rows);
     max_waves = std::max(max_waves, geoms[t].waves);
-    max_n = std::max(max_n, n);
-    h2d_bytes += m + n;
-    cells += m * n;
   }
 
-  TileRunOutput out;
-  out.run.cells = cells;
-  out.run.launch.transfers_overlapped = options.overlap_transfers;
+  WaveRun out;
+  out.run.cells = extent.cells;
 
   // kFull: real per-task buffers (boundary buffers are shared by all tiles
   // of a task — within one wave the tiles touch disjoint row/column
   // ranges, so concurrent block execution stays write-disjoint), laid out
   // by the first bind: every kFull block executes, so that is wave 0's.
+  std::vector<TileTaskBufs> bufs;
   const auto lay_out_tasks = [&] {
-    out.bufs.resize(batch.size());
+    bufs.resize(batch.size());
     for (std::size_t t = 0; t < batch.size(); ++t) {
       const workload::SwTask& task = batch[t];
       const std::size_t m = task.query.size();
       const std::size_t n = task.target.size();
-      TileTaskBufs& b = out.bufs[t];
-      b.query = gmem.alloc(m);
-      b.target = gmem.alloc(n);
-      gmem.write_u8(b.query,
-                    {reinterpret_cast<const std::uint8_t*>(task.query.data()), m});
-      gmem.write_u8(b.target,
-                    {reinterpret_cast<const std::uint8_t*>(task.target.data()), n});
+      TileTaskBufs& b = bufs[t];
+      b.query = upload(gmem, task.query);
+      b.target = upload(gmem, task.target);
       if (is_sw) {
         b.out = gmem.alloc(m * n * 4);
         b.lastcol = gmem.alloc(m * 4);
@@ -206,16 +150,16 @@ TileRunOutput run_tile_waves(bool is_sw, const simt::PreparedKernel& kernel,
   // executes, allocated by the bind that first executes it. Every access
   // of a slab's block is slab-relative and each slab starts 128-byte
   // aligned, so where a slab lands moves no block's segment offsets.
-  std::unordered_map<std::uint64_t, TileShapeSlab> slabs;
-  const auto slab_for = [&](std::uint64_t key) -> const TileShapeSlab& {
+  std::unordered_map<std::uint64_t, TileAddrs> slabs;
+  const auto slab_for = [&](std::uint64_t key) -> const TileAddrs& {
     const auto it = slabs.find(key);
     if (it != slabs.end()) {
       return it->second;
     }
-    TileShapeSlab s;
+    TileAddrs s;
     s.query = gmem.alloc(trows, 128);
     s.target = gmem.alloc(kSwBsize);
-    s.out = gmem.alloc(trows * std::max<std::size_t>(max_n, kSwBsize) * 4);
+    s.out = gmem.alloc(trows * std::max<std::size_t>(extent.max_n, kSwBsize) * 4);
     s.lastcol = gmem.alloc(trows * 4);
     s.lastrow = gmem.alloc(kSwBsize * 4);
     s.rb_h = gmem.alloc(kSwBsize * 4);
@@ -244,82 +188,61 @@ TileRunOutput run_tile_waves(bool is_sw, const simt::PreparedKernel& kernel,
     const bool has_up = tile.tr > 0;
     const bool has_left = tile.tc > 0;
 
-    std::int64_t a_query = 0;
-    std::int64_t a_target = 0;
-    std::int64_t a_out = 0;
-    std::int64_t a_lastcol = 0;
-    std::int64_t a_lastrow = 0;
-    std::int64_t a_rb_h = 0;
-    std::int64_t a_rb_f = 0;
-    std::int64_t a_rb_kv = 0;
-    std::int64_t a_cb_h = 0;
-    std::int64_t a_cb_e = 0;
-    std::int64_t a_cb_lh = 0;
-    std::int64_t a_corner_rd = 0;
-    std::int64_t a_corner_wr = 0;
+    TileAddrs a;
     if (cached) {
       // Rebase every buffer argument by this tile's own position: the
       // kernel indexes with global (r, c), so subtracting the base puts
       // all of this tile's accesses inside the shared slab.
-      const TileShapeSlab& s = slab_for(key);
+      const TileAddrs& s = slab_for(key);
       const auto rb = static_cast<std::int64_t>(row_base);
       const auto cb = static_cast<std::int64_t>(col_base);
       const auto nn = static_cast<std::int64_t>(n);
-      a_query = s.query - rb;
-      a_target = s.target - cb;
-      a_out = is_sw ? s.out - (rb * nn + cb) * 4 : s.out;
-      a_lastcol = s.lastcol - rb * 4;
-      a_lastrow = s.lastrow - cb * 4;
-      a_rb_h = s.rb_h - cb * 4;
-      a_rb_f = s.rb_f - cb * 4;
-      a_rb_kv = s.rb_kv - cb * 4;
-      a_cb_h = s.cb_h - rb * 4;
-      a_cb_e = s.cb_e - rb * 4;
-      a_cb_lh = s.cb_lh - rb * 4;
-      a_corner_rd = s.corner_rd;
-      a_corner_wr = s.corner_wr;
+      a = {s.query - rb,
+           s.target - cb,
+           is_sw ? s.out - (rb * nn + cb) * 4 : s.out,
+           s.lastcol - rb * 4,
+           s.lastrow - cb * 4,
+           s.rb_h - cb * 4,
+           s.rb_f - cb * 4,
+           s.rb_kv - cb * 4,
+           s.cb_h - rb * 4,
+           s.cb_e - rb * 4,
+           s.cb_lh - rb * 4,
+           s.corner_rd,
+           s.corner_wr};
     } else {
-      const TileTaskBufs& b = out.bufs[tile.task];
-      a_query = b.query;
-      a_target = b.target;
-      a_out = b.out;
-      a_lastcol = b.lastcol;
-      a_lastrow = b.lastrow;
-      a_rb_h = b.rb_h;
-      a_rb_f = b.rb_f;
-      a_rb_kv = b.rb_kv;
-      a_cb_h = b.cb_h;
-      a_cb_e = b.cb_e;
-      a_cb_lh = b.cb_lh;
       // 3-slot parity rotation: the corner this tile reads was written by
       // (tr-1, tc-1) two waves ago into slot (tr-1) mod 3; the tile
       // publishes its own into slot tr mod 3 for (tr+1, tc+1). Three slots
       // keep the intervening wave's writer off the slot still being read.
+      const TileTaskBufs& b = bufs[tile.task];
       const std::size_t tcc = g.tile_col_count;
-      a_corner_rd =
+      const std::int64_t corner_rd =
           has_up && has_left
               ? b.corner + static_cast<std::int64_t>(
                                (((tile.tr + 2) % 3) * tcc + (tile.tc - 1)) * 4)
               : b.corner;
-      a_corner_wr =
+      const std::int64_t corner_wr =
           b.corner + static_cast<std::int64_t>(((tile.tr % 3) * tcc + tile.tc) * 4);
+      a = {b.query, b.target, b.out,  b.lastcol, b.lastrow, b.rb_h,    b.rb_f,
+           b.rb_kv, b.cb_h,   b.cb_e, b.cb_lh,   corner_rd, corner_wr};
     }
     return {
-        static_cast<std::uint64_t>(a_query),
-        static_cast<std::uint64_t>(a_target),
+        static_cast<std::uint64_t>(a.query),
+        static_cast<std::uint64_t>(a.target),
         static_cast<std::uint64_t>(m),
         static_cast<std::uint64_t>(n),
-        static_cast<std::uint64_t>(a_out),
-        static_cast<std::uint64_t>(a_rb_h),
-        static_cast<std::uint64_t>(a_rb_f),
-        static_cast<std::uint64_t>(a_rb_kv),
-        static_cast<std::uint64_t>(a_cb_h),
-        static_cast<std::uint64_t>(a_cb_e),
-        static_cast<std::uint64_t>(a_cb_lh),
-        static_cast<std::uint64_t>(a_corner_rd),
-        static_cast<std::uint64_t>(a_corner_wr),
-        static_cast<std::uint64_t>(a_lastcol),
-        static_cast<std::uint64_t>(a_lastrow),
+        static_cast<std::uint64_t>(a.out),
+        static_cast<std::uint64_t>(a.rb_h),
+        static_cast<std::uint64_t>(a.rb_f),
+        static_cast<std::uint64_t>(a.rb_kv),
+        static_cast<std::uint64_t>(a.cb_h),
+        static_cast<std::uint64_t>(a.cb_e),
+        static_cast<std::uint64_t>(a.cb_lh),
+        static_cast<std::uint64_t>(a.corner_rd),
+        static_cast<std::uint64_t>(a.corner_wr),
+        static_cast<std::uint64_t>(a.lastcol),
+        static_cast<std::uint64_t>(a.lastrow),
         static_cast<std::uint64_t>(row_base),
         static_cast<std::uint64_t>(col_base),
         static_cast<std::uint64_t>(rows),
@@ -329,9 +252,9 @@ TileRunOutput run_tile_waves(bool is_sw, const simt::PreparedKernel& kernel,
     };
   };
 
-  simt::ExecutionEngine& engine =
-      options.engine != nullptr ? *options.engine : simt::shared_engine();
-  LaunchAggregator agg{&out.run};
+  const std::size_t d2h_bytes =
+      batch.size() * (is_sw ? kSwResultBytesPerTask : std::size_t{4});
+  LaunchSum waves(options);
   std::vector<Tile> tiles;
   std::vector<std::uint64_t> keys;
 
@@ -359,13 +282,12 @@ TileRunOutput run_tile_waves(bool is_sw, const simt::PreparedKernel& kernel,
         tiles.push_back({t, tr, tc});
         keys.push_back(tile_shape_key(rows, cols_in, tr > 0, tc > 0,
                                       tr + 1 == g.tile_row_count,
-                                      tc + 1 == g.tile_col_count, n,
-                                      options.shape_granularity));
+                                      tc + 1 == g.tile_col_count, n));
       }
     }
 
     const auto bind = [&](std::span<const std::size_t> execute, simt::GlobalMemory&) {
-      if (!cached && out.bufs.empty()) {
+      if (!cached && bufs.empty()) {
         lay_out_tasks();
       }
       std::vector<simt::BlockArgs> args;
@@ -376,31 +298,20 @@ TileRunOutput run_tile_waves(bool is_sw, const simt::PreparedKernel& kernel,
       return args;
     };
 
-    simt::LaunchOptions launch_options;
-    launch_options.mode = options.mode;
-    launch_options.overlap_transfers = options.overlap_transfers;
-    if (w == 0) {
-      launch_options.transfer.h2d_bytes = h2d_bytes;
-    }
-    if (w + 1 == max_waves) {
-      launch_options.transfer.d2h_bytes =
-          batch.size() * (is_sw ? kSwResultBytesPerTask : std::size_t{4});
-    }
-    launch_options.sdc = options.sdc;
     // Every wave is its own sub-launch in SDC stream derivation, so block
     // ids repeat across waves without reusing flip streams.
-    launch_options.sdc_launch_id =
-        simt::sdc_sub_launch(options.sdc_launch_id, static_cast<std::uint64_t>(w));
-    launch_options.max_block_cycles = options.max_block_cycles;
-    launch_options.interp = options.interp;
-
-    const simt::LaunchResult launch =
-        engine.launch(kernel, device, gmem, keys, bind, launch_options);
+    const simt::LaunchResult launch = launch_grid(
+        kernel, device, gmem, keys, bind, options,
+        {w == 0 ? extent.h2d_bytes : 0, w + 1 == max_waves ? d2h_bytes : 0},
+        simt::sdc_sub_launch(options.sdc_launch_id, static_cast<std::uint64_t>(w)));
     out.launches += 1;
     out.blocks += keys.size();
-    agg.add(launch, keys.size(), wave_rep_iterations,
-            &out.representative_iterations);
+    if (waves.add(launch, keys.size())) {
+      out.representative_iterations = wave_rep_iterations;
+    }
   }
+  out.run.launch = waves.result();
+  out.outputs.assign(bufs.begin(), bufs.end());
   return out;
 }
 
@@ -408,7 +319,7 @@ TileRunOutput run_tile_waves(bool is_sw, const simt::PreparedKernel& kernel,
 /// modes (the whole point of the anti-pattern is that all state lives in
 /// global memory; segments of one diagonal write disjoint rows, so sharing
 /// them across a launch's blocks is safe).
-struct NaiveTaskBufs {
+struct NaiveTaskBufs : TaskOutputs {
   std::int64_t query = 0;
   std::int64_t target = 0;
   std::int64_t h = 0;
@@ -416,20 +327,13 @@ struct NaiveTaskBufs {
   std::int64_t f = 0;
   std::int64_t kv = 0;
   std::int64_t lh = 0;
-  std::int64_t out = 0;
-  std::int64_t lastcol = 0;
-  std::int64_t lastrow = 0;
 };
 
-TileRunOutput run_naive_diagonals(bool is_sw, const simt::PreparedKernel& kernel,
-                                  const simt::DeviceSpec& device,
-                                  const workload::SwBatch& batch,
-                                  const WfRunOptions& options,
-                                  simt::GlobalMemory& gmem,
-                                  std::vector<NaiveTaskBufs>* bufs_out) {
+WaveRun run_naive_diagonals(bool is_sw, const simt::PreparedKernel& kernel,
+                            const simt::DeviceSpec& device,
+                            const workload::SwBatch& batch, const SwBatchExtent& extent,
+                            const RunOptions& options, simt::GlobalMemory& gmem) {
   std::size_t max_diags = 0;
-  std::size_t h2d_bytes = 0;
-  std::size_t cells = 0;
   for (const workload::SwTask& task : batch) {
     const std::size_t m = task.query.size();
     const std::size_t n = task.target.size();
@@ -437,8 +341,6 @@ TileRunOutput run_naive_diagonals(bool is_sw, const simt::PreparedKernel& kernel
                   "wf-naive: task exceeds the naive-variant cell cap (the "
                   "anti-pattern keeps six full matrices per task)");
     max_diags = std::max(max_diags, m + n - 1);
-    h2d_bytes += m + n;
-    cells += m * n;
   }
 
   // Every task's matrices, laid out by the first launch that executes a
@@ -451,12 +353,8 @@ TileRunOutput run_naive_diagonals(bool is_sw, const simt::PreparedKernel& kernel
       const std::size_t m = task.query.size();
       const std::size_t n = task.target.size();
       NaiveTaskBufs& b = bufs[t];
-      b.query = gmem.alloc(m);
-      b.target = gmem.alloc(n);
-      gmem.write_u8(b.query,
-                    {reinterpret_cast<const std::uint8_t*>(task.query.data()), m});
-      gmem.write_u8(b.target,
-                    {reinterpret_cast<const std::uint8_t*>(task.target.data()), n});
+      b.query = upload(gmem, task.query);
+      b.target = upload(gmem, task.target);
       b.h = gmem.alloc(m * n * 4);
       b.e = gmem.alloc(m * n * 4);
       b.f = gmem.alloc(m * n * 4);
@@ -472,14 +370,13 @@ TileRunOutput run_naive_diagonals(bool is_sw, const simt::PreparedKernel& kernel
     }
   };
 
-  TileRunOutput out;
-  out.run.cells = cells;
-  out.run.launch.transfers_overlapped = options.overlap_transfers;
+  WaveRun out;
+  out.run.cells = extent.cells;
   out.representative_iterations = 1;  // one anti-diagonal step per launch
 
-  simt::ExecutionEngine& engine =
-      options.engine != nullptr ? *options.engine : simt::shared_engine();
-  LaunchAggregator agg{&out.run};
+  const std::size_t d2h_bytes =
+      batch.size() * (is_sw ? kSwResultBytesPerTask : std::size_t{4});
+  LaunchSum diagonals(options);
   struct Segment {
     std::size_t task = 0;
     std::size_t seg = 0;  ///< first row of the 32-row segment
@@ -509,8 +406,7 @@ TileRunOutput run_naive_diagonals(bool is_sw, const simt::PreparedKernel& kernel
         const bool has_lastc = d - lane_lo >= n - 1 && d - lane_hi <= n - 1;
         const bool has_lastr = lane_hi == m - 1;
         segments.push_back({t, seg});
-        keys.push_back(naive_shape_key(active, has_c0, has_r0, has_lastc, has_lastr,
-                                       n, options.shape_granularity));
+        keys.push_back(naive_shape_key(active, has_c0, has_r0, has_lastc, has_lastr, n));
       }
     }
 
@@ -543,71 +439,47 @@ TileRunOutput run_naive_diagonals(bool is_sw, const simt::PreparedKernel& kernel
       return args;
     };
 
-    simt::LaunchOptions launch_options;
-    launch_options.mode = options.mode;
-    launch_options.overlap_transfers = options.overlap_transfers;
-    if (d == 0) {
-      launch_options.transfer.h2d_bytes = h2d_bytes;
-    }
-    if (d + 1 == max_diags) {
-      launch_options.transfer.d2h_bytes =
-          batch.size() * (is_sw ? kSwResultBytesPerTask : std::size_t{4});
-    }
-    launch_options.sdc = options.sdc;
-    launch_options.sdc_launch_id =
-        simt::sdc_sub_launch(options.sdc_launch_id, static_cast<std::uint64_t>(d));
-    launch_options.max_block_cycles = options.max_block_cycles;
-    launch_options.interp = options.interp;
-
-    const simt::LaunchResult launch =
-        engine.launch(kernel, device, gmem, keys, bind, launch_options);
+    const simt::LaunchResult launch = launch_grid(
+        kernel, device, gmem, keys, bind, options,
+        {d == 0 ? extent.h2d_bytes : 0, d + 1 == max_diags ? d2h_bytes : 0},
+        simt::sdc_sub_launch(options.sdc_launch_id, static_cast<std::uint64_t>(d)));
     out.launches += 1;
     out.blocks += keys.size();
-    agg.add(launch, keys.size(), 1, &out.representative_iterations);
+    diagonals.add(launch, keys.size());
   }
-  if (bufs_out != nullptr) {
-    *bufs_out = std::move(bufs);
-  }
+  out.run.launch = diagonals.result();
+  out.outputs.assign(bufs.begin(), bufs.end());
   return out;
 }
 
-SwTaskOutput collect_sw_output(simt::GlobalMemory& gmem, const workload::SwTask& task,
-                               std::int64_t btrack_addr, std::int64_t lastcol_addr,
-                               std::int64_t lastrow_addr) {
-  const std::size_t m = task.query.size();
-  const std::size_t n = task.target.size();
-  SwTaskOutput out;
-  // HaplotypeCaller max search: last column top-to-bottom, then last row
-  // left-to-right, strictly greater wins — as in the reference.
-  const auto lastcol = gmem.read_i32(lastcol_addr, m);
-  const auto lastrow = gmem.read_i32(lastrow_addr, n);
-  out.best_score = 0;
-  out.best_i = m;
-  out.best_j = n;
-  for (std::size_t i = 1; i <= m; ++i) {
-    if (lastcol[i - 1] > out.best_score) {
-      out.best_score = lastcol[i - 1];
-      out.best_i = i;
-      out.best_j = n;
+/// The body both wavefront runners share: run the batch through the
+/// variant's launches, then read back each task's SW output or NW score.
+template <typename Result>
+Result run_wavefront(std::string_view runner, WfVariant variant,
+                     const simt::PreparedKernel& kernel, const simt::DeviceSpec& device,
+                     const workload::SwBatch& batch, int tile_rows,
+                     const RunOptions& options) {
+  constexpr bool kIsSw = std::is_same_v<Result, WfSwBatchResult>;
+  const SwBatchExtent extent = check_sw_batch(runner, batch, options);
+  simt::GlobalMemory gmem;
+  WaveRun waves =
+      variant == WfVariant::kHostSyncNaive
+          ? run_naive_diagonals(kIsSw, kernel, device, batch, extent, options, gmem)
+          : run_tile_waves(kIsSw, kernel, device, batch, extent, tile_rows, options,
+                           gmem);
+  count_arena_bytes(gmem);
+  Result result{std::move(waves.run), {}, waves.launches, waves.blocks,
+                waves.representative_iterations};
+  if (options.collect_outputs) {
+    for (std::size_t t = 0; t < batch.size(); ++t) {
+      if constexpr (kIsSw) {
+        result.outputs.push_back(read_sw_output(gmem, batch[t], waves.outputs[t]));
+      } else {
+        result.scores.push_back(gmem.read_i32_one(waves.outputs[t].out));
+      }
     }
   }
-  for (std::size_t j = 1; j <= n; ++j) {
-    if (lastrow[j - 1] > out.best_score) {
-      out.best_score = lastrow[j - 1];
-      out.best_i = m;
-      out.best_j = j;
-    }
-  }
-  const auto device_btrack = gmem.read_i32(btrack_addr, m * n);
-  out.btrack = align::Matrix<std::int32_t>(m + 1, n + 1, align::kBtrackStop);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      out.btrack(i + 1, j + 1) = device_btrack[i * n + j];
-    }
-  }
-  out.alignment =
-      align::sw_backtrace(out.btrack, out.best_i, out.best_j, out.best_score);
-  return out;
+  return result;
 }
 
 }  // namespace
@@ -647,44 +519,8 @@ WavefrontSwRunner::WavefrontSwRunner(WfVariant variant, const align::SwParams& p
 WfSwBatchResult WavefrontSwRunner::run_batch(const simt::DeviceSpec& device,
                                              const workload::SwBatch& batch,
                                              const WfRunOptions& options) const {
-  validate_batch(batch, options, "WavefrontSwRunner");
-  simt::GlobalMemory gmem;
-  WfSwBatchResult result;
-  if (variant_ == WfVariant::kHostSyncNaive) {
-    std::vector<NaiveTaskBufs> bufs;
-    TileRunOutput out = run_naive_diagonals(/*is_sw=*/true, kernel_, device, batch,
-                                            options, gmem, &bufs);
-    count_arena_bytes(gmem);
-    result.run = out.run;
-    result.launches = out.launches;
-    result.blocks = out.blocks;
-    result.representative_iterations = out.representative_iterations;
-    if (options.collect_outputs) {
-      result.outputs.reserve(batch.size());
-      for (std::size_t t = 0; t < batch.size(); ++t) {
-        result.outputs.push_back(collect_sw_output(
-            gmem, batch[t], bufs[t].out, bufs[t].lastcol, bufs[t].lastrow));
-      }
-    }
-    return result;
-  }
-
-  TileRunOutput out = run_tile_waves(/*is_sw=*/true, kernel_, device, batch,
-                                     tile_rows_, options, gmem);
-  count_arena_bytes(gmem);
-  result.run = out.run;
-  result.launches = out.launches;
-  result.blocks = out.blocks;
-  result.representative_iterations = out.representative_iterations;
-  if (options.collect_outputs) {
-    result.outputs.reserve(batch.size());
-    for (std::size_t t = 0; t < batch.size(); ++t) {
-      result.outputs.push_back(collect_sw_output(gmem, batch[t], out.bufs[t].out,
-                                                 out.bufs[t].lastcol,
-                                                 out.bufs[t].lastrow));
-    }
-  }
-  return result;
+  return run_wavefront<WfSwBatchResult>("WavefrontSwRunner", variant_, kernel_, device,
+                                        batch, tile_rows_, options);
 }
 
 WavefrontNwRunner::WavefrontNwRunner(WfVariant variant, const align::SwParams& params,
@@ -699,41 +535,8 @@ WavefrontNwRunner::WavefrontNwRunner(WfVariant variant, const align::SwParams& p
 WfNwBatchResult WavefrontNwRunner::run_batch(const simt::DeviceSpec& device,
                                              const workload::SwBatch& batch,
                                              const WfRunOptions& options) const {
-  validate_batch(batch, options, "WavefrontNwRunner");
-  simt::GlobalMemory gmem;
-  WfNwBatchResult result;
-  if (variant_ == WfVariant::kHostSyncNaive) {
-    std::vector<NaiveTaskBufs> bufs;
-    TileRunOutput out = run_naive_diagonals(/*is_sw=*/false, kernel_, device, batch,
-                                            options, gmem, &bufs);
-    count_arena_bytes(gmem);
-    result.run = out.run;
-    result.launches = out.launches;
-    result.blocks = out.blocks;
-    result.representative_iterations = out.representative_iterations;
-    if (options.collect_outputs) {
-      result.scores.reserve(batch.size());
-      for (std::size_t t = 0; t < batch.size(); ++t) {
-        result.scores.push_back(gmem.read_i32(bufs[t].out, 1)[0]);
-      }
-    }
-    return result;
-  }
-
-  TileRunOutput out = run_tile_waves(/*is_sw=*/false, kernel_, device, batch,
-                                     tile_rows_, options, gmem);
-  count_arena_bytes(gmem);
-  result.run = out.run;
-  result.launches = out.launches;
-  result.blocks = out.blocks;
-  result.representative_iterations = out.representative_iterations;
-  if (options.collect_outputs) {
-    result.scores.reserve(batch.size());
-    for (std::size_t t = 0; t < batch.size(); ++t) {
-      result.scores.push_back(gmem.read_i32(out.bufs[t].out, 1)[0]);
-    }
-  }
-  return result;
+  return run_wavefront<WfNwBatchResult>("WavefrontNwRunner", variant_, kernel_, device,
+                                        batch, tile_rows_, options);
 }
 
 const std::vector<std::string>& sw_kernel_names() {

@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "wsim/align/pairhmm.hpp"
+#include "wsim/fleet/fleet.hpp"
 #include "wsim/simt/energy.hpp"
 #include "wsim/simt/engine.hpp"
 #include "wsim/util/check.hpp"
@@ -17,26 +18,24 @@ namespace {
 /// Index-preserving batching: batches are lists of indices into the
 /// flattened task vector, so re-batching and LPT ordering never lose the
 /// dataset order of the outputs.
-template <typename Task, typename CellsOf>
+template <typename CellsOf>
 std::vector<std::vector<std::size_t>> plan_batches(
-    const std::vector<std::vector<Task>>& per_region, std::size_t rebatch_size,
-    bool lpt, CellsOf cells_of) {
+    const std::vector<std::size_t>& region_sizes, std::size_t rebatch_size, bool lpt,
+    CellsOf cells_of) {
   std::vector<std::vector<std::size_t>> batches;
-  std::size_t base = 0;
+  const std::size_t total =
+      std::accumulate(region_sizes.begin(), region_sizes.end(), std::size_t{0});
   if (rebatch_size == 0) {
-    for (const auto& region : per_region) {
-      if (!region.empty()) {
-        std::vector<std::size_t> batch(region.size());
+    std::size_t base = 0;
+    for (const std::size_t size : region_sizes) {
+      if (size > 0) {
+        std::vector<std::size_t> batch(size);
         std::iota(batch.begin(), batch.end(), base);
         batches.push_back(std::move(batch));
       }
-      base += region.size();
+      base += size;
     }
   } else {
-    std::size_t total = 0;
-    for (const auto& region : per_region) {
-      total += region.size();
-    }
     for (std::size_t begin = 0; begin < total; begin += rebatch_size) {
       const std::size_t end = std::min(begin + rebatch_size, total);
       std::vector<std::size_t> batch(end - begin);
@@ -55,6 +54,91 @@ std::vector<std::vector<std::size_t>> plan_batches(
   return batches;
 }
 
+/// One stage, written once over the fleet's kind traits: plan the batches,
+/// run each on the one-worker fleet, keep the outputs in dataset order,
+/// and check a sample against the host reference.
+template <typename Kind>
+void run_stage(const workload::Dataset& dataset, const PipelineConfig& config,
+               fleet::FleetExecutor& fleet, PipelineReport& report) {
+  constexpr bool kIsSw = Kind::kIsSw;
+  const auto region_tasks = [](const workload::Region& region) -> const auto& {
+    if constexpr (kIsSw) {
+      return region.sw_tasks;
+    } else {
+      return region.ph_tasks;
+    }
+  };
+  typename Kind::Batch tasks;
+  std::vector<std::size_t> region_sizes;
+  for (const auto& region : dataset.regions) {
+    const auto& part = region_tasks(region);
+    region_sizes.push_back(part.size());
+    tasks.insert(tasks.end(), part.begin(), part.end());
+  }
+  util::require(!tasks.empty(), kIsSw ? "run_pipeline: dataset has no SW tasks"
+                                      : "run_pipeline: dataset has no PairHMM tasks");
+  const auto batches =
+      plan_batches(region_sizes, config.rebatch_size, config.lpt_order,
+                   [&](std::size_t i) { return workload::cells(tasks[i]); });
+
+  StageReport& stage = kIsSw ? report.sw : report.ph;
+  auto& outputs = [&]() -> auto& {
+    if constexpr (kIsSw) {
+      return report.sw_alignments;
+    } else {
+      return report.ph_log10;
+    }
+  }();
+  fleet::ExecOptions options;
+  options.overlap_transfers = config.overlap_transfers;
+  options.double_fallback = config.double_fallback;
+
+  outputs.resize(tasks.size());
+  for (const auto& batch_indices : batches) {
+    typename Kind::Batch batch;
+    batch.reserve(batch_indices.size());
+    for (const std::size_t i : batch_indices) {
+      batch.push_back(tasks[i]);
+    }
+    const auto run = fleet.execute<Kind>(batch, fleet.all_free_at(), options);
+    const simt::LaunchResult& launch = run.result.run.launch;
+    stage.seconds += run.exec.service_seconds;
+    stage.cells += run.result.run.cells;
+    stage.joules += simt::launch_energy(launch.representative, batch.size(),
+                                        launch.kernel_seconds, config.device)
+                        .total_joules();
+    for (std::size_t b = 0; b < batch_indices.size(); ++b) {
+      if constexpr (kIsSw) {
+        outputs[batch_indices[b]] = run.result.outputs[b].alignment;
+      } else {
+        outputs[batch_indices[b]] = run.result.log10[b];
+      }
+    }
+  }
+  stage.tasks = tasks.size();
+  stage.batches = batches.size();
+  stage.gcups =
+      stage.seconds > 0.0 ? static_cast<double>(stage.cells) / stage.seconds / 1e9 : 0.0;
+
+  if (config.validate_sample) {
+    util::require(config.validate_every > 0, "run_pipeline: validate_every must be > 0");
+    for (std::size_t i = 0; i < tasks.size(); i += config.validate_every) {
+      ++report.validated;
+      bool mismatch = false;
+      if constexpr (kIsSw) {
+        const auto ref = align::sw_align(tasks[i].query, tasks[i].target, {});
+        mismatch = ref.score != outputs[i].score || ref.cigar != outputs[i].cigar;
+      } else {
+        const double ref = align::pairhmm_log10_safe(tasks[i]);
+        mismatch = std::abs(ref - outputs[i]) > 5e-3 + std::abs(ref) * 1e-3;
+      }
+      if (mismatch) {
+        ++report.mismatches;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 PipelineReport run_pipeline(const workload::Dataset& dataset,
@@ -64,135 +148,32 @@ PipelineReport run_pipeline(const workload::Dataset& dataset,
   PipelineReport report;
 
   // One engine serves both stages, so its worker pool is shared across
-  // every batch. The
-  // default thread count uses the process-wide engine — pipeline, serving
-  // layer, and CLI then share one worker pool and one cost cache; an
-  // explicit positive count builds a private engine for this run only.
+  // every batch. The default thread count uses the process-wide engine —
+  // pipeline, serving layer, and CLI then share one worker pool and one
+  // cost cache; an explicit positive count builds a private engine for
+  // this run only.
   std::optional<simt::ExecutionEngine> private_engine;
-  simt::ExecutionEngine* engine = nullptr;
-  if (config.threads <= 0) {
-    engine = &simt::shared_engine();
-  } else {
+  if (config.threads > 0) {
     private_engine.emplace(simt::EngineOptions{.threads = config.threads});
-    engine = &*private_engine;
   }
+  simt::ExecutionEngine* engine =
+      private_engine ? &*private_engine : &simt::shared_engine();
   report.engine_used = engine;
 
-  // ---------------- stage 1: Smith-Waterman -------------------------------
-  {
-    std::vector<workload::SwTask> tasks;
-    std::vector<std::vector<workload::SwTask>> per_region;
-    per_region.reserve(dataset.regions.size());
-    for (const auto& region : dataset.regions) {
-      per_region.push_back(region.sw_tasks);
-      tasks.insert(tasks.end(), region.sw_tasks.begin(), region.sw_tasks.end());
-    }
-    util::require(!tasks.empty(), "run_pipeline: dataset has no SW tasks");
-    const auto batches = plan_batches(
-        per_region, config.rebatch_size, config.lpt_order,
-        [&](std::size_t i) { return tasks[i].cells(); });
+  // The device is a one-worker fleet with the pipeline's designs pinned
+  // and every SW batch task-per-block, as serve-sim runs it.
+  fleet::WorkerConfig worker;
+  worker.device = config.device;
+  worker.sw_design = config.sw_design;
+  worker.ph_design = config.ph_design;
+  fleet::FleetConfig fleet_config;
+  fleet_config.workers = {worker};
+  fleet_config.parallelism = fleet::ParallelismPolicy::kInterTask;
+  fleet_config.engine = engine;
+  fleet::FleetExecutor fleet(std::move(fleet_config));
 
-    const kernels::SwRunner runner(config.sw_design);
-    kernels::SwRunOptions options;
-    options.collect_outputs = true;
-    options.overlap_transfers = config.overlap_transfers;
-    options.engine = engine;
-
-    report.sw_alignments.resize(tasks.size());
-    for (const auto& batch_indices : batches) {
-      workload::SwBatch batch;
-      batch.reserve(batch_indices.size());
-      for (const std::size_t i : batch_indices) {
-        batch.push_back(tasks[i]);
-      }
-      const auto result = runner.run_batch(config.device, batch, options);
-      report.sw.seconds += result.run.launch.total_seconds();
-      report.sw.cells += result.run.cells;
-      report.sw.joules += simt::launch_energy(result.run.launch.representative,
-                                              batch.size(),
-                                              result.run.launch.kernel_seconds,
-                                              config.device)
-                              .total_joules();
-      for (std::size_t b = 0; b < batch_indices.size(); ++b) {
-        report.sw_alignments[batch_indices[b]] = result.outputs[b].alignment;
-      }
-    }
-    report.sw.tasks = tasks.size();
-    report.sw.batches = batches.size();
-    report.sw.gcups = report.sw.seconds > 0.0
-                          ? static_cast<double>(report.sw.cells) / report.sw.seconds / 1e9
-                          : 0.0;
-
-    if (config.validate_sample) {
-      util::require(config.validate_every > 0, "run_pipeline: validate_every must be > 0");
-      for (std::size_t i = 0; i < tasks.size(); i += config.validate_every) {
-        const auto ref = align::sw_align(tasks[i].query, tasks[i].target, {});
-        ++report.validated;
-        if (ref.score != report.sw_alignments[i].score ||
-            ref.cigar != report.sw_alignments[i].cigar) {
-          ++report.mismatches;
-        }
-      }
-    }
-  }
-
-  // ---------------- stage 2: PairHMM --------------------------------------
-  {
-    std::vector<align::PairHmmTask> tasks;
-    std::vector<std::vector<align::PairHmmTask>> per_region;
-    per_region.reserve(dataset.regions.size());
-    for (const auto& region : dataset.regions) {
-      per_region.push_back(region.ph_tasks);
-      tasks.insert(tasks.end(), region.ph_tasks.begin(), region.ph_tasks.end());
-    }
-    util::require(!tasks.empty(), "run_pipeline: dataset has no PairHMM tasks");
-    const auto batches = plan_batches(
-        per_region, config.rebatch_size, config.lpt_order,
-        [&](std::size_t i) { return workload::cells(tasks[i]); });
-
-    const kernels::PhRunner runner(config.ph_design);
-    kernels::PhRunOptions options;
-    options.collect_outputs = true;
-    options.overlap_transfers = config.overlap_transfers;
-    options.double_fallback = config.double_fallback;
-    options.engine = engine;
-
-    report.ph_log10.resize(tasks.size());
-    for (const auto& batch_indices : batches) {
-      workload::PhBatch batch;
-      batch.reserve(batch_indices.size());
-      for (const std::size_t i : batch_indices) {
-        batch.push_back(tasks[i]);
-      }
-      const auto result = runner.run_batch(config.device, batch, options);
-      report.ph.seconds += result.run.launch.total_seconds();
-      report.ph.cells += result.run.cells;
-      report.ph.joules += simt::launch_energy(result.run.launch.representative,
-                                              batch.size(),
-                                              result.run.launch.kernel_seconds,
-                                              config.device)
-                              .total_joules();
-      for (std::size_t b = 0; b < batch_indices.size(); ++b) {
-        report.ph_log10[batch_indices[b]] = result.log10[b];
-      }
-    }
-    report.ph.tasks = tasks.size();
-    report.ph.batches = batches.size();
-    report.ph.gcups = report.ph.seconds > 0.0
-                          ? static_cast<double>(report.ph.cells) / report.ph.seconds / 1e9
-                          : 0.0;
-
-    if (config.validate_sample) {
-      for (std::size_t i = 0; i < tasks.size(); i += config.validate_every) {
-        const double ref = align::pairhmm_log10_safe(tasks[i]);
-        ++report.validated;
-        if (std::abs(ref - report.ph_log10[i]) > 5e-3 + std::abs(ref) * 1e-3) {
-          ++report.mismatches;
-        }
-      }
-    }
-  }
-
+  run_stage<fleet::SwKind>(dataset, config, fleet, report);
+  run_stage<fleet::PhKind>(dataset, config, fleet, report);
   return report;
 }
 

@@ -48,9 +48,11 @@ struct BlockLaunch {
   std::uint64_t shape_key = 0;
 };
 
-struct LaunchOptions {
+/// The launch settings a caller chooses. simt::LaunchOptions adds what the
+/// launching code derives per launch; the kernel runners' options
+/// (kernels::RunOptions) take these and forward them to every launch.
+struct LaunchKnobs {
   ExecMode mode = ExecMode::kFull;
-  TransferSpec transfer;
   /// Ignored: kCachedByShape always memoizes block costs in the executing
   /// engine's cache. Kept so existing callers still compile.
   bool use_engine_cache = false;
@@ -59,9 +61,6 @@ struct LaunchOptions {
   /// stream must). The paper's numbers serialize everything; this is the
   /// natural follow-up optimization.
   bool overlap_transfers = false;
-  /// When non-null, records the representative (first executed) block's
-  /// instruction timeline (see simt::Trace).
-  class Trace* trace_representative = nullptr;
   /// Deterministic silent-data-corruption injection (see simt/sdc.hpp).
   /// Requires kFull: in kCachedByShape most blocks reuse a representative's
   /// cost, so injection would corrupt the shared cost cache instead of
@@ -78,6 +77,13 @@ struct LaunchOptions {
   /// legacy switch interpreter, for A/B comparison and differential
   /// testing (see simt::InterpPath; WSIM_INTERP=legacy flips the default).
   InterpPath interp = InterpPath::kDefault;
+};
+
+struct LaunchOptions : LaunchKnobs {
+  TransferSpec transfer;
+  /// When non-null, records the representative (first executed) block's
+  /// instruction timeline (see simt::Trace).
+  class Trace* trace_representative = nullptr;
 };
 
 /// Everything the benchmarks need from one kernel launch.

@@ -199,6 +199,40 @@ TEST(CliFlags, BooleanFlagDoesNotSwallowTheNextFlag) {
   EXPECT_EQ(json_before, read_file(after));
 }
 
+// A boolean flag takes no value, so it may also sit before a positional:
+// `sw --profile Q T` aligns Q with T instead of taking Q as --profile's
+// value. The documented empty value (`--profile ''`) still works.
+TEST(CliFlags, BooleanFlagDoesNotSwallowTheNextPositional) {
+  const auto [status_before, output_before] = run_wsim("sw --profile ACGTACGT TTACGTAC");
+  const auto [status_after, output_after] = run_wsim("sw ACGTACGT TTACGTAC --profile");
+  const auto [status_empty, output_empty] = run_wsim("sw ACGTACGT TTACGTAC --profile ''");
+  EXPECT_EQ(status_before, 0) << output_before;
+  EXPECT_EQ(status_after, 0) << output_after;
+  EXPECT_EQ(status_empty, 0) << output_empty;
+  EXPECT_NE(output_before.find("score:"), std::string::npos) << output_before;
+  EXPECT_EQ(output_before, output_after);
+  EXPECT_EQ(output_before, output_empty);
+}
+
+// Boolean flags are declared per command: sw-run's --profile names a
+// length profile and keeps its value.
+TEST(CliFlags, BooleanFlagsAreDeclaredPerCommand) {
+  EXPECT_TRUE(cli::is_bool_flag("sw", "profile"));
+  EXPECT_FALSE(cli::is_bool_flag("sw-run", "profile"));
+  EXPECT_TRUE(cli::is_bool_flag("sw-run", "verify"));
+  EXPECT_TRUE(cli::is_bool_flag("serve-sim", "outputs"));
+  EXPECT_TRUE(cli::is_bool_flag("fleet-sim", "outputs"));
+  for (const char* flag : {"streams", "lpt", "validate"}) {
+    EXPECT_TRUE(cli::is_bool_flag("pipeline", flag)) << flag;
+  }
+  EXPECT_FALSE(cli::is_bool_flag("pipeline", "batch"));
+  EXPECT_FALSE(cli::is_bool_flag("bogus", "outputs"));
+  const std::string usage = cli::usage_text();
+  EXPECT_NE(usage.find("QUERY TARGET [--profile]"), std::string::npos);
+  EXPECT_NE(usage.find("[--streams] [--lpt] [--validate]"), std::string::npos);
+  EXPECT_EQ(usage.find("''"), std::string::npos);
+}
+
 // The driver validates the interpreter name from the flag and from an
 // inherited WSIM_INTERP before running anything: the library resolves an
 // unknown name to the default engine, so a typo would otherwise run

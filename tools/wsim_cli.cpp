@@ -106,15 +106,19 @@ struct Args {
 bool is_flag(std::string_view token) { return token.rfind("--", 0) == 0; }
 
 /// A flag takes the next token as its value unless that token is itself a
-/// flag: no valid value starts with "--" (negative numbers use one dash),
-/// so a boolean flag never swallows the flag after it.
+/// flag (no valid value starts with "--"; negative numbers use one dash)
+/// or the flag is one of the command's boolean flags
+/// (wsim::cli::CommandInfo::bool_flags), which take only an explicit empty
+/// value (`--validate ''`). So a boolean flag swallows neither the flag nor
+/// the positional after it.
 Args parse(int argc, char** argv) {
   Args args;
   for (int i = 2; i < argc; ++i) {
     const std::string token = argv[i];
     if (is_flag(token)) {
       const std::string key = token.substr(2);
-      if (i + 1 < argc && !is_flag(argv[i + 1])) {
+      const bool boolean = wsim::cli::is_bool_flag(argv[1], key);
+      if (i + 1 < argc && !is_flag(argv[i + 1]) && (!boolean || *argv[i + 1] == '\0')) {
         args.options[key] = argv[++i];
       } else {
         args.options[key] = "";
