@@ -33,6 +33,15 @@ inline void require(bool condition, const char* what,
   }
 }
 
+/// Input check: throws CheckError carrying `what` alone. For input from
+/// outside the program (command-line flags, data files), whose error text
+/// names the flag or the file and line, never a source location.
+inline void check_input(bool condition, const std::string& what) {
+  if (!condition) {
+    throw CheckError(what);
+  }
+}
+
 /// Internal invariant check: same behaviour as require(), separate name so
 /// call sites document whether a failure blames the caller or the library.
 inline void ensure(bool condition, const std::string& what,

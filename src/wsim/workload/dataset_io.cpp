@@ -21,29 +21,25 @@ std::string encode_quals(const std::vector<std::uint8_t>& quals) {
   return out;
 }
 
+/// Decodes one Phred+33 quality track of `expect` characters; an error
+/// names `where`, the file and line.
 std::vector<std::uint8_t> decode_quals(const std::string& text, std::size_t expect,
-                                       int line_no) {
-  util::require(text.size() == expect,
-                "read_dataset: quality track length mismatch at line " +
-                    std::to_string(line_no));
+                                       const std::string& where) {
+  util::check_input(text.size() == expect, where + "quality track length mismatch");
   std::vector<std::uint8_t> out;
   out.reserve(text.size());
   for (const char c : text) {
-    util::require(c >= kPhredOffset,
-                  "read_dataset: invalid quality character at line " +
-                      std::to_string(line_no));
+    util::check_input(c >= kPhredOffset, where + "invalid quality character");
     out.push_back(static_cast<std::uint8_t>(c - kPhredOffset));
   }
   return out;
 }
 
-void check_sequence(const std::string& seq, int line_no) {
-  util::require(!seq.empty(), "read_dataset: empty sequence at line " +
-                                  std::to_string(line_no));
+void check_sequence(const std::string& seq, const std::string& where) {
+  util::check_input(!seq.empty(), where + "empty sequence");
   for (const char c : seq) {
-    util::require(c == 'A' || c == 'C' || c == 'G' || c == 'T' || c == 'N',
-                  "read_dataset: invalid base '" + std::string(1, c) +
-                      "' at line " + std::to_string(line_no));
+    util::check_input(c == 'A' || c == 'C' || c == 'G' || c == 'T' || c == 'N',
+                      where + "invalid base '" + std::string(1, c) + "'");
   }
 }
 
@@ -65,7 +61,7 @@ void write_dataset(std::ostream& os, const Dataset& dataset) {
   }
 }
 
-Dataset read_dataset(std::istream& is) {
+Dataset read_dataset(std::istream& is, const std::string& source) {
   Dataset dataset;
   std::string line;
   int line_no = 0;
@@ -74,23 +70,27 @@ Dataset read_dataset(std::istream& is) {
     if (line.empty() || line.front() == '#') {
       continue;
     }
+    const std::string where = source + ":" + std::to_string(line_no) + ": ";
     std::istringstream fields(line);
+    // True when every field read parsed and nothing but blanks follows.
+    const auto complete = [&fields] {
+      return !fields.fail() && (fields >> std::ws).eof();
+    };
     std::string kind;
     fields >> kind;
     if (kind == "region") {
+      util::check_input(complete(), where + "malformed region line (expected: region)");
       dataset.regions.emplace_back();
       continue;
     }
-    util::require(!dataset.regions.empty(),
-                  "read_dataset: task before any 'region' at line " +
-                      std::to_string(line_no));
+    util::check_input(!dataset.regions.empty(), where + "task before any 'region'");
     if (kind == "sw") {
       SwTask task;
       fields >> task.query >> task.target;
-      util::require(static_cast<bool>(fields),
-                    "read_dataset: malformed sw line " + std::to_string(line_no));
-      check_sequence(task.query, line_no);
-      check_sequence(task.target, line_no);
+      util::check_input(complete(),
+                        where + "malformed sw line (expected: sw QUERY TARGET)");
+      check_sequence(task.query, where);
+      check_sequence(task.target, where);
       dataset.regions.back().sw_tasks.push_back(std::move(task));
     } else if (kind == "ph") {
       int gcp = 0;
@@ -100,24 +100,23 @@ Dataset read_dataset(std::istream& is) {
       std::string iq;
       std::string dq;
       fields >> gcp >> read >> hap >> bq >> iq >> dq;
-      util::require(static_cast<bool>(fields),
-                    "read_dataset: malformed ph line " + std::to_string(line_no));
-      util::require(gcp >= 0 && gcp <= 93,
-                    "read_dataset: gcp out of range at line " + std::to_string(line_no));
-      check_sequence(read, line_no);
-      check_sequence(hap, line_no);
+      util::check_input(complete(), where +
+                                        "malformed ph line (expected: ph GCP READ HAP "
+                                        "BASE_QUALS INS_QUALS DEL_QUALS)");
+      util::check_input(gcp >= 0 && gcp <= 93, where + "gcp out of range");
+      check_sequence(read, where);
+      check_sequence(hap, where);
       align::PairHmmTask task;
       task.gcp = static_cast<std::uint8_t>(gcp);
       task.read = std::move(read);
       task.hap = std::move(hap);
-      task.base_quals = decode_quals(bq, task.read.size(), line_no);
-      task.ins_quals = decode_quals(iq, task.read.size(), line_no);
-      task.del_quals = decode_quals(dq, task.read.size(), line_no);
+      task.base_quals = decode_quals(bq, task.read.size(), where);
+      task.ins_quals = decode_quals(iq, task.read.size(), where);
+      task.del_quals = decode_quals(dq, task.read.size(), where);
       align::validate(task);
       dataset.regions.back().ph_tasks.push_back(std::move(task));
     } else {
-      throw util::CheckError("read_dataset: unknown record '" + kind +
-                             "' at line " + std::to_string(line_no));
+      util::check_input(false, where + "unknown record '" + kind + "'");
     }
   }
   return dataset;
@@ -125,15 +124,15 @@ Dataset read_dataset(std::istream& is) {
 
 void save_dataset(const std::string& path, const Dataset& dataset) {
   std::ofstream os(path);
-  util::require(static_cast<bool>(os), "save_dataset: cannot open " + path);
+  util::check_input(static_cast<bool>(os), "save_dataset: cannot open " + path);
   write_dataset(os, dataset);
-  util::require(static_cast<bool>(os), "save_dataset: write failed for " + path);
+  util::check_input(static_cast<bool>(os), "save_dataset: write failed for " + path);
 }
 
 Dataset load_dataset(const std::string& path) {
   std::ifstream is(path);
-  util::require(static_cast<bool>(is), "load_dataset: cannot open " + path);
-  return read_dataset(is);
+  util::check_input(static_cast<bool>(is), "load_dataset: cannot open " + path);
+  return read_dataset(is, path);
 }
 
 }  // namespace wsim::workload

@@ -19,9 +19,11 @@ namespace wsim::workload {
 /// `region` starts a new active region; `sw`/`ph` lines append tasks to
 /// the current region. Sequences use the ACGTN alphabet; quality tracks
 /// are FASTQ-style Phred+33 ASCII strings with one character per read
-/// base; `gcp` is a decimal Phred value.
+/// base; `gcp` is a decimal Phred value. read_dataset rejects a line with
+/// a missing, extra or bad field; its util::CheckError names `source`
+/// (load_dataset passes the file path) and the line.
 void write_dataset(std::ostream& os, const Dataset& dataset);
-Dataset read_dataset(std::istream& is);
+Dataset read_dataset(std::istream& is, const std::string& source = "<dataset>");
 
 /// File-path convenience wrappers. Throw util::CheckError when the file
 /// cannot be opened or parsed.

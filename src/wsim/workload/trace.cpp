@@ -152,76 +152,74 @@ void write_trace(std::ostream& os, const Trace& trace) {
   os.precision(previous);
 }
 
-Trace read_trace(std::istream& is) {
+Trace read_trace(std::istream& is, const std::string& source) {
   Trace trace;
   std::string line;
   int line_no = 0;
   bool versioned = false;
+  const auto expect = [&](bool ok, const std::string& what) {
+    util::check_input(ok, source + ":" + std::to_string(line_no) + ": " + what);
+  };
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty() || line.front() == '#') {
       continue;
     }
     std::istringstream fields(line);
+    // True when every field read parsed and nothing but blanks follows.
+    const auto complete = [&fields] {
+      return !fields.fail() && (fields >> std::ws).eof();
+    };
     std::string kind;
     fields >> kind;
     if (!versioned) {
-      util::require(kind == "WSIM-TRACE",
-                    "read_trace: missing WSIM-TRACE header at line " +
-                        std::to_string(line_no));
+      expect(kind == "WSIM-TRACE", "missing WSIM-TRACE header");
       int version = 0;
       fields >> version;
-      util::require(!fields.fail() && version == 1,
-                    "read_trace: unsupported trace version at line " +
-                        std::to_string(line_no));
+      expect(complete() && version == 1,
+             "unsupported trace version (expected: WSIM-TRACE 1)");
       versioned = true;
       continue;
     }
     if (kind == "duration") {
       fields >> trace.duration_seconds;
-      util::require(!fields.fail() && trace.duration_seconds > 0.0,
-                    "read_trace: bad duration at line " + std::to_string(line_no));
+      expect(complete() && trace.duration_seconds > 0.0,
+             "bad duration (expected: duration SECONDS, > 0)");
     } else if (kind == "tenant") {
       std::string name;
       fields >> name;
-      util::require(!fields.fail() && !name.empty(),
-                    "read_trace: bad tenant at line " + std::to_string(line_no));
+      expect(complete(), "bad tenant (expected: tenant NAME)");
       trace.tenants.push_back(std::move(name));
     } else if (kind == "event") {
       TraceEvent event;
       std::string sw_or_ph;
       fields >> event.time >> event.tenant >> sw_or_ph >> event.task_index;
-      util::require(!fields.fail() && (sw_or_ph == "sw" || sw_or_ph == "ph"),
-                    "read_trace: bad event at line " + std::to_string(line_no));
-      util::require(event.tenant < trace.tenants.size(),
-                    "read_trace: event references unknown tenant at line " +
-                        std::to_string(line_no));
-      util::require(trace.events.empty() ||
-                        trace.events.back().time <= event.time,
-                    "read_trace: events out of order at line " +
-                        std::to_string(line_no));
+      expect(complete() && event.time >= 0.0 && (sw_or_ph == "sw" || sw_or_ph == "ph"),
+             "bad event (expected: event TIME TENANT sw|ph INDEX, TIME >= 0)");
+      expect(event.tenant < trace.tenants.size(), "event references unknown tenant");
+      expect(trace.events.empty() || trace.events.back().time <= event.time,
+             "events out of order");
       event.is_sw = sw_or_ph == "sw";
       trace.events.push_back(event);
     } else {
-      throw util::CheckError("read_trace: unknown directive '" + kind +
-                             "' at line " + std::to_string(line_no));
+      expect(false, "unknown directive '" + kind + "'");
     }
   }
-  util::require(versioned, "read_trace: empty or headerless trace");
+  util::check_input(versioned, source + ": empty or headerless trace");
   return trace;
 }
 
 void save_trace(const std::string& path, const Trace& trace) {
   std::ofstream os(path);
-  util::require(os.good(), "save_trace: cannot open '" + path + "'");
+  util::check_input(os.good(), "save_trace: cannot open '" + path + "'");
   write_trace(os, trace);
-  util::require(os.good(), "save_trace: write to '" + path + "' failed");
+  util::check_input(os.good(), "save_trace: write to '" + path + "' failed");
 }
 
 Trace load_trace(const std::string& path) {
   std::ifstream is(path);
-  util::require(is.good(), "load_trace: cannot open '" + path + "'");
-  return read_trace(is);
+  util::check_input(is.good(), "load_trace: cannot open '" + path + "'");
+  return read_trace(is, path);
 }
 
 }  // namespace wsim::workload

@@ -86,9 +86,12 @@ Trace generate_trace(const TraceConfig& config);
 ///   event <time> <tenant_index> <sw|ph> <task_index>
 ///
 /// Comments (#) and blank lines are ignored. read_trace rejects a missing
-/// or unsupported version header, so the format can evolve.
+/// or unsupported version header, so the format can evolve, and any line
+/// with a missing, extra or bad field, a negative event time, an unknown
+/// tenant or an event out of time order; its util::CheckError names
+/// `source` (load_trace passes the file path) and the line.
 void write_trace(std::ostream& os, const Trace& trace);
-Trace read_trace(std::istream& is);
+Trace read_trace(std::istream& is, const std::string& source = "<trace>");
 
 /// File-path convenience wrappers. Throw util::CheckError when the file
 /// cannot be opened or parsed.

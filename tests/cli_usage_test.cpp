@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "wsim/cli/commands.hpp"
 #include "wsim/util/check.hpp"
@@ -26,7 +30,7 @@ TEST(CliUsage, CommandNamesAreUniqueAndNonEmpty) {
   std::set<std::string_view> seen;
   for (const auto& info : cli::commands()) {
     EXPECT_FALSE(info.name.empty());
-    EXPECT_FALSE(info.help.empty()) << info.name;
+    EXPECT_FALSE(info.description.empty()) << info.name;
     EXPECT_TRUE(seen.insert(info.name).second) << "duplicate: " << info.name;
   }
   EXPECT_GE(seen.size(), 11U);  // the PR-4 command set; growth is fine
@@ -164,6 +168,7 @@ std::pair<int, std::string> run_wsim(const std::string& args) {
   return {status, read_file(out_path)};
 }
 
+// Input errors carry the message alone: no source file or line.
 TEST(CliFlags, DriverExitsNonZeroNamingTheBadFlag) {
   const std::pair<const char*, const char*> cases[] = {
       {"serve-sim --regions 1 --rate 5abc", "--rate '5abc'"},
@@ -171,12 +176,67 @@ TEST(CliFlags, DriverExitsNonZeroNamingTheBadFlag) {
       {"fleet-sim --regions 1 --slow-factor 0.5", "--slow-factor '0.5'"},
       {"cluster-sim --regions 1 --duration 0.01 --slo -5", "--slo '-5'"},
       {"serve-sim --regions x", "--regions 'x'"},
+      {"sw ACGT", "sw: missing TARGET"},
+      {"fleet-sim --regions 1 --calibrate maybe",
+       "--calibrate 'maybe' must be 'on' or 'off'"},
+      {"cluster-sim --regions 1 --duration 0.01 --autoscaler of", "--autoscaler 'of'"},
+      {"serve-sim --rate 0", "--rate '0' must be > 0"},
+      {"cluster-sim --duration -1", "--duration '-1' must be > 0"},
+      {"serve-sim --regions 1 --json /nonexistent/x.json", "--json: cannot open"},
+      {"cluster-sim --trace /nonexistent/x.trace", "load_trace: cannot open"},
+      {"fleet-sim --regions 1 --fleet ,", "--fleet names no devices"},
+      {"cluster-sim --regions 1 --duration 0.01 --min 5 --max 2", "--max must be >= --min"},
   };
   for (const auto& [args, flag] : cases) {
     const auto [status, output] = run_wsim(args);
     EXPECT_NE(status, 0) << args;
     EXPECT_NE(output.find(std::string("error: ") + flag), std::string::npos)
         << args << "\n" << output;
+    EXPECT_EQ(output.find(".cpp:"), std::string::npos) << args << "\n" << output;
+  }
+}
+
+// A trace file is checked line by line: a line with an extra field or a
+// negative event time fails the run, naming the file and the line.
+TEST(CliFlags, DriverRejectsAMalformedTraceNamingFileAndLine) {
+  const std::string path = ::testing::TempDir() + "cli_usage_test_bad.trace";
+  const std::pair<const char*, const char*> cases[] = {
+      {"WSIM-TRACE 1 extra\n", ":1: unsupported trace version"},
+      {"WSIM-TRACE 1\nduration 0.01 junk\n", ":2: bad duration"},
+      {"WSIM-TRACE 1\nduration 0.01\ntenant a b\n", ":3: bad tenant"},
+      {"WSIM-TRACE 1\nduration 0.01\ntenant a\nevent -0.5 0 sw 3 junk\n", ":4: bad event"},
+  };
+  for (const auto& [text, message] : cases) {
+    {
+      std::ofstream out(path);
+      out << text;
+    }
+    const auto [status, output] = run_wsim("cluster-sim --regions 1 --trace \"" + path + "\"");
+    EXPECT_NE(status, 0) << text;
+    EXPECT_NE(output.find("error: " + path + message), std::string::npos) << output;
+    EXPECT_EQ(output.find(".cpp:"), std::string::npos) << output;
+  }
+}
+
+// A command line the table does not declare exits 2 before anything runs,
+// with one error line naming the command and the flag (or argument).
+TEST(CliFlags, DriverExitsTwoOnUndeclaredInput) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"serve-sim --regions 1 --bogus 3", "error: serve-sim: unknown flag --bogus"},
+      {"serve-sim --rat 5",
+       "error: serve-sim: unknown flag --rat (did you mean --rate?)"},
+      {"serve-sim 5", "error: serve-sim: unexpected argument '5'"},
+      {"sw ACGTACGTAC TTACGTACGG --mod shared",
+       "error: sw: unknown flag --mod (did you mean --mode?)"},
+      {"serve-sim --regions", "error: serve-sim: --regions needs a value"},
+      {"devices --threads 2", "error: devices: unknown flag --threads"},
+  };
+  for (const auto& [args, message] : cases) {
+    const auto [status, output] = run_wsim(args);
+    ASSERT_TRUE(WIFEXITED(status)) << args;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << args << "\n" << output;
+    EXPECT_NE(output.find(message), std::string::npos) << args << "\n" << output;
+    EXPECT_EQ(output.find("score:"), std::string::npos) << "ran anyway: " << args;
   }
 }
 
@@ -214,23 +274,128 @@ TEST(CliFlags, BooleanFlagDoesNotSwallowTheNextPositional) {
   EXPECT_EQ(output_before, output_empty);
 }
 
+/// The kind `command`'s table gives `flag`, or nullopt when undeclared.
+std::optional<cli::Kind> kind_of(std::string_view command, std::string_view flag) {
+  for (const cli::Flag& declared : cli::command(command).flags) {
+    if (declared.name == flag) {
+      return declared.kind;
+    }
+  }
+  return std::nullopt;
+}
+
 // Boolean flags are declared per command: sw-run's --profile names a
 // length profile and keeps its value.
 TEST(CliFlags, BooleanFlagsAreDeclaredPerCommand) {
-  EXPECT_TRUE(cli::is_bool_flag("sw", "profile"));
-  EXPECT_FALSE(cli::is_bool_flag("sw-run", "profile"));
-  EXPECT_TRUE(cli::is_bool_flag("sw-run", "verify"));
-  EXPECT_TRUE(cli::is_bool_flag("serve-sim", "outputs"));
-  EXPECT_TRUE(cli::is_bool_flag("fleet-sim", "outputs"));
+  EXPECT_EQ(kind_of("sw", "profile"), cli::Kind::kBool);
+  EXPECT_EQ(kind_of("sw-run", "profile"), cli::Kind::kString);
+  EXPECT_EQ(kind_of("sw-run", "verify"), cli::Kind::kBool);
+  EXPECT_EQ(kind_of("serve-sim", "outputs"), cli::Kind::kBool);
+  EXPECT_EQ(kind_of("fleet-sim", "outputs"), cli::Kind::kBool);
   for (const char* flag : {"streams", "lpt", "validate"}) {
-    EXPECT_TRUE(cli::is_bool_flag("pipeline", flag)) << flag;
+    EXPECT_EQ(kind_of("pipeline", flag), cli::Kind::kBool) << flag;
   }
-  EXPECT_FALSE(cli::is_bool_flag("pipeline", "batch"));
-  EXPECT_FALSE(cli::is_bool_flag("bogus", "outputs"));
+  EXPECT_EQ(kind_of("pipeline", "batch"), cli::Kind::kInt);
+  EXPECT_FALSE(kind_of("pipeline", "outputs").has_value());
+  EXPECT_THROW(cli::command("bogus"), wsim::util::CheckError);
+  const std::string sw_help = cli::command_help(cli::command("sw"));
+  EXPECT_NE(sw_help.find("QUERY TARGET ["), std::string::npos) << sw_help;
+  EXPECT_NE(sw_help.find("[--profile]"), std::string::npos) << sw_help;
   const std::string usage = cli::usage_text();
-  EXPECT_NE(usage.find("QUERY TARGET [--profile]"), std::string::npos);
   EXPECT_NE(usage.find("[--streams] [--lpt] [--validate]"), std::string::npos);
   EXPECT_EQ(usage.find("''"), std::string::npos);
+}
+
+/// The message of the UsageError that parsing `tokens` as `command` throws,
+/// or "" when it parses.
+std::string usage_error(std::string_view command,
+                        const std::vector<std::string>& tokens) {
+  try {
+    cli::parse(command, tokens);
+  } catch (const cli::UsageError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+// Every command's table rejects what it does not declare: an unknown
+// flag, a stray positional, and a valued flag left without its value
+// (last, or followed by another flag). Each error names the command and
+// the offending flag or argument.
+TEST(CliFlags, ParseRejectsUndeclaredInputForEveryCommand) {
+  for (const cli::CommandInfo& info : cli::commands()) {
+    const std::string name(info.name);
+    const std::vector<std::string> positionals(info.positionals.size(), "ACGT");
+    EXPECT_EQ(usage_error(name, positionals), "") << name;
+
+    auto tokens = positionals;
+    tokens.push_back("--no-such-flag");
+    std::string error = usage_error(name, tokens);
+    EXPECT_EQ(error.rfind(name + ": unknown flag --no-such-flag", 0), 0U) << error;
+
+    tokens = positionals;
+    tokens.push_back("stray");
+    error = usage_error(name, tokens);
+    EXPECT_EQ(error.rfind(name + ": unexpected argument 'stray'", 0), 0U) << error;
+
+    for (const cli::Flag& flag : info.flags) {
+      const std::string dashed = "--" + std::string(flag.name);
+      tokens = positionals;
+      tokens.push_back(dashed);
+      if (flag.kind == cli::Kind::kBool) {
+        EXPECT_EQ(usage_error(name, tokens), "") << name << " " << dashed;
+        continue;
+      }
+      for (const bool flag_follows : {false, true}) {
+        if (flag_follows) {
+          tokens.push_back("--interp");
+        }
+        error = usage_error(name, tokens);
+        EXPECT_EQ(error.rfind(name + ": " + dashed + " needs a value", 0), 0U)
+            << name << " " << dashed << ": " << error;
+      }
+    }
+  }
+  EXPECT_EQ(usage_error("serve-sim", {"--rat", "5"}),
+            "serve-sim: unknown flag --rat (did you mean --rate?)");
+  EXPECT_EQ(usage_error("sw", {"ACGT"}), "sw: missing TARGET");
+}
+
+// Each flag's kind, metavar, default and range sit in one table entry, so
+// every default must read back through its own kind and range, and no
+// command may declare a name twice or shadow a global flag.
+TEST(CliFlags, EveryDeclaredDefaultReadsBackWithinItsRange) {
+  for (const cli::CommandInfo& info : cli::commands()) {
+    const cli::Args args =
+        cli::parse(info.name, std::vector<std::string>(info.positionals.size(), "ACGT"));
+    std::set<std::string_view> names;
+    for (const cli::Flag& flag : info.flags) {
+      const std::string where = std::string(info.name) + " --" + std::string(flag.name);
+      EXPECT_TRUE(names.insert(flag.name).second) << "duplicate " << where;
+      EXPECT_FALSE(args.given(flag.name)) << where;
+      EXPECT_EQ(flag.kind == cli::Kind::kBool, flag.metavar.empty()) << where;
+      if (flag.kind == cli::Kind::kBool) {
+        EXPECT_TRUE(flag.fallback.empty()) << where;
+      } else if (!flag.fallback.empty() && flag.kind == cli::Kind::kInt) {
+        EXPECT_NO_THROW(args.integer(flag.name)) << where;
+      } else if (!flag.fallback.empty() && flag.kind == cli::Kind::kDouble) {
+        EXPECT_NO_THROW(args.real(flag.name)) << where;
+      }
+    }
+    for (const cli::Flag& global : cli::global_flags()) {
+      EXPECT_EQ(names.count(global.name), 0U)
+          << info.name << " shadows --" << global.name;
+    }
+  }
+  const cli::Args args = cli::parse("serve-sim", {"--rate", "125.5", "--queue", "7",
+                                                  "--outputs", "", "--interp", "legacy"});
+  EXPECT_DOUBLE_EQ(args.real("rate"), 125.5);
+  EXPECT_EQ(args.integer("queue"), 7);
+  EXPECT_EQ(args.integer("regions"), 8);
+  EXPECT_TRUE(args.given("outputs"));
+  EXPECT_EQ(args.str("interp"), "legacy");
+  EXPECT_EQ(cli::parse("cluster-sim", {}).real("rate"), 20000.0);
+  EXPECT_THROW(args.str("fleet"), wsim::util::CheckError);  // not a serve-sim flag
 }
 
 // The driver validates the interpreter name from the flag and from an

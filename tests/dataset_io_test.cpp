@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "wsim/util/check.hpp"
 #include "wsim/util/rng.hpp"
@@ -90,6 +92,42 @@ TEST(DatasetIo, RejectsMalformedInput) {
 
 TEST(DatasetIo, LoadsMissingFileThrows) {
   EXPECT_THROW(wsim::workload::load_dataset("/nonexistent/nope.txt"), CheckError);
+}
+
+/// The CheckError text reading `text` as the dataset "d.txt" throws, or "".
+std::string dataset_error(const std::string& text) {
+  std::stringstream in(text);
+  try {
+    wsim::workload::read_dataset(in, "d.txt");
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+// Every line holds exactly its fields, and errors name the source and the
+// line, never a source file of the reader.
+TEST(DatasetIo, RejectsTrailingFieldsNamingTheLine) {
+  EXPECT_EQ(dataset_error("region extra\n"),
+            "d.txt:1: malformed region line (expected: region)");
+  EXPECT_EQ(dataset_error("region\nsw ACGT ACGT junk\n"),
+            "d.txt:2: malformed sw line (expected: sw QUERY TARGET)");
+  EXPECT_EQ(dataset_error("# c\nregion\nph 10 ACG ACGT OOO OOO OOO junk\n"),
+            "d.txt:3: malformed ph line (expected: ph GCP READ HAP BASE_QUALS INS_QUALS "
+            "DEL_QUALS)");
+  EXPECT_EQ(dataset_error("region\nsw ACXT ACGT\n"), "d.txt:2: invalid base 'X'");
+  EXPECT_EQ(dataset_error("region \nsw ACGT ACGT\t\r\nph 10 ACG ACGT OOO OOO OOO \n"), "");
+  const std::string path = ::testing::TempDir() + "dataset_io_test_bad.txt";
+  {
+    std::ofstream out(path);
+    out << "region\nsw ACGT\n";
+  }
+  try {
+    wsim::workload::load_dataset(path);
+    ADD_FAILURE() << "a one-sequence sw line loaded";
+  } catch (const CheckError& e) {
+    EXPECT_EQ(std::string(e.what()), path + ":2: malformed sw line (expected: sw QUERY TARGET)");
+  }
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "wsim/align/pairhmm.hpp"
+#include "wsim/util/check.hpp"
 #include "wsim/workload/batching.hpp"
 #include "wsim/workload/generator.hpp"
 #include "wsim/workload/task.hpp"
+#include "wsim/workload/trace.hpp"
 
 namespace {
 
@@ -217,6 +222,64 @@ TEST(Batching, CellCountsAreConsistent) {
     ph_cells += wsim::workload::batch_cells(batch);
   }
   EXPECT_EQ(ph_cells, stats.total_ph_cells);
+}
+
+/// The CheckError text reading `text` as the trace `source` throws, or "".
+std::string trace_error(const std::string& text, const std::string& source = "t.trace") {
+  std::istringstream in(text);
+  try {
+    wsim::workload::read_trace(in, source);
+  } catch (const wsim::util::CheckError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+// Every line holds exactly its fields; an event time is never negative.
+// Errors name the source and the line, never a source file of the reader.
+TEST(TraceIo, RejectsTrailingFieldsAndNegativeTimes) {
+  const std::string head = "WSIM-TRACE 1\nduration 0.01\ntenant a\n";
+  EXPECT_EQ(trace_error("WSIM-TRACE 1 extra\n"),
+            "t.trace:1: unsupported trace version (expected: WSIM-TRACE 1)");
+  EXPECT_EQ(trace_error("WSIM-TRACE 1\nduration 0.01 junk\n"),
+            "t.trace:2: bad duration (expected: duration SECONDS, > 0)");
+  EXPECT_EQ(trace_error("WSIM-TRACE 1\nduration 0.01\ntenant a b\n"),
+            "t.trace:3: bad tenant (expected: tenant NAME)");
+  const std::string bad_event =
+      "t.trace:4: bad event (expected: event TIME TENANT sw|ph INDEX, TIME >= 0)";
+  EXPECT_EQ(trace_error(head + "event -0.5 0 sw 3\n"), bad_event);
+  EXPECT_EQ(trace_error(head + "event 0.5 0 sw 3 junk\n"), bad_event);
+  EXPECT_EQ(trace_error(head + "event 0.5 0 sw\n"), bad_event);
+  EXPECT_EQ(trace_error(head + "event nan 0 sw 3\n"), bad_event);
+  EXPECT_EQ(trace_error(head + "event 0.5 1 sw 3\n"),
+            "t.trace:4: event references unknown tenant");
+  EXPECT_EQ(trace_error(head + "flavor vanilla\n"), "t.trace:4: unknown directive 'flavor'");
+  EXPECT_EQ(trace_error("# only a comment\n"), "t.trace: empty or headerless trace");
+  // Blanks after the last field, comments and blank lines are fine.
+  EXPECT_EQ(trace_error(head + "# comment\n\nevent 0 0 sw 3 \t\nevent 0.5 0 ph 4\r\n"), "");
+}
+
+TEST(TraceIo, LoadTraceNamesTheFileAndLine) {
+  const std::string path = ::testing::TempDir() + "workload_test_bad.trace";
+  {
+    std::ofstream out(path);
+    out << "WSIM-TRACE 1\nduration 0.01\ntenant a\nevent -0.5 0 sw 3 junk\n";
+  }
+  try {
+    wsim::workload::load_trace(path);
+    ADD_FAILURE() << "a negative event time loaded";
+  } catch (const wsim::util::CheckError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(path + ":4: bad event", 0), 0U) << e.what();
+  }
+  // A saved trace loads back exactly.
+  wsim::workload::TraceConfig cfg;
+  cfg.duration_seconds = 0.05;
+  const wsim::workload::Trace trace = wsim::workload::generate_trace(cfg);
+  wsim::workload::save_trace(path, trace);
+  const wsim::workload::Trace loaded = wsim::workload::load_trace(path);
+  ASSERT_EQ(loaded.events.size(), trace.events.size());
+  EXPECT_EQ(loaded.tenants, trace.tenants);
+  EXPECT_EQ(loaded.duration_seconds, trace.duration_seconds);
 }
 
 }  // namespace

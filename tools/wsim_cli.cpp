@@ -1,53 +1,25 @@
-// wsim — command-line driver for the warpshfl library.
-//
-//   wsim devices                         list simulated GPUs
-//   wsim micro    [--device D]           run the Fig. 3 microbenchmarks
-//   wsim sw       Q T [opts]             Smith-Waterman alignment
-//   wsim nw       Q T [opts]             Needleman-Wunsch score
-//   wsim pairhmm  READ HAP [opts]        PairHMM log10 likelihood
-//   wsim sw-run   [--kernel K --profile P] one SW batch through a named
-//                                        kernel subsystem (task-per-block
-//                                        or wavefront tiles)
-//   wsim workload [--regions N --seed S] dataset statistics
-//   wsim sweep    [opts]                 GCUPS of all four kernels
-//   wsim pipeline [opts]                 two-stage HaplotypeCaller pipeline
-//   wsim serve-sim [--rate R --delay U]  replay a dataset through the
-//                                        async alignment service
-//   wsim fleet-sim [--fleet "A,B,..."]   same replay over a heterogeneous
-//                                        multi-device fleet
-//   wsim cluster-sim [--shape S]         multi-tenant trace replay on a
-//                                        dynamically autoscaled fleet
-//   wsim guard-sim [--flip-prob "P,..."] sweep SDC injection rate x
-//                                        detection mode, counting escaped
-//                                        corruptions against a fault-free
-//                                        baseline
-//   wsim help | --help | -h              print usage and exit 0
-//
-// The authoritative command list lives in wsim::cli::commands(); main()
-// checks its dispatch table against that registry at startup.
-//
-// Common options: --device "K40"|"K1200"|"Titan X" (default K1200),
-// --mode shared|shuffle (default shuffle), --seed N, --regions N,
-// --batch N, --qual N, --threads N (or the WSIM_THREADS environment
-// variable for commands using the shared engine).
+// wsim — command-line driver for the warpshfl library. Every command, its
+// positionals and its flags (kind, default, range) are declared once in
+// wsim::cli::commands(), which parses the command line and prints the
+// usage; main() checks its dispatch table against that registry at
+// startup.
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "wsim/cli/commands.hpp"
 #include "wsim/cluster/cluster.hpp"
-#include "wsim/obs/chrome_trace.hpp"
-#include "wsim/obs/metrics.hpp"
-#include "wsim/obs/obs.hpp"
 #include "wsim/fleet/fleet.hpp"
 #include "wsim/guard/guard.hpp"
 #include "wsim/kernels/nw_kernels.hpp"
@@ -55,15 +27,17 @@
 #include "wsim/kernels/sw_kernels.hpp"
 #include "wsim/kernels/wavefront_kernels.hpp"
 #include "wsim/micro/microbench.hpp"
+#include "wsim/obs/chrome_trace.hpp"
+#include "wsim/obs/metrics.hpp"
+#include "wsim/obs/obs.hpp"
 #include "wsim/pipeline/pipeline.hpp"
 #include "wsim/serve/service.hpp"
+#include "wsim/simt/device.hpp"
 #include "wsim/simt/engine.hpp"
-#include "wsim/util/rng.hpp"
 #include "wsim/simt/profile.hpp"
 #include "wsim/simt/trace.hpp"
-#include <fstream>
-#include "wsim/simt/device.hpp"
 #include "wsim/util/check.hpp"
+#include "wsim/util/rng.hpp"
 #include "wsim/util/table.hpp"
 #include "wsim/workload/batching.hpp"
 #include "wsim/workload/dataset_io.hpp"
@@ -72,85 +46,94 @@
 
 namespace {
 
+using wsim::cli::Args;
 using wsim::kernels::CommMode;
+using wsim::util::check_input;
 using wsim::util::format_fixed;
 using wsim::util::format_percent;
 
-constexpr long kLongMax = std::numeric_limits<long>::max();
-constexpr double kUnbounded = std::numeric_limits<double>::infinity();
-
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> options;
-
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-  /// Numeric flags: `fallback` when absent, else the value checked by
-  /// wsim::cli::parse_number against [lo, hi].
-  long get_int(const std::string& key, long fallback, long lo = 0,
-               long hi = kLongMax) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback
-                               : wsim::cli::parse_number(key, it->second, lo, hi);
-  }
-  double get_double(const std::string& key, double fallback, double lo = 0.0,
-                    double hi = kUnbounded) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback
-                               : wsim::cli::parse_number(key, it->second, lo, hi);
-  }
-};
-
-bool is_flag(std::string_view token) { return token.rfind("--", 0) == 0; }
-
-/// A flag takes the next token as its value unless that token is itself a
-/// flag (no valid value starts with "--"; negative numbers use one dash)
-/// or the flag is one of the command's boolean flags
-/// (wsim::cli::CommandInfo::bool_flags), which take only an explicit empty
-/// value (`--validate ''`). So a boolean flag swallows neither the flag nor
-/// the positional after it.
-Args parse(int argc, char** argv) {
-  Args args;
-  for (int i = 2; i < argc; ++i) {
-    const std::string token = argv[i];
-    if (is_flag(token)) {
-      const std::string key = token.substr(2);
-      const bool boolean = wsim::cli::is_bool_flag(argv[1], key);
-      if (i + 1 < argc && !is_flag(argv[i + 1]) && (!boolean || *argv[i + 1] == '\0')) {
-        args.options[key] = argv[++i];
-      } else {
-        args.options[key] = "";
-      }
-    } else {
-      args.positional.push_back(token);
-    }
-  }
-  return args;
-}
-
 wsim::simt::DeviceSpec device_from(const Args& args) {
-  return wsim::simt::device_by_name(args.get("device", "K1200"));
+  return wsim::simt::device_by_name(args.str("device"));
 }
 
-/// Engine configuration from --threads (default: one worker per hardware
+/// Engine configuration from --threads (0: one worker per hardware
 /// thread); every kernel-launching command builds one engine from this and
 /// routes its launches through it.
 wsim::simt::EngineOptions engine_options_from(const Args& args) {
-  return wsim::simt::EngineOptions{
-      .threads = static_cast<int>(args.get_int("threads", 0, INT_MIN, INT_MAX))};
+  return wsim::simt::EngineOptions{.threads = static_cast<int>(args.integer("threads"))};
 }
 
 CommMode mode_from(const Args& args) {
-  const std::string mode = args.get("mode", "shuffle");
-  if (mode == "shared") {
-    return CommMode::kSharedMemory;
+  const std::string mode = args.str("mode");
+  check_input(mode == "shared" || mode == "shuffle",
+              "unknown --mode '" + mode + "' (shared|shuffle)");
+  return mode == "shared" ? CommMode::kSharedMemory : CommMode::kShuffle;
+}
+
+/// --mode shared pins both kernel designs of `cfg` (a worker or the
+/// pipeline) to shared memory; shuffle, the default, leaves the designs
+/// `cfg` already has.
+template <typename Config>
+void pin_mode(const Args& args, Config& cfg) {
+  if (mode_from(args) == CommMode::kSharedMemory) {
+    cfg.sw_design = CommMode::kSharedMemory;
+    cfg.ph_design = wsim::kernels::PhDesign::kShared;
   }
-  if (mode == "shuffle") {
-    return CommMode::kShuffle;
+}
+
+/// The value of an on|off flag.
+bool on_off(const Args& args, const std::string& flag) {
+  const std::string value = args.str(flag);
+  check_input(value == "on" || value == "off",
+              "--" + flag + " '" + value + "' must be 'on' or 'off'");
+  return value == "on";
+}
+
+/// `text` cut at every `sep`; empty fields are kept, except a last one.
+std::vector<std::string> split(const std::string& text, char sep) {
+  std::vector<std::string> fields;
+  std::istringstream in(text);
+  for (std::string field; std::getline(in, field, sep);) {
+    fields.push_back(field);
   }
-  throw wsim::util::CheckError("unknown --mode '" + mode + "' (shared|shuffle)");
+  return fields;
+}
+
+constexpr std::string_view kTraceHint = " — load in chrome://tracing or Perfetto";
+
+/// Writes the file the path flag `flag` names, when it names one: `write`
+/// fills it, then stdout reports "<label> written to <path><tail>".
+template <typename Write>
+void write_output(const Args& args, const std::string& flag, const std::string& label,
+                  Write write, std::string_view tail = {}) {
+  const std::string path = args.str(flag);
+  if (path.empty()) {
+    return;
+  }
+  std::ofstream os(path);
+  check_input(static_cast<bool>(os), "--" + flag + ": cannot open " + path);
+  write(os);
+  std::cout << label << " written to " << path << tail << "\n";
+}
+
+/// The dataset a command runs on: --in loads a file; otherwise one is
+/// generated from `cfg` with --regions and --seed, and with --profile (the
+/// SW length family) where the command takes it.
+wsim::workload::Dataset dataset_from(const Args& args,
+                                     wsim::workload::GeneratorConfig cfg = {}) {
+  const std::string in = args.str("in");
+  if (!in.empty()) {
+    return wsim::workload::load_dataset(in);
+  }
+  const auto seed = static_cast<std::uint64_t>(args.integer("seed"));
+  const std::string profile = args.declares("profile") ? args.str("profile") : "";
+  if (!profile.empty()) {
+    cfg = wsim::workload::profile_config(wsim::workload::length_profile_by_name(profile),
+                                         seed);
+  }
+  cfg.regions = static_cast<int>(args.integer("regions"));
+  cfg.seed = seed;
+  return wsim::workload::generate_dataset(cfg);
 }
 
 int cmd_devices() {
@@ -189,7 +172,6 @@ int cmd_micro(const Args& args) {
 }
 
 int cmd_sw(const Args& args) {
-  wsim::util::require(args.positional.size() == 2, "usage: wsim sw QUERY TARGET");
   const auto dev = device_from(args);
   const wsim::kernels::SwRunner runner(mode_from(args));
   wsim::simt::ExecutionEngine engine(engine_options_from(args));
@@ -197,12 +179,11 @@ int cmd_sw(const Args& args) {
   opt.collect_outputs = true;
   opt.engine = &engine;
   wsim::simt::Trace trace;
-  const std::string trace_path = args.get("trace", "");
-  if (!trace_path.empty()) {
+  if (!args.str("trace").empty()) {
     opt.trace_representative = &trace;
   }
   const auto result = runner.run_batch(
-      dev, {{args.positional[0], args.positional[1]}}, opt);
+      dev, {{args.positional()[0], args.positional()[1]}}, opt);
   const auto& out = result.outputs.front();
   std::cout << "kernel:   " << runner.kernel().name << " on " << dev.name << '\n'
             << "score:    " << out.best_score << '\n'
@@ -214,33 +195,27 @@ int cmd_sw(const Args& args) {
             << "cycles:   " << result.run.launch.representative.cycles << '\n'
             << "occupancy " << format_percent(result.run.launch.occupancy.fraction)
             << '\n';
-  if (args.options.count("profile") != 0) {
+  if (args.given("profile")) {
     const auto profile = wsim::simt::profile_block(
         runner.kernel(), dev, result.run.launch.representative, result.run.cells);
     std::cout << wsim::simt::format_profile(profile);
   }
-  if (!trace_path.empty()) {
-    std::ofstream os(trace_path);
-    wsim::util::require(static_cast<bool>(os), "cannot open trace file " + trace_path);
-    trace.write_chrome_json(os);
-    std::cout << "trace (" << trace.size() << " events) written to " << trace_path
-              << " — load in chrome://tracing or Perfetto\n";
-  }
+  write_output(
+      args, "trace", "trace (" + std::to_string(trace.size()) + " events)",
+      [&](std::ostream& os) { trace.write_chrome_json(os); }, kTraceHint);
   return 0;
 }
 
 int cmd_nw(const Args& args) {
-  wsim::util::require(args.positional.size() == 2, "usage: wsim nw QUERY TARGET");
   const auto dev = device_from(args);
   const wsim::kernels::NwRunner runner(mode_from(args));
   wsim::simt::ExecutionEngine engine(engine_options_from(args));
   wsim::kernels::NwRunOptions opt;
   opt.collect_outputs = true;
   opt.engine = &engine;
-  const auto result = runner.run_batch(
-      dev, {{args.positional[0], args.positional[1]}}, opt);
-  const auto host =
-      wsim::align::nw_align(args.positional[0], args.positional[1], {});
+  const auto& seqs = args.positional();
+  const auto result = runner.run_batch(dev, {{seqs[0], seqs[1]}}, opt);
+  const auto host = wsim::align::nw_align(seqs[0], seqs[1], {});
   std::cout << "kernel: " << runner.kernel().name << " on " << dev.name << '\n'
             << "score:  " << result.scores.front() << '\n'
             << "cigar:  " << host.cigar << " (host backtrace)\n"
@@ -249,12 +224,11 @@ int cmd_nw(const Args& args) {
 }
 
 int cmd_pairhmm(const Args& args) {
-  wsim::util::require(args.positional.size() == 2, "usage: wsim pairhmm READ HAP");
   const auto dev = device_from(args);
   wsim::align::PairHmmTask task;
-  task.read = args.positional[0];
-  task.hap = args.positional[1];
-  const auto qual = static_cast<std::uint8_t>(args.get_int("qual", 30, 0, 255));
+  task.read = args.positional()[0];
+  task.hap = args.positional()[1];
+  const auto qual = static_cast<std::uint8_t>(args.integer("qual"));
   task.base_quals.assign(task.read.size(), qual);
   task.ins_quals.assign(task.read.size(), 45);
   task.del_quals.assign(task.read.size(), 45);
@@ -271,17 +245,8 @@ int cmd_pairhmm(const Args& args) {
 }
 
 int cmd_workload(const Args& args) {
-  wsim::workload::Dataset ds;
-  const std::string in = args.get("in", "");
-  if (!in.empty()) {
-    ds = wsim::workload::load_dataset(in);
-  } else {
-    wsim::workload::GeneratorConfig cfg;
-    cfg.regions = static_cast<int>(args.get_int("regions", 16, 1, INT_MAX));
-    cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-    ds = wsim::workload::generate_dataset(cfg);
-  }
-  const std::string out = args.get("out", "");
+  const wsim::workload::Dataset ds = dataset_from(args);
+  const std::string out = args.str("out");
   if (!out.empty()) {
     wsim::workload::save_dataset(out, ds);
     std::cout << "dataset written to " << out << "\n";
@@ -303,17 +268,8 @@ int cmd_workload(const Args& args) {
 
 int cmd_sweep(const Args& args) {
   const auto dev = device_from(args);
-  wsim::workload::Dataset ds;
-  const std::string in = args.get("in", "");
-  if (!in.empty()) {
-    ds = wsim::workload::load_dataset(in);
-  } else {
-    wsim::workload::GeneratorConfig cfg;
-    cfg.regions = static_cast<int>(args.get_int("regions", 16, 1, INT_MAX));
-    cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-    ds = wsim::workload::generate_dataset(cfg);
-  }
-  const auto batch_size = static_cast<std::size_t>(args.get_int("batch", 200, 1));
+  const wsim::workload::Dataset ds = dataset_from(args);
+  const auto batch_size = static_cast<std::size_t>(args.integer("batch"));
   const auto sw_batches = wsim::workload::sw_rebatch(ds, batch_size);
   const auto ph_batches = wsim::workload::ph_rebatch(ds, batch_size);
 
@@ -322,59 +278,43 @@ int cmd_sweep(const Args& args) {
   // SW1/SW2 and the PH variants never alias).
   wsim::simt::ExecutionEngine engine(engine_options_from(args));
 
+  // Mean GCUPS of one kernel design over every batch of its kind.
+  const auto mean_gcups = [&](const auto& runner, auto opt, const auto& batches) {
+    opt.mode = wsim::simt::ExecMode::kCachedByShape;
+    opt.engine = &engine;
+    double total = 0.0;
+    for (const auto& batch : batches) {
+      total += runner.run_batch(dev, batch, opt).run.gcups_total();
+    }
+    return format_fixed(total / static_cast<double>(batches.size()), 2);
+  };
+  using wsim::kernels::PhRunner;
+  using wsim::kernels::SwRunner;
   wsim::util::Table table({"kernel", "avg GCUPS (incl. transfer)"});
-  for (const auto mode : {CommMode::kSharedMemory, CommMode::kShuffle}) {
-    const wsim::kernels::SwRunner runner(mode);
-    double total = 0.0;
-    for (const auto& batch : sw_batches) {
-      wsim::kernels::SwRunOptions opt;
-      opt.mode = wsim::simt::ExecMode::kCachedByShape;
-      opt.engine = &engine;
-      total += runner.run_batch(dev, batch, opt).run.gcups_total();
-    }
-    table.add_row({mode == CommMode::kSharedMemory ? "SW1" : "SW2",
-                   format_fixed(total / static_cast<double>(sw_batches.size()), 2)});
-  }
-  for (const auto mode : {CommMode::kSharedMemory, CommMode::kShuffle}) {
-    const wsim::kernels::PhRunner runner(mode);
-    double total = 0.0;
-    for (const auto& batch : ph_batches) {
-      wsim::kernels::PhRunOptions opt;
-      opt.mode = wsim::simt::ExecMode::kCachedByShape;
-      opt.engine = &engine;
-      total += runner.run_batch(dev, batch, opt).run.gcups_total();
-    }
-    table.add_row({mode == CommMode::kSharedMemory ? "PH1" : "PH2",
-                   format_fixed(total / static_cast<double>(ph_batches.size()), 2)});
-  }
+  table.add_row({"SW1", mean_gcups(SwRunner(CommMode::kSharedMemory),
+                                   wsim::kernels::SwRunOptions{}, sw_batches)});
+  table.add_row({"SW2", mean_gcups(SwRunner(CommMode::kShuffle),
+                                   wsim::kernels::SwRunOptions{}, sw_batches)});
+  table.add_row({"PH1", mean_gcups(PhRunner(CommMode::kSharedMemory),
+                                   wsim::kernels::PhRunOptions{}, ph_batches)});
+  table.add_row({"PH2", mean_gcups(PhRunner(CommMode::kShuffle),
+                                   wsim::kernels::PhRunOptions{}, ph_batches)});
   std::cout << "Device: " << dev.name << ", batch size " << batch_size << "\n";
   table.print(std::cout);
   return 0;
 }
 
 int cmd_pipeline(const Args& args) {
-  wsim::workload::Dataset ds;
-  const std::string in = args.get("in", "");
-  if (!in.empty()) {
-    ds = wsim::workload::load_dataset(in);
-  } else {
-    wsim::workload::GeneratorConfig cfg;
-    cfg.regions = static_cast<int>(args.get_int("regions", 8, 1, INT_MAX));
-    cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-    cfg.ph_tasks_per_region_mean = 24.0;
-    ds = wsim::workload::generate_dataset(cfg);
-  }
+  const wsim::workload::Dataset ds =
+      dataset_from(args, {.ph_tasks_per_region_mean = 24.0});
   wsim::pipeline::PipelineConfig cfg;
   cfg.device = device_from(args);
-  if (mode_from(args) == CommMode::kSharedMemory) {
-    cfg.sw_design = CommMode::kSharedMemory;
-    cfg.ph_design = wsim::kernels::PhDesign::kShared;
-  }
-  cfg.rebatch_size = static_cast<std::size_t>(args.get_int("batch", 0));
-  cfg.threads = static_cast<int>(args.get_int("threads", 0, INT_MIN, INT_MAX));
-  cfg.overlap_transfers = args.options.count("streams") != 0;
-  cfg.lpt_order = args.options.count("lpt") != 0;
-  cfg.validate_sample = args.options.count("validate") != 0;
+  pin_mode(args, cfg);
+  cfg.rebatch_size = static_cast<std::size_t>(args.integer("batch"));
+  cfg.threads = static_cast<int>(args.integer("threads"));
+  cfg.overlap_transfers = args.given("streams");
+  cfg.lpt_order = args.given("lpt");
+  cfg.validate_sample = args.given("validate");
   const auto report = wsim::pipeline::run_pipeline(ds, cfg);
 
   wsim::util::Table table({"stage", "tasks", "batches", "cells", "seconds",
@@ -397,34 +337,13 @@ int cmd_pipeline(const Args& args) {
   return report.mismatches == 0 ? 0 : 1;
 }
 
-wsim::workload::Dataset dataset_from(const Args& args, int default_regions) {
-  const std::string in = args.get("in", "");
-  if (!in.empty()) {
-    return wsim::workload::load_dataset(in);
-  }
-  // --profile swaps the SW length family (short-read is the generator
-  // default; long-read/contig open the intra-task wavefront regime).
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  const std::string profile = args.get("profile", "");
-  wsim::workload::GeneratorConfig cfg =
-      profile.empty()
-          ? wsim::workload::GeneratorConfig{}
-          : wsim::workload::profile_config(
-                wsim::workload::length_profile_by_name(profile), seed);
-  cfg.regions =
-      static_cast<int>(args.get_int("regions", default_regions, 1, INT_MAX));
-  cfg.seed = seed;
-  return wsim::workload::generate_dataset(cfg);
-}
-
 int cmd_sw_run(const Args& args) {
   const auto dev = device_from(args);
   const wsim::kernels::SwKernelChoice choice =
-      wsim::kernels::sw_kernel_by_name(args.get("kernel", "wf-shuffle"));
-  const auto profile = wsim::workload::length_profile_by_name(
-      args.get("profile", "long-read"));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  const auto want = static_cast<std::size_t>(args.get_int("tasks", 4, 1, INT_MAX));
+      wsim::kernels::sw_kernel_by_name(args.str("kernel"));
+  const auto profile = wsim::workload::length_profile_by_name(args.str("profile"));
+  const auto seed = static_cast<std::uint64_t>(args.integer("seed"));
+  const auto want = static_cast<std::size_t>(args.integer("tasks"));
 
   wsim::workload::GeneratorConfig cfg =
       wsim::workload::profile_config(profile, seed);
@@ -436,100 +355,60 @@ int cmd_sw_run(const Args& args) {
   }
 
   wsim::simt::ExecutionEngine engine(engine_options_from(args));
-  const bool verify = args.options.count("verify") != 0;
+  const bool verify = args.given("verify");
   const wsim::align::SwParams params;
 
-  wsim::kernels::KernelRunResult run;
-  std::vector<wsim::kernels::SwTaskOutput> outputs;
-  std::size_t launches = 1;
-  std::size_t blocks = batch.size();
-  std::string kernel_name;
+  // Both subsystems take the same options and return the same run; only
+  // the wavefront one issues more than one launch.
+  const auto run_and_report = [&](const auto& runner, auto opt) {
+    opt.engine = &engine;
+    if (verify) {
+      opt.collect_outputs = true;
+    } else {
+      opt.mode = wsim::simt::ExecMode::kCachedByShape;
+    }
+    const auto result = runner.run_batch(dev, batch, opt);
+    const wsim::kernels::KernelRunResult& run = result.run;
+    std::size_t launches = 1;
+    std::size_t blocks = batch.size();
+    if constexpr (requires { result.launches; }) {
+      launches = result.launches;
+      blocks = result.blocks;
+    }
+    wsim::util::Table table({"metric", "value"});
+    table.add_row({"kernel", wsim::kernels::sw_kernel_name(choice) + " (" +
+                                 runner.kernel().name + ")"});
+    table.add_row({"device", dev.name});
+    table.add_row({"profile", std::string(wsim::workload::to_string(profile))});
+    table.add_row({"tasks", std::to_string(batch.size())});
+    table.add_row({"cells", std::to_string(run.cells)});
+    table.add_row({"launches", std::to_string(launches)});
+    table.add_row({"blocks", std::to_string(blocks)});
+    table.add_row(
+        {"kernel time", format_fixed(run.launch.kernel_seconds * 1e3, 3) + " ms"});
+    table.add_row(
+        {"total time", format_fixed(run.launch.total_seconds() * 1e3, 3) + " ms"});
+    table.add_row({"GCUPS (kernel)", format_fixed(run.gcups_kernel(), 2)});
+    table.add_row({"GCUPS (total)", format_fixed(run.gcups_total(), 2)});
+    table.add_row({"occupancy", format_percent(run.launch.occupancy.fraction)});
+    table.print(std::cout);
+    if (verify) {
+      const auto verdict = wsim::guard::validate_sw(batch, result.outputs, params);
+      if (verdict.has_value()) {
+        std::cout << "verify: FAILED — " << *verdict << "\n";
+        return 1;
+      }
+      std::cout << "verify: OK (" << batch.size()
+                << " CIGARs re-scored against the scoring scheme)\n";
+    }
+    return 0;
+  };
   if (choice.intra) {
-    const wsim::kernels::WavefrontSwRunner runner(choice.wf_variant, params);
-    wsim::kernels::WfRunOptions opt;
-    opt.engine = &engine;
-    if (verify) {
-      opt.collect_outputs = true;
-    } else {
-      opt.mode = wsim::simt::ExecMode::kCachedByShape;
-    }
-    auto result = runner.run_batch(dev, batch, opt);
-    run = std::move(result.run);
-    outputs = std::move(result.outputs);
-    launches = result.launches;
-    blocks = result.blocks;
-    kernel_name = runner.kernel().name;
-  } else {
-    const wsim::kernels::SwRunner runner(choice.inter_mode, params);
-    wsim::kernels::SwRunOptions opt;
-    opt.engine = &engine;
-    if (verify) {
-      opt.collect_outputs = true;
-    } else {
-      opt.mode = wsim::simt::ExecMode::kCachedByShape;
-    }
-    auto result = runner.run_batch(dev, batch, opt);
-    run = std::move(result.run);
-    outputs = std::move(result.outputs);
-    kernel_name = runner.kernel().name;
+    return run_and_report(wsim::kernels::WavefrontSwRunner(choice.wf_variant, params),
+                          wsim::kernels::WfRunOptions{});
   }
-
-  wsim::util::Table table({"metric", "value"});
-  table.add_row({"kernel", wsim::kernels::sw_kernel_name(choice) + " (" +
-                               kernel_name + ")"});
-  table.add_row({"device", dev.name});
-  table.add_row({"profile", std::string(wsim::workload::to_string(profile))});
-  table.add_row({"tasks", std::to_string(batch.size())});
-  table.add_row({"cells", std::to_string(run.cells)});
-  table.add_row({"launches", std::to_string(launches)});
-  table.add_row({"blocks", std::to_string(blocks)});
-  table.add_row({"kernel time", format_fixed(run.launch.kernel_seconds * 1e3, 3) + " ms"});
-  table.add_row({"total time", format_fixed(run.launch.total_seconds() * 1e3, 3) + " ms"});
-  table.add_row({"GCUPS (kernel)", format_fixed(run.gcups_kernel(), 2)});
-  table.add_row({"GCUPS (total)", format_fixed(run.gcups_total(), 2)});
-  table.add_row({"occupancy", format_percent(run.launch.occupancy.fraction)});
-  table.print(std::cout);
-  if (verify) {
-    const auto verdict = wsim::guard::validate_sw(batch, outputs, params);
-    if (verdict.has_value()) {
-      std::cout << "verify: FAILED — " << *verdict << "\n";
-      return 1;
-    }
-    std::cout << "verify: OK (" << batch.size()
-              << " CIGARs re-scored against the scoring scheme)\n";
-  }
-  return 0;
-}
-
-/// Knobs shared by serve-sim and fleet-sim.
-struct ReplaySetup {
-  double rate = 0.0;
-  double delay_us = 0.0;
-  double deadline_us = 0.0;
-};
-
-ReplaySetup replay_setup_from(const Args& args) {
-  ReplaySetup setup;
-  setup.rate = args.get_double("rate", 50000.0);
-  wsim::util::require(setup.rate > 0.0, "--rate must be > 0");
-  setup.delay_us = args.get_double("delay", 200.0);
-  setup.deadline_us = args.get_double("deadline", 0.0);
-  return setup;
-}
-
-/// Fills the BatchPolicy/admission knobs common to both replay commands.
-void apply_service_args(const Args& args, const ReplaySetup& setup,
-                        wsim::serve::ServiceConfig& cfg) {
-  cfg.policy.max_batch_delay = setup.delay_us * 1e-6;
-  cfg.policy.target_batch_cells = static_cast<std::size_t>(args.get_int(
-      "target-cells", static_cast<long>(cfg.policy.target_batch_cells), 1));
-  cfg.policy.max_batch_tasks = static_cast<std::size_t>(args.get_int(
-      "max-batch", static_cast<long>(cfg.policy.max_batch_tasks), 1));
-  cfg.max_queue_tasks =
-      static_cast<std::size_t>(args.get_int("queue", 4096, 1));
-  // Timing-only by default: the load experiment needs latencies, not
-  // alignments, and shape-cached execution keeps large replays fast.
-  cfg.collect_outputs = args.options.count("outputs") != 0;
+  return run_and_report(wsim::kernels::SwRunner(choice.inter_mode, params),
+                        wsim::kernels::SwRunOptions{});
 }
 
 /// Arms the obs subsystem for this run when --trace-out / --metrics-out
@@ -537,50 +416,58 @@ void apply_service_args(const Args& args, const ReplaySetup& setup,
 /// only when just the flat dump was. Without either flag the default
 /// kOff level keeps every instrumentation site a no-op.
 void configure_obs(const Args& args) {
-  const bool want_trace = !args.get("trace-out", "").empty();
-  const bool want_metrics = !args.get("metrics-out", "").empty();
-  if (want_trace) {
+  if (!args.str("trace-out").empty()) {
     wsim::obs::set_level(wsim::obs::Level::kTrace);
-  } else if (want_metrics) {
+  } else if (!args.str("metrics-out").empty()) {
     wsim::obs::set_level(wsim::obs::Level::kMetrics);
   }
 }
 
 /// Writes the Chrome trace and/or metrics dump the run recorded.
 void write_obs_outputs(const Args& args) {
-  const std::string trace_path = args.get("trace-out", "");
-  if (!trace_path.empty()) {
-    std::ofstream os(trace_path);
-    wsim::util::require(static_cast<bool>(os),
-                        "cannot open trace file " + trace_path);
-    wsim::obs::write_chrome_trace(os);
-    std::cout << "trace (" << wsim::obs::collect().size()
-              << " events) written to " << trace_path
-              << " — load in chrome://tracing or Perfetto\n";
-  }
-  const std::string metrics_path = args.get("metrics-out", "");
-  if (!metrics_path.empty()) {
-    std::ofstream os(metrics_path);
-    wsim::util::require(static_cast<bool>(os),
-                        "cannot open metrics file " + metrics_path);
-    wsim::obs::write_metrics_json(os);
-    std::cout << "metrics written to " << metrics_path << "\n";
-  }
+  const std::string events = std::to_string(wsim::obs::collect().size());
+  write_output(
+      args, "trace-out", "trace (" + events + " events)",
+      [](std::ostream& os) { wsim::obs::write_chrome_trace(os); }, kTraceHint);
+  write_output(args, "metrics-out", "metrics",
+               [](std::ostream& os) { wsim::obs::write_metrics_json(os); });
 }
 
-struct ReplayOutcome {
+/// What a serve-sim or fleet-sim replay produced.
+struct Replay {
+  wsim::serve::ServiceStats stats;
+  wsim::fleet::FleetStats fleet;
   std::size_t rejected = 0;
   double end = 0.0;  ///< simulated time after drain
 };
 
-/// Open-loop Poisson arrivals: flatten both task kinds, shuffle so SW and
-/// PairHMM interleave, then submit with exponential interarrival gaps at
-/// the requested rate — the clock advances to each arrival first, so
-/// flushes and deliveries happen exactly when the simulated time says.
-ReplayOutcome replay_poisson(wsim::serve::AlignmentService& service,
-                             const wsim::workload::Dataset& ds,
-                             const ReplaySetup& setup, std::uint64_t seed) {
+/// Replays the dataset through the serving layer over the fleet `fleet_cfg`
+/// describes, as open-loop Poisson arrivals: flatten both task kinds,
+/// shuffle so SW and PairHMM interleave, then submit with exponential
+/// interarrival gaps at --rate — the clock advances to each arrival first,
+/// so flushes and deliveries happen exactly when the simulated time says.
+Replay replay(const Args& args, wsim::fleet::FleetConfig fleet_cfg) {
   namespace serve = wsim::serve;
+  const auto ds = dataset_from(args);
+  wsim::simt::ExecutionEngine engine(engine_options_from(args));
+  fleet_cfg.engine = &engine;
+  wsim::fleet::FleetExecutor executor(std::move(fleet_cfg));
+  serve::ServiceConfig cfg;
+  cfg.policy.max_batch_delay = args.real("delay") * 1e-6;
+  if (args.given("target-cells")) {
+    cfg.policy.target_batch_cells =
+        static_cast<std::size_t>(args.integer("target-cells"));
+  }
+  if (args.given("max-batch")) {
+    cfg.policy.max_batch_tasks = static_cast<std::size_t>(args.integer("max-batch"));
+  }
+  cfg.max_queue_tasks = static_cast<std::size_t>(args.integer("queue"));
+  // Timing-only by default: the load experiment needs latencies, not
+  // alignments, and shape-cached execution keeps large replays fast.
+  cfg.collect_outputs = args.given("outputs");
+  cfg.fleet = &executor;
+  serve::AlignmentService service(std::move(cfg));
+
   struct Arrival {
     bool is_sw = false;
     std::size_t index = 0;
@@ -595,46 +482,43 @@ ReplayOutcome replay_poisson(wsim::serve::AlignmentService& service,
   for (std::size_t i = 0; i < ph_tasks.size(); ++i) {
     arrivals.push_back({false, i});
   }
-  wsim::util::require(!arrivals.empty(), "replay: dataset has no tasks");
-  wsim::util::Rng rng(seed ^ 0x5e27e5e27e5e27e5ULL);
+  check_input(!arrivals.empty(), "replay: dataset has no tasks");
+  wsim::util::Rng rng(static_cast<std::uint64_t>(args.integer("seed")) ^
+                      0x5e27e5e27e5e27e5ULL);
   rng.shuffle(arrivals);
 
-  ReplayOutcome outcome;
+  const double rate = args.real("rate");
+  const double deadline_us = args.real("deadline");
+  Replay run;
   double t = 0.0;
   for (const Arrival& arrival : arrivals) {
-    t += -std::log(1.0 - rng.uniform01()) / setup.rate;
+    t += -std::log(1.0 - rng.uniform01()) / rate;
     service.advance_to(t);
-    const auto deadline =
-        setup.deadline_us > 0.0
-            ? std::optional<double>(t + setup.deadline_us * 1e-6)
-            : std::nullopt;
-    bool admitted = false;
-    if (arrival.is_sw) {
-      serve::SwRequest request;
-      request.task = sw_tasks[arrival.index];
+    const auto deadline = deadline_us > 0.0
+                              ? std::optional<double>(t + deadline_us * 1e-6)
+                              : std::nullopt;
+    const auto submit = [&](auto request, const auto& tasks) {
+      request.task = tasks[arrival.index];
       request.deadline = deadline;
-      admitted = service.submit(std::move(request)).admitted();
-    } else {
-      serve::PairHmmRequest request;
-      request.task = ph_tasks[arrival.index];
-      request.deadline = deadline;
-      admitted = service.submit(std::move(request)).admitted();
-    }
-    if (!admitted) {
-      ++outcome.rejected;
-    }
+      return service.submit(std::move(request)).admitted();
+    };
+    const bool admitted = arrival.is_sw ? submit(serve::SwRequest{}, sw_tasks)
+                                        : submit(serve::PairHmmRequest{}, ph_tasks);
+    run.rejected += admitted ? 0 : 1;
   }
-  outcome.end = service.drain();
-  return outcome;
+  run.end = service.drain();
+  run.stats = service.stats();
+  run.fleet = executor.stats();
+  return run;
 }
 
 /// Prints the ServiceStats table shared by serve-sim and fleet-sim.
-void print_service_stats(const wsim::serve::ServiceStats& stats,
-                         const ReplayOutcome& outcome, double deadline_us) {
+void print_service_stats(const Replay& run, double deadline_us) {
+  const wsim::serve::ServiceStats& stats = run.stats;
   wsim::util::Table table({"metric", "value"});
   table.add_row({"submitted", std::to_string(stats.submitted())});
   table.add_row({"completed", std::to_string(stats.completed())});
-  table.add_row({"rejected (backpressure)", std::to_string(outcome.rejected)});
+  table.add_row({"rejected (backpressure)", std::to_string(run.rejected)});
   table.add_row({"batches", std::to_string(stats.batch_sizes.batches)});
   table.add_row({"mean batch size", format_fixed(stats.batch_sizes.mean_size(), 2)});
   table.add_row({"batch-size histogram", stats.batch_sizes.format()});
@@ -653,82 +537,41 @@ void print_service_stats(const wsim::serve::ServiceStats& stats,
     table.add_row({"deadlines met", std::to_string(stats.deadlines_met) + " / " +
                    std::to_string(stats.deadlines_met + stats.deadlines_missed)});
   }
-  table.add_row({"simulated end time", format_fixed(outcome.end * 1e3, 3) + " ms"});
+  table.add_row({"simulated end time", format_fixed(run.end * 1e3, 3) + " ms"});
   table.print(std::cout);
 }
 
-/// Dumps the stats to the --json path when given (serve::write_stats_json
-/// schema, mirroring the bench sweeps' JSON field names).
-void maybe_write_stats_json(const Args& args,
-                            const wsim::serve::ServiceStats& stats) {
-  const std::string path = args.get("json", "");
-  if (path.empty()) {
-    return;
-  }
-  std::ofstream os(path);
-  wsim::util::require(static_cast<bool>(os), "cannot open json file " + path);
-  wsim::serve::write_stats_json(os, stats);
-  os << '\n';
-  std::cout << "stats written to " << path << "\n";
-}
-
-/// Fleet-backed variant: adds membership accounting and the "devices"
-/// array, so fleet-sim --json and cluster-sim --json share one
-/// device-record schema.
-void maybe_write_stats_json(const Args& args,
-                            const wsim::serve::ServiceStats& stats,
-                            const wsim::fleet::FleetStats& fleet_stats) {
-  const std::string path = args.get("json", "");
-  if (path.empty()) {
-    return;
-  }
-  std::ofstream os(path);
-  wsim::util::require(static_cast<bool>(os), "cannot open json file " + path);
-  wsim::serve::write_stats_json(os, stats, fleet_stats);
-  os << '\n';
-  std::cout << "stats written to " << path << "\n";
+/// The replay header's rate and batching delay, shared by serve-sim and
+/// fleet-sim.
+std::string rate_and_delay(const Args& args) {
+  return "rate " + format_fixed(args.real("rate"), 0) + " req/s, batching delay " +
+         format_fixed(args.real("delay"), 0) + " us";
 }
 
 int cmd_serve_sim(const Args& args) {
-  namespace fleet = wsim::fleet;
-  namespace serve = wsim::serve;
   configure_obs(args);
-  const auto ds = dataset_from(args, /*default_regions=*/8);
-  const ReplaySetup setup = replay_setup_from(args);
-
   // One simulated GPU is a one-worker fleet: --mode pins its kernel
   // designs (default shuffle) and SW batches stay task-per-block.
-  fleet::WorkerConfig worker;
+  wsim::fleet::WorkerConfig worker;
   worker.device = device_from(args);
-  const bool shared = mode_from(args) == CommMode::kSharedMemory;
-  worker.sw_design = shared ? CommMode::kSharedMemory : CommMode::kShuffle;
-  worker.ph_design = shared ? wsim::kernels::PhDesign::kShared
-                            : wsim::kernels::PhDesign::kShuffle;
-  fleet::FleetConfig fleet_cfg;
+  worker.sw_design = CommMode::kShuffle;
+  worker.ph_design = wsim::kernels::PhDesign::kShuffle;
+  pin_mode(args, worker);
+  wsim::fleet::FleetConfig fleet_cfg;
   fleet_cfg.workers = {worker};
-  fleet_cfg.parallelism = fleet::ParallelismPolicy::kInterTask;
-  wsim::simt::ExecutionEngine engine(engine_options_from(args));
-  fleet_cfg.engine = &engine;
-  fleet::FleetExecutor executor(std::move(fleet_cfg));
+  fleet_cfg.parallelism = wsim::fleet::ParallelismPolicy::kInterTask;
+  const Replay run = replay(args, std::move(fleet_cfg));
 
-  serve::ServiceConfig cfg;
-  apply_service_args(args, setup, cfg);
-  cfg.fleet = &executor;
-  serve::AlignmentService service(std::move(cfg));
-
-  const ReplayOutcome outcome = replay_poisson(
-      service, ds, setup, static_cast<std::uint64_t>(args.get_int("seed", 42)));
-  const auto stats = service.stats();
-
-  std::cout << "Device: " << executor.device(0).name << ", rate "
-            << format_fixed(setup.rate, 0) << " req/s, batching delay "
-            << format_fixed(setup.delay_us, 0) << " us"
-            << (setup.deadline_us > 0.0
-                    ? ", deadline " + format_fixed(setup.deadline_us, 0) + " us"
-                    : std::string())
+  const double deadline_us = args.real("deadline");
+  std::cout << "Device: " << worker.device.name << ", " << rate_and_delay(args)
+            << (deadline_us > 0.0 ? ", deadline " + format_fixed(deadline_us, 0) + " us"
+                                  : std::string())
             << "\n";
-  print_service_stats(stats, outcome, setup.deadline_us);
-  maybe_write_stats_json(args, stats);
+  print_service_stats(run, deadline_us);
+  write_output(args, "json", "stats", [&](std::ostream& os) {
+    wsim::serve::write_stats_json(os, run.stats);
+    os << '\n';
+  });
   write_obs_outputs(args);
   return 0;
 }
@@ -736,30 +579,17 @@ int cmd_serve_sim(const Args& args) {
 /// Parses --fleet "K40,K1200,Titan X": comma-separated device names, each
 /// one simulated worker. Kernel designs are chosen per device by the
 /// performance model unless --mode pins them fleet-wide.
-std::vector<wsim::fleet::WorkerConfig> workers_from(const Args& args,
-                                                    const std::string& fallback) {
+std::vector<wsim::fleet::WorkerConfig> workers_from(const Args& args) {
   std::vector<wsim::fleet::WorkerConfig> workers;
-  const std::string fleet_names = args.get("fleet", fallback);
-  std::size_t begin = 0;
-  while (begin <= fleet_names.size()) {
-    std::size_t end = fleet_names.find(',', begin);
-    if (end == std::string::npos) {
-      end = fleet_names.size();
-    }
-    const std::string name = fleet_names.substr(begin, end - begin);
+  for (const std::string& name : split(args.str("fleet"), ',')) {
     if (!name.empty()) {
       wsim::fleet::WorkerConfig wc;
       wc.device = wsim::simt::device_by_name(name);
-      if (args.options.count("mode") != 0 &&
-          mode_from(args) == CommMode::kSharedMemory) {
-        wc.sw_design = CommMode::kSharedMemory;
-        wc.ph_design = wsim::kernels::PhDesign::kShared;
-      }
+      pin_mode(args, wc);
       workers.push_back(std::move(wc));
     }
-    begin = end + 1;
   }
-  wsim::util::require(!workers.empty(), "--fleet names no devices");
+  check_input(!workers.empty(), "--fleet names no devices");
   return workers;
 }
 
@@ -769,62 +599,43 @@ std::vector<wsim::fleet::WorkerConfig> workers_from(const Args& args,
 /// (default), ramp (PARAM = dispatches to full factor), or flap (PARAM =
 /// half-period in dispatches); ONSET is the first affected dispatch.
 std::vector<wsim::fleet::DegradeSpec> degradations_from(const Args& args) {
+  using wsim::cli::parse_number;
+  constexpr long kLongMax = std::numeric_limits<long>::max();
   std::vector<wsim::fleet::DegradeSpec> specs;
-  const std::string arg = args.get("degrade", "");
-  std::size_t begin = 0;
-  while (begin < arg.size()) {
-    std::size_t end = arg.find(',', begin);
-    if (end == std::string::npos) {
-      end = arg.size();
-    }
-    const std::string item = arg.substr(begin, end - begin);
-    begin = end + 1;
+  for (const std::string& item : split(args.str("degrade"), ',')) {
     if (item.empty()) {
       continue;
     }
     const std::size_t at = item.find('@');
-    wsim::util::require(at != std::string::npos && at > 0,
-                        "--degrade expects DEV@FACTOR[:KIND[:ONSET[:PARAM]]], "
-                        "got '" + item + "'");
+    check_input(at != std::string::npos && at > 0,
+                "--degrade expects DEV@FACTOR[:KIND[:ONSET[:PARAM]]], got '" + item +
+                    "'");
     wsim::fleet::DegradeSpec spec;
-    spec.device = static_cast<int>(
-        wsim::cli::parse_number<long>("degrade", item.substr(0, at), 0, INT_MAX));
-    std::vector<std::string> fields;
-    std::size_t f = at + 1;
-    while (f <= item.size()) {
-      std::size_t colon = item.find(':', f);
-      if (colon == std::string::npos) {
-        colon = item.size();
-      }
-      fields.push_back(item.substr(f, colon - f));
-      f = colon + 1;
-    }
-    wsim::util::require(!fields.empty() && !fields[0].empty(),
-                        "--degrade '" + item + "' names no factor");
-    spec.factor =
-        wsim::cli::parse_number<double>("degrade", fields[0], 0.0, kUnbounded);
-    wsim::util::require(spec.factor > 1.0,
-                        "--degrade factor must be > 1 (a slowdown)");
+    spec.device =
+        static_cast<int>(parse_number<long>("degrade", item.substr(0, at), 0, INT_MAX));
+    const std::vector<std::string> fields = split(item.substr(at + 1), ':');
+    check_input(!fields.empty() && !fields[0].empty(),
+                "--degrade '" + item + "' names no factor");
+    spec.factor = parse_number<double>("degrade", fields[0], 0.0, wsim::cli::kUnbounded);
+    check_input(spec.factor > 1.0, "--degrade factor must be > 1 (a slowdown)");
     if (fields.size() > 1 && !fields[1].empty()) {
-      const std::string& kind = fields[1];
-      if (kind == "stuck") {
-        spec.kind = wsim::fleet::DegradeKind::kStuckSlow;
-      } else if (kind == "ramp") {
-        spec.kind = wsim::fleet::DegradeKind::kProgressive;
-      } else if (kind == "flap") {
-        spec.kind = wsim::fleet::DegradeKind::kFlapping;
-      } else {
-        throw wsim::util::CheckError("unknown --degrade kind '" + kind +
-                                     "' (stuck|ramp|flap)");
-      }
+      using wsim::fleet::DegradeKind;
+      const auto kinds = {DegradeKind::kStuckSlow, DegradeKind::kProgressive,
+                          DegradeKind::kFlapping};
+      const auto kind = std::find_if(kinds.begin(), kinds.end(), [&](DegradeKind k) {
+        return fields[1] == wsim::fleet::to_string(k);
+      });
+      check_input(kind != kinds.end(),
+                  "unknown --degrade kind '" + fields[1] + "' (stuck|ramp|flap)");
+      spec.kind = *kind;
     }
     if (fields.size() > 2 && !fields[2].empty()) {
       spec.onset_seq = static_cast<std::uint64_t>(
-          wsim::cli::parse_number<long>("degrade", fields[2], 0, kLongMax));
+          parse_number<long>("degrade", fields[2], 0, kLongMax));
     }
     if (fields.size() > 3 && !fields[3].empty()) {
       const auto param = static_cast<std::uint64_t>(
-          wsim::cli::parse_number<long>("degrade", fields[3], 1, kLongMax));
+          parse_number<long>("degrade", fields[3], 1, kLongMax));
       if (spec.kind == wsim::fleet::DegradeKind::kProgressive) {
         spec.ramp_batches = param;
       } else {
@@ -836,34 +647,37 @@ std::vector<wsim::fleet::DegradeSpec> degradations_from(const Args& args) {
   return specs;
 }
 
+/// The fault plan of fleet-sim and cluster-sim: launch failures and
+/// slowdowns drawn from --fault-seed, plus the --degrade injections.
+wsim::fleet::FaultPlan faults_from(const Args& args) {
+  wsim::fleet::FaultPlan faults;
+  faults.seed = static_cast<std::uint64_t>(args.integer("fault-seed"));
+  faults.launch_failure_prob = args.real("fail-prob");
+  faults.slowdown_prob = args.real("slow-prob");
+  faults.slowdown_factor = args.real("slow-factor");
+  faults.degradations = degradations_from(args);
+  return faults;
+}
+
 /// --calibrate on|off. Defaults to on under the calibrated placement
 /// policy (which is built around the factors) and off otherwise.
 bool calibration_from(const Args& args, wsim::fleet::PlacementPolicy policy) {
-  const std::string fallback =
-      policy == wsim::fleet::PlacementPolicy::kCalibrated ? "on" : "off";
-  const std::string value = args.get("calibrate", fallback);
-  wsim::util::require(value == "on" || value == "off",
-                      "--calibrate must be 'on' or 'off'");
-  return value == "on";
+  return args.given("calibrate") ? on_off(args, "calibrate")
+                                 : policy == wsim::fleet::PlacementPolicy::kCalibrated;
 }
 
 int cmd_fleet_sim(const Args& args) {
   namespace fleet = wsim::fleet;
-  namespace serve = wsim::serve;
   configure_obs(args);
-  const auto ds = dataset_from(args, /*default_regions=*/8);
-  const ReplaySetup setup = replay_setup_from(args);
-
   fleet::FleetConfig fleet_cfg;
-  fleet_cfg.workers = workers_from(args, "K40,K1200,Titan X");
-  fleet_cfg.policy = fleet::placement_policy_by_name(args.get("policy", "model"));
-  fleet_cfg.parallelism =
-      fleet::parallelism_policy_by_name(args.get("parallelism", "auto"));
+  fleet_cfg.workers = workers_from(args);
+  fleet_cfg.policy = fleet::placement_policy_by_name(args.str("policy"));
+  fleet_cfg.parallelism = fleet::parallelism_policy_by_name(args.str("parallelism"));
   // --kernel pins one SW subsystem fleet-wide: wf-* names force every SW
   // batch through that wavefront variant, plain names force task-per-block
   // with that communication design. Unknown names error listing the valid
   // vocabulary (sw_kernel_by_name).
-  const std::string kernel = args.get("kernel", "");
+  const std::string kernel = args.str("kernel");
   if (!kernel.empty()) {
     const wsim::kernels::SwKernelChoice choice =
         wsim::kernels::sw_kernel_by_name(kernel);
@@ -879,47 +693,28 @@ int cmd_fleet_sim(const Args& args) {
       }
     }
   }
-  fleet_cfg.faults.seed = static_cast<std::uint64_t>(args.get_int("fault-seed", 1));
-  fleet_cfg.faults.launch_failure_prob = args.get_double("fail-prob", 0.0, 0.0, 1.0);
-  fleet_cfg.faults.slowdown_prob = args.get_double("slow-prob", 0.0, 0.0, 1.0);
-  fleet_cfg.faults.slowdown_factor = args.get_double("slow-factor", 4.0, 1.0);
-  fleet_cfg.faults.degradations = degradations_from(args);
+  fleet_cfg.faults = faults_from(args);
   // DEV is a position in --fleet here; an index past its end would
   // silently degrade nothing. (cluster-sim takes any index: its device ids
   // grow as the autoscaler joins workers.)
   for (const wsim::fleet::DegradeSpec& spec : fleet_cfg.faults.degradations) {
-    if (static_cast<std::size_t>(spec.device) >= fleet_cfg.workers.size()) {
-      throw wsim::util::CheckError(
-          "--degrade device " + std::to_string(spec.device) + " is outside the fleet of " +
-          std::to_string(fleet_cfg.workers.size()) +
-          " devices (DEV is the 0-based position in --fleet)");
-    }
+    const std::size_t size = fleet_cfg.workers.size();
+    check_input(static_cast<std::size_t>(spec.device) < size,
+                "--degrade device " + std::to_string(spec.device) +
+                    " is outside the fleet of " + std::to_string(size) +
+                    " devices (DEV is the 0-based position in --fleet)");
   }
   fleet_cfg.calibration.enabled = calibration_from(args, fleet_cfg.policy);
-  wsim::simt::ExecutionEngine engine(engine_options_from(args));
-  fleet_cfg.engine = &engine;
-  fleet::FleetExecutor executor(std::move(fleet_cfg));
+  const Replay run = replay(args, fleet_cfg);
+  const fleet::FleetStats& fleet_stats = run.fleet;
 
-  serve::ServiceConfig cfg;
-  apply_service_args(args, setup, cfg);
-  cfg.fleet = &executor;
-  serve::AlignmentService service(std::move(cfg));
-
-  const ReplayOutcome outcome = replay_poisson(
-      service, ds, setup, static_cast<std::uint64_t>(args.get_int("seed", 42)));
-  const auto stats = service.stats();
-  const auto fleet_stats = executor.stats();
-
-  std::cout << "Fleet: " << executor.size() << " devices, policy "
-            << fleet::to_string(executor.config().policy) << ", rate "
-            << format_fixed(setup.rate, 0) << " req/s, batching delay "
-            << format_fixed(setup.delay_us, 0) << " us"
-            << (executor.config().faults.enabled()
-                    ? ", faults on (seed " +
-                          std::to_string(executor.config().faults.seed) + ")"
+  std::cout << "Fleet: " << fleet_cfg.workers.size() << " devices, policy "
+            << fleet::to_string(fleet_cfg.policy) << ", " << rate_and_delay(args)
+            << (fleet_cfg.faults.enabled()
+                    ? ", faults on (seed " + std::to_string(fleet_cfg.faults.seed) + ")"
                     : std::string())
             << "\n";
-  print_service_stats(stats, outcome, setup.deadline_us);
+  print_service_stats(run, args.real("deadline"));
 
   const auto ph_design_name = [](wsim::kernels::PhDesign design) {
     switch (design) {
@@ -932,7 +727,7 @@ int cmd_fleet_sim(const Args& args) {
     }
     return "?";
   };
-  const double duration = stats.duration_seconds();
+  const double duration = run.stats.duration_seconds();
   wsim::util::Table devices({"device", "SW", "WF", "PH", "batches", "intra",
                              "tasks", "cells", "busy (ms)", "util", "failures",
                              "slowdowns", "cal factor", "drift"});
@@ -955,7 +750,10 @@ int cmd_fleet_sim(const Args& args) {
             << fleet_stats.retries << ", requeues " << fleet_stats.requeues
             << ", busy skew " << format_fixed(fleet_stats.busy_skew(), 3)
             << "\n";
-  maybe_write_stats_json(args, stats, fleet_stats);
+  write_output(args, "json", "stats", [&](std::ostream& os) {
+    wsim::serve::write_stats_json(os, run.stats, fleet_stats);
+    os << '\n';
+  });
   write_obs_outputs(args);
   return 0;
 }
@@ -967,18 +765,16 @@ int cmd_fleet_sim(const Args& args) {
 wsim::workload::Trace cluster_trace_from(const Args& args) {
   namespace workload = wsim::workload;
   workload::Trace trace;
-  const std::string trace_in = args.get("trace", "");
+  const std::string trace_in = args.str("trace");
   if (!trace_in.empty()) {
     trace = workload::load_trace(trace_in);
   } else {
     workload::TraceConfig cfg;
-    cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-    cfg.duration_seconds = args.get_double("duration", 0.5);
-    wsim::util::require(cfg.duration_seconds > 0.0, "--duration must be > 0");
-    cfg.shape = workload::trace_shape_by_name(args.get("shape", "diurnal"));
-    const long tenants = args.get_int("tenants", 2, 1);
-    const double rate = args.get_double("rate", 20000.0);
-    wsim::util::require(rate > 0.0, "--rate must be > 0");
+    cfg.seed = static_cast<std::uint64_t>(args.integer("seed"));
+    cfg.duration_seconds = args.real("duration");
+    cfg.shape = workload::trace_shape_by_name(args.str("shape"));
+    const long tenants = args.integer("tenants");
+    const double rate = args.real("rate");
     for (long i = 0; i < tenants; ++i) {
       workload::TenantTraffic traffic;
       traffic.name = "tenant-" + std::to_string(i);
@@ -987,7 +783,7 @@ wsim::workload::Trace cluster_trace_from(const Args& args) {
     }
     trace = workload::generate_trace(cfg);
   }
-  const std::string trace_out = args.get("save-trace", "");
+  const std::string trace_out = args.str("save-trace");
   if (!trace_out.empty()) {
     workload::save_trace(trace_out, trace);
     std::cout << "trace written to " << trace_out << " (" << trace.events.size()
@@ -1001,48 +797,33 @@ int cmd_cluster_sim(const Args& args) {
   namespace fleet = wsim::fleet;
   namespace serve = wsim::serve;
   configure_obs(args);
-  const auto ds = dataset_from(args, /*default_regions=*/4);
+  const auto ds = dataset_from(args);
   const wsim::workload::Trace trace = cluster_trace_from(args);
 
   cluster::ClusterConfig cfg;
-  cfg.worker.device =
-      wsim::simt::device_by_name(args.get("fleet-device", "K1200"));
-  if (args.options.count("mode") != 0 &&
-      mode_from(args) == CommMode::kSharedMemory) {
-    cfg.worker.sw_design = CommMode::kSharedMemory;
-    cfg.worker.ph_design = wsim::kernels::PhDesign::kShared;
-  }
-  cfg.autoscaler.min_workers =
-      static_cast<std::size_t>(args.get_int("min", 1, 1));
-  cfg.autoscaler.max_workers =
-      static_cast<std::size_t>(args.get_int("max", 8, 1));
-  const std::string autoscale = args.get("autoscaler", "on");
-  wsim::util::require(autoscale == "on" || autoscale == "off",
-                      "--autoscaler must be 'on' or 'off'");
-  cfg.autoscaler.enabled = autoscale == "on";
+  cfg.worker.device = wsim::simt::device_by_name(args.str("fleet-device"));
+  pin_mode(args, cfg.worker);
+  cfg.autoscaler.min_workers = static_cast<std::size_t>(args.integer("min"));
+  cfg.autoscaler.max_workers = static_cast<std::size_t>(args.integer("max"));
+  check_input(cfg.autoscaler.max_workers >= cfg.autoscaler.min_workers,
+              "--max must be >= --min");
+  cfg.autoscaler.enabled = on_off(args, "autoscaler");
   // With the control law off the fleet is fixed: min workers for the whole
   // run (pass --min = --max to size the fixed fleet).
   cfg.initial_workers = cfg.autoscaler.min_workers;
-  cfg.control_interval_seconds =
-      static_cast<double>(args.get_int("interval", 2000, 1)) * 1e-6;
-  cfg.join_warmup_seconds =
-      static_cast<double>(args.get_int("warmup", 2000)) * 1e-6;
+  cfg.control_interval_seconds = static_cast<double>(args.integer("interval")) * 1e-6;
+  cfg.join_warmup_seconds = static_cast<double>(args.integer("warmup")) * 1e-6;
   cfg.autoscaler.target_backlog_seconds =
-      static_cast<double>(args.get_int("target-backlog", 5000, 1)) * 1e-6;
-  cfg.cost_per_device_hour = args.get_double("cost-hour", 2.5);
-  cfg.faults.seed = static_cast<std::uint64_t>(args.get_int("fault-seed", 1));
-  cfg.faults.launch_failure_prob = args.get_double("fail-prob", 0.0, 0.0, 1.0);
-  cfg.faults.slowdown_prob = args.get_double("slow-prob", 0.0, 0.0, 1.0);
-  cfg.faults.slowdown_factor = args.get_double("slow-factor", 4.0, 1.0);
-  cfg.faults.degradations = degradations_from(args);
-  cfg.policy = fleet::placement_policy_by_name(args.get("policy", "model"));
+      static_cast<double>(args.integer("target-backlog")) * 1e-6;
+  cfg.cost_per_device_hour = args.real("cost-hour");
+  cfg.faults = faults_from(args);
+  cfg.policy = fleet::placement_policy_by_name(args.str("policy"));
   cfg.calibration.enabled = calibration_from(args, cfg.policy);
 
   // Every trace tenant gets the same contract: an SLO class (--slo, in
   // milliseconds, 0 = none) and a queued-task quota (--quota, 0 = none).
-  const double slo_seconds = args.get_double("slo", 20.0) * 1e-3;
-  const std::size_t quota =
-      static_cast<std::size_t>(args.get_int("quota", 0));
+  const double slo_seconds = args.real("slo") * 1e-3;
+  const auto quota = static_cast<std::size_t>(args.integer("quota"));
   for (const std::string& name : trace.tenants) {
     serve::TenantConfig tenant;
     tenant.name = name;
@@ -1114,14 +895,10 @@ int cmd_cluster_sim(const Args& args) {
   }
   devices.print(std::cout);
 
-  const std::string path = args.get("json", "");
-  if (!path.empty()) {
-    std::ofstream os(path);
-    wsim::util::require(static_cast<bool>(os), "cannot open json file " + path);
+  write_output(args, "json", "report", [&](std::ostream& os) {
     cluster::write_cluster_json(os, report);
     os << '\n';
-    std::cout << "report written to " << path << "\n";
-  }
+  });
   write_obs_outputs(args);
   return 0;
 }
@@ -1142,52 +919,42 @@ int cmd_guard_sim(const Args& args) {
   namespace fleet = wsim::fleet;
   namespace guard = wsim::guard;
   configure_obs(args);
-  const auto ds = dataset_from(args, /*default_regions=*/2);
-  const auto batch_size = static_cast<std::size_t>(args.get_int("batch", 64, 1));
+  const auto ds = dataset_from(args);
+  const auto batch_size = static_cast<std::size_t>(args.integer("batch"));
   const auto sw_batches = wsim::workload::sw_rebatch(ds, batch_size);
   const auto ph_batches = wsim::workload::ph_rebatch(ds, batch_size);
 
   std::vector<double> probs;
-  {
-    const std::string list = args.get("flip-prob", "3e-7,3e-6");
-    std::size_t begin = 0;
-    while (begin <= list.size()) {
-      std::size_t end = list.find(',', begin);
-      if (end == std::string::npos) {
-        end = list.size();
-      }
-      const std::string item = list.substr(begin, end - begin);
-      if (!item.empty()) {
-        probs.push_back(
-            wsim::cli::parse_number<double>("flip-prob", item, 0.0, 1.0));
-      }
-      begin = end + 1;
-    }
-    wsim::util::require(!probs.empty(), "guard-sim: --flip-prob names no rates");
-  }
-  std::vector<guard::DetectMode> modes;
-  {
-    const std::string detect = args.get("detect", "all");
-    if (detect == "all") {
-      modes = {guard::DetectMode::kNone, guard::DetectMode::kAbft,
-               guard::DetectMode::kDual};
-    } else {
-      modes = {guard::detect_mode_by_name(detect)};
+  for (const std::string& item : split(args.str("flip-prob"), ',')) {
+    if (!item.empty()) {
+      probs.push_back(wsim::cli::parse_number<double>("flip-prob", item, 0.0, 1.0));
     }
   }
-  const auto workers = workers_from(args, "K1200,Titan X");
-  const auto sdc_seed = static_cast<std::uint64_t>(args.get_int("sdc-seed", 7));
+  check_input(!probs.empty(), "guard-sim: --flip-prob names no rates");
+  const std::string detect = args.str("detect");
+  std::vector<guard::DetectMode> modes = {
+      guard::DetectMode::kNone, guard::DetectMode::kAbft, guard::DetectMode::kDual};
+  if (detect != "all") {
+    modes = {guard::detect_mode_by_name(detect)};
+  }
+  const auto workers = workers_from(args);
+  const auto sdc_seed = static_cast<std::uint64_t>(args.integer("sdc-seed"));
   wsim::simt::ExecutionEngine engine(engine_options_from(args));
 
-  // Runs every batch through `executor` and either records the delivered
-  // fingerprints (baseline pass) or compares them against the baseline's
-  // (sweep pass). The comparison is end-to-end bit-identity of everything
-  // the fleet delivers, so it also penalizes corruption the ABFT
-  // validators cannot see (e.g. traceback cells off the reported path).
-  const auto run_all = [&](fleet::FleetExecutor& executor,
+  // Runs every batch on the fleet guarded by `guard_cfg` and either
+  // records the delivered fingerprints (baseline pass) or compares them
+  // against the baseline's (sweep pass); returns the guard accounting. The
+  // comparison is end-to-end bit-identity of everything the fleet
+  // delivers, so it also penalizes corruption the ABFT validators cannot
+  // see (e.g. traceback cells off the reported path).
+  const auto run_all = [&](const guard::GuardConfig& guard_cfg,
                            std::vector<std::uint64_t>* record,
-                           const std::vector<std::uint64_t>* baseline,
-                           GuardCell* cell) {
+                           const std::vector<std::uint64_t>* baseline, GuardCell* cell) {
+    fleet::FleetConfig cfg;
+    cfg.workers = workers;
+    cfg.engine = &engine;
+    cfg.guard = guard_cfg;
+    fleet::FleetExecutor executor(std::move(cfg));
     fleet::ExecOptions opt;  // collect_outputs defaults to true
     std::size_t index = 0;
     const auto observe = [&](std::uint64_t print, bool cpu_fallback, bool is_sw) {
@@ -1216,33 +983,24 @@ int cmd_guard_sim(const Args& args) {
       observe(guard::fingerprint_ph(executed.result.log10),
               executed.exec.cpu_fallback, /*is_sw=*/false);
     }
+    return executor.stats().guard;
   };
 
   std::vector<std::uint64_t> baseline;
-  {
-    fleet::FleetConfig cfg;
-    cfg.workers = workers;
-    cfg.engine = &engine;
-    fleet::FleetExecutor executor(std::move(cfg));
-    run_all(executor, &baseline, nullptr, nullptr);
-  }
+  run_all({}, &baseline, nullptr, nullptr);
 
   std::vector<GuardCell> cells;
   for (const double prob : probs) {
     for (const guard::DetectMode mode : modes) {
-      fleet::FleetConfig cfg;
-      cfg.workers = workers;
-      cfg.engine = &engine;
-      cfg.guard.detect = mode;
-      cfg.guard.sdc.seed = sdc_seed;
-      cfg.guard.sdc.flip_prob = prob;
-      fleet::FleetExecutor executor(std::move(cfg));
+      guard::GuardConfig guard_cfg;
+      guard_cfg.detect = mode;
+      guard_cfg.sdc.seed = sdc_seed;
+      guard_cfg.sdc.flip_prob = prob;
       GuardCell cell;
       cell.flip_prob = prob;
       cell.mode = mode;
       cell.batches = sw_batches.size() + ph_batches.size();
-      run_all(executor, nullptr, &baseline, &cell);
-      cell.stats = executor.stats().guard;
+      cell.stats = run_all(guard_cfg, nullptr, &baseline, &cell);
       cells.push_back(std::move(cell));
     }
   }
@@ -1270,10 +1028,7 @@ int cmd_guard_sim(const Args& args) {
   table.print(std::cout);
   std::cout << "escaped_total " << escaped_total << "\n";
 
-  const std::string path = args.get("json", "");
-  if (!path.empty()) {
-    std::ofstream os(path);
-    wsim::util::require(static_cast<bool>(os), "cannot open json file " + path);
+  write_output(args, "json", "sweep", [&](std::ostream& os) {
     os << "{\n  \"sweep\": [";
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const GuardCell& cell = cells[i];
@@ -1290,99 +1045,88 @@ int cmd_guard_sim(const Args& args) {
          << ", \"escaped\": " << cell.escaped << "}";
     }
     os << "\n  ],\n  \"escaped_total\": " << escaped_total << "\n}\n";
-    std::cout << "sweep written to " << path << "\n";
-  }
+  });
   write_obs_outputs(args);
   return 0;
 }
 
-void print_usage(std::ostream& os) { os << wsim::cli::usage_text(); }
-
 int usage_error() {
-  print_usage(std::cerr);
+  std::cerr << wsim::cli::usage_text();
   return 2;
 }
 
-}  // namespace
-
-namespace {
-
 using Handler = int (*)(const Args&);
 
-/// Dispatch table, checked one-to-one against wsim::cli::commands() at
-/// startup so the registry (and therefore the help text and the drift
-/// test) can never silently diverge from what main() actually runs.
-const std::map<std::string, Handler>& handlers() {
-  static const std::map<std::string, Handler> table = {
-      {"devices", [](const Args&) { return cmd_devices(); }},
-      {"micro", cmd_micro},
-      {"sw", cmd_sw},
-      {"nw", cmd_nw},
-      {"pairhmm", cmd_pairhmm},
-      {"sw-run", cmd_sw_run},
-      {"workload", cmd_workload},
-      {"sweep", cmd_sweep},
-      {"pipeline", cmd_pipeline},
-      {"serve-sim", cmd_serve_sim},
-      {"fleet-sim", cmd_fleet_sim},
-      {"cluster-sim", cmd_cluster_sim},
-      {"guard-sim", cmd_guard_sim},
-  };
-  return table;
-}
-
-void check_registry() {
-  const auto& table = handlers();
-  for (const auto& info : wsim::cli::commands()) {
-    wsim::util::require(table.count(std::string(info.name)) == 1,
-                        "wsim: registered command '" + std::string(info.name) +
-                            "' has no dispatch handler");
-  }
-  wsim::util::require(table.size() == wsim::cli::commands().size(),
-                      "wsim: dispatch table has commands missing from the "
-                      "wsim::cli registry");
-}
+/// Dispatch table in wsim::cli::commands() order; main() checks the two
+/// agree name for name at startup, so the registry (and therefore the help
+/// text and the drift test) can never silently diverge from what runs.
+constexpr std::pair<std::string_view, Handler> kHandlers[] = {
+    {"devices", [](const Args&) { return cmd_devices(); }},
+    {"micro", cmd_micro},
+    {"sw", cmd_sw},
+    {"nw", cmd_nw},
+    {"pairhmm", cmd_pairhmm},
+    {"sw-run", cmd_sw_run},
+    {"workload", cmd_workload},
+    {"sweep", cmd_sweep},
+    {"pipeline", cmd_pipeline},
+    {"serve-sim", cmd_serve_sim},
+    {"fleet-sim", cmd_fleet_sim},
+    {"cluster-sim", cmd_cluster_sim},
+    {"guard-sim", cmd_guard_sim},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  check_registry();
+  const auto& registry = wsim::cli::commands();
+  const auto same_name = [](const wsim::cli::CommandInfo& info, const auto& handler) {
+    return info.name == handler.first;
+  };
+  wsim::util::require(std::equal(registry.begin(), registry.end(), std::begin(kHandlers),
+                                 std::end(kHandlers), same_name),
+                      "wsim: dispatch table and wsim::cli registry differ");
   if (argc < 2) {
     return usage_error();
   }
   const std::string command = argv[1];
   if (command == "help" || command == "--help" || command == "-h") {
-    print_usage(std::cout);
+    std::cout << wsim::cli::usage_text();
     return 0;
   }
-  const Args args = parse(argc, argv);
-  // The interpreter knob routes through the WSIM_INTERP environment
-  // variable so every launch in the process — including engines built by
-  // library code — resolves the same path (simt::resolve_interp_path).
-  // An inherited value is validated too: the library treats unknown names
-  // as the default, which would silently ignore a typo.
-  const std::string interp = args.get("interp", "");
-  const char* inherited = std::getenv("WSIM_INTERP");
-  std::string interp_err;
-  if (!interp.empty()) {
-    interp_err = wsim::cli::interp_error(interp);
-  } else if (inherited != nullptr && *inherited != '\0') {
-    interp_err = wsim::cli::interp_error(inherited, "WSIM_INTERP");
-  }
-  if (!interp_err.empty()) {
-    std::cerr << interp_err << '\n';
+  const auto it = std::find_if(std::begin(kHandlers), std::end(kHandlers),
+                               [&](const auto& h) { return h.first == command; });
+  if (it == std::end(kHandlers)) {
+    std::cerr << "unknown command '" << command << "'\n";
     return usage_error();
   }
-  if (!interp.empty()) {
-    ::setenv("WSIM_INTERP", interp.c_str(), 1);
-  }
   try {
-    const auto it = handlers().find(command);
-    if (it == handlers().end()) {
-      std::cerr << "unknown command '" << command << "'\n";
+    const Args args = wsim::cli::parse(command, {argv + 2, argv + argc});
+    // The interpreter knob routes through the WSIM_INTERP environment
+    // variable so every launch in the process — including engines built by
+    // library code — resolves the same path (simt::resolve_interp_path).
+    // An inherited value is validated too: the library treats unknown names
+    // as the default, which would silently ignore a typo.
+    const std::string interp = args.str("interp");
+    const char* inherited = std::getenv("WSIM_INTERP");
+    std::string interp_err;
+    if (!interp.empty()) {
+      interp_err = wsim::cli::interp_error(interp);
+    } else if (inherited != nullptr && *inherited != '\0') {
+      interp_err = wsim::cli::interp_error(inherited, "WSIM_INTERP");
+    }
+    if (!interp_err.empty()) {
+      std::cerr << interp_err << '\n';
       return usage_error();
     }
+    if (!interp.empty()) {
+      ::setenv("WSIM_INTERP", interp.c_str(), 1);
+    }
     return it->second(args);
+  } catch (const wsim::cli::UsageError& e) {
+    std::cerr << "error: " << e.what() << "\nusage:\n"
+              << wsim::cli::command_help(wsim::cli::command(command));
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
